@@ -21,6 +21,7 @@ from .errors import (
 from .explorer import (
     CHANNEL_ARBITRARY,
     CHANNELS,
+    MAX_REPLICAS,
     MODEL_BUG_FLAGS,
     ExplorationConfig,
     STRATEGIES,
@@ -31,13 +32,6 @@ from .operations import LIST, RPQ
 from .replica import STANDARD
 from .server import BUG_DESCRIPTIONS, BUG_FLAGS
 from .testgen import generate_corpus
-
-_BUG_SCOPES = {
-    "bug1-readd-accept": "model+server",
-    "bug2-assume-causal": "model+server",
-    "bug4-dummy-position": "server",
-    "bug7-idgen-order": "server",
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -129,20 +123,20 @@ def _emit(out_path: str | None, doc) -> None:
         sys.stdout.write(blob)
 
 
-def _config(args) -> ExplorationConfig:
+def _config(args, model_bugs) -> ExplorationConfig:
     return ExplorationConfig(
         data_type=args.data_type,
         n=args.n,
         q=args.q,
         channel=args.channel,
         strategy=args.strategy,
-        bug_flags=frozenset(args.bug),
+        bug_flags=frozenset(model_bugs),
         state_cap=args.state_cap,
     )
 
 
 def _cmd_explore(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, args.bug)
     try:
         report = explore(cfg)
     except BudgetExceeded as exc:
@@ -161,7 +155,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _config(args)
+    cfg = _config(args, args.bug)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             count = generate_corpus(cfg, fh, limit=args.limit)
@@ -172,15 +166,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    cfg = ExplorationConfig(
-        data_type=args.data_type,
-        n=args.n,
-        q=args.q,
-        channel=args.channel,
-        strategy=args.strategy,
-        bug_flags=frozenset(args.model_bug),
-        state_cap=args.state_cap,
-    )
+    cfg = _config(args, args.model_bug)
     for flag in args.bug:
         if flag not in BUG_FLAGS:
             raise UnknownFlag(f"{flag!r} is not in the bug catalog {list(BUG_FLAGS)}")
@@ -204,8 +190,8 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_stress(args) -> int:
-    if not 1 <= args.n <= 3:
-        raise BadConfig(f"replica count must be 1..3, got {args.n}")
+    if not 1 <= args.n <= MAX_REPLICAS:
+        raise BadConfig(f"replica count must be 1..{MAX_REPLICAS}, got {args.n}")
     if args.rounds < 1 or args.ops < 1:
         raise BadConfig("rounds and ops must be positive")
     report = stress(
@@ -234,7 +220,7 @@ def _cmd_bugs(args) -> int:
         {
             "description": BUG_DESCRIPTIONS[flag],
             "flag": flag,
-            "scope": _BUG_SCOPES[flag],
+            "scope": "model+server" if flag in MODEL_BUG_FLAGS else "server",
         }
         for flag in BUG_FLAGS
     ]

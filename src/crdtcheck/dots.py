@@ -66,20 +66,15 @@ class CausalContext:
     def add(self, dot: Dot) -> "CausalContext":
         if self.contains(dot):
             return self
-        seen = dict(self.seen)
-        extra = set(self.extra)
-        extra.add(dot)
-        # Compact: absorb any contiguous run now reachable from the frontier.
-        grew = True
-        while grew:
-            grew = False
-            for d in sorted(extra):
-                if d.counter == seen.get(d.replica, 0) + 1:
-                    seen[d.replica] = d.counter
-                    extra.discard(d)
-                    grew = True
-                    break
-        return CausalContext(seen, frozenset(extra))
+        replica, top = dot.replica, dot.counter
+        if top != self.seen.get(replica, 0) + 1:
+            return CausalContext(self.seen, self.extra | {dot})
+        # The dot extends its origin's frontier: absorb the run it closes.
+        run = set()
+        while (nxt := Dot(top + 1, replica)) in self.extra:
+            run.add(nxt)
+            top += 1
+        return CausalContext({**self.seen, replica: top}, self.extra - run)
 
     def iter_dots(self) -> Iterator[Dot]:
         for replica, top in self.seen.items():

@@ -56,7 +56,8 @@ class ScheduleUnsatisfiable(CrdtCheckError):
 
 
 class ProtocolViolation(CrdtCheckError):
-    """A replica server saw a frame that breaks the lockstep protocol."""
+    """A frame breaks the lockstep protocol: a replica server got one
+    it cannot handle, or the harness got a malformed reply."""
 
 
 class UnknownFlag(CrdtCheckError):

@@ -54,10 +54,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-import pickle
+import marshal
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import BadConfig, BudgetExceeded, NotEnabled
 from .operations import (
@@ -263,8 +263,11 @@ class GlobalState:
 
 
 def state_digest(gs: GlobalState) -> bytes:
+    # marshal version 2 writes no back-references and no interning flags,
+    # so the bytes depend on the canonical value alone, not on which of
+    # its parts happen to be shared objects.
     return hashlib.blake2b(
-        pickle.dumps(gs.canonical(), protocol=4), digest_size=16
+        marshal.dumps(gs.canonical(), 2), digest_size=16
     ).digest()
 
 
@@ -337,16 +340,10 @@ def _deliver_step(gs: GlobalState, ev: DeliverEvent, msg: SyncMessage) -> Global
     return GlobalState(tuple(replicas), tuple(channels), gs.next_slot)
 
 
-def _find_message(gs: GlobalState, ev: DeliverEvent) -> SyncMessage | None:
-    for m in gs.channels[ev.dest]:
-        if m.origin == ev.origin and m.op.dot.counter == ev.counter:
-            return m
-    return None
-
-
 def _deliverable(cfg: ExplorationConfig, gs: GlobalState, dest: int, msg: SyncMessage) -> bool:
     if cfg.channel == CHANNEL_CAUSAL:
-        return gs.replicas[dest].delivered.covers_context(msg.ctx)
+        rep = gs.replicas[dest]
+        return all(rep.has_delivered(d) for d in msg.ctx.iter_dots())
     return True
 
 
@@ -356,7 +353,8 @@ def enabled_events(cfg: ExplorationConfig, gs: GlobalState) -> list:
 
 
 def _successors(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple]:
-    """(event, successor state) pairs in sorted event order."""
+    """(event, successor state) pairs in sorted event order: the one
+    definition of which events are enabled."""
     out = []
     if gs.next_slot < cfg.q:
         slot = gs.next_slot
@@ -377,72 +375,33 @@ def _successors(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple]:
 
 
 def step(cfg: ExplorationConfig, gs: GlobalState, ev) -> GlobalState:
-    """Validated single transition; raises ``NotEnabled`` otherwise."""
-    if isinstance(ev, ClientEvent):
-        if (
-            ev.slot == gs.next_slot
-            and ev.slot < cfg.q
-            and ev.target == ev.slot % cfg.n
-            and ev.req in candidate_requests(cfg, gs.replicas[ev.target], ev.slot)
-        ):
-            return _client_step(cfg, gs, ev)
-        raise NotEnabled(f"client event not enabled: {event_wire(ev)}")
-    if isinstance(ev, DeliverEvent):
-        if 0 <= ev.dest < cfg.n:
-            msg = _find_message(gs, ev)
-            if msg is not None:
-                if not _deliverable(cfg, gs, ev.dest, msg):
-                    raise NotEnabled(
-                        f"causal channel blocks delivery: {event_wire(ev)}"
-                    )
-                return _deliver_step(gs, ev, msg)
-        raise NotEnabled(f"no such in-flight message: {event_wire(ev)}")
-    raise NotEnabled(f"not an event: {ev!r}")
+    """Validated single transition; raises ``NotEnabled`` unless ``ev``
+    is one of the events ``_successors`` enables in ``gs``."""
+    for enabled, succ in _successors(cfg, gs):
+        if enabled == ev:
+            return succ
+    raise NotEnabled(f"event not enabled: {ev!r}")
 
 
-def replay_schedule(
-    cfg: ExplorationConfig, schedule, history: "HistoryLog | None" = None
-) -> GlobalState:
+def replay_schedule(cfg: ExplorationConfig, schedule) -> GlobalState:
     """Run an explicit event sequence through the validated transition."""
     gs = initial_state(cfg)
     for ev in schedule:
         gs = step(cfg, gs, ev)
-        if history is not None:
-            history.record(ev, gs)
     return gs
 
 
 def schedule_has_causal_inversion(cfg: ExplorationConfig, schedule) -> bool:
     """True if some delivery happens before one of its causal
     predecessors reached the same destination — the reordering a causal
-    channel would have forbidden."""
-    gs = initial_state(cfg)
-    inverted = False
-    for ev in schedule:
-        if isinstance(ev, DeliverEvent):
-            msg = _find_message(gs, ev)
-            if msg is not None and not gs.replicas[ev.dest].delivered.covers_context(msg.ctx):
-                inverted = True
-        gs = step(cfg, gs, ev)
-    return inverted
-
-
-class HistoryLog:
-    """Append-only (event, per-replica canonical bytes) trail of a replay.
-
-    Recording is an observer: it never feeds back into transitions.
-    """
-
-    def __init__(self):
-        self.entries: list[tuple[list, tuple[bytes, ...]]] = []
-
-    def record(self, ev, gs: GlobalState) -> None:
-        self.entries.append(
-            (event_wire(ev), tuple(r.normalize() for r in gs.replicas))
-        )
-
-    def __len__(self) -> int:
-        return len(self.entries)
+    channel would have forbidden.  Raises ``NotEnabled`` if the schedule
+    is not valid under ``cfg`` itself."""
+    replay_schedule(cfg, schedule)
+    try:
+        replay_schedule(replace(cfg, channel=CHANNEL_CAUSAL), schedule)
+    except NotEnabled:
+        return True
+    return False
 
 
 # -- invariant checks ---------------------------------------------------

@@ -15,8 +15,9 @@ Verdicts per case:
                      carries the replica index and the first differing
                      byte offset.
 - ``replica-error``  the server rejected a scheduled client op, raised
-                     an error, or the schedule asked to deliver a
-                     message that was never produced.
+                     an error, answered with a malformed sync fan-out,
+                     or the schedule asked to deliver a message that
+                     was never produced.
 - ``rejected``       the case was generated for a different
                      configuration (fingerprint mismatch) and was not
                      run at all.
@@ -38,7 +39,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
-from .errors import CrdtCheckError, ScheduleUnsatisfiable
+from .errors import CrdtCheckError, ProtocolViolation, ScheduleUnsatisfiable
 from .explorer import (
     ClientEvent,
     DeliverEvent,
@@ -182,6 +183,28 @@ class ReplaySummary:
         }
 
 
+def _sync_fanout(reply: dict) -> list[tuple[int, dict]]:
+    """The ``(dest, msg)`` pairs of an accepted ClientOp reply.
+
+    Raises ``ProtocolViolation`` unless ``syncs`` is an array whose every
+    entry has an integer ``dest`` and a ``msg`` object whose ``origin``
+    and ``op.dot`` can key the pending pool.
+    """
+    syncs = reply.get("syncs", [])
+    try:
+        fanout = [(sync["dest"], sync["msg"]) for sync in syncs]
+        ok = all(
+            isinstance(dest, int) and isinstance(msg["origin"], int)
+            and [type(x) for x in msg["op"]["dot"]] == [int, int]
+            for dest, msg in fanout
+        )
+    except (KeyError, TypeError):
+        ok = False
+    if not ok:
+        raise ProtocolViolation(f"malformed sync fan-out: {syncs!r}")
+    return fanout
+
+
 def first_diff_offset(a: bytes, b: bytes) -> int:
     for i, (x, y) in enumerate(zip(a, b)):
         if x != y:
@@ -220,8 +243,14 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
                     tc.case_id, REPLICA_ERROR, replica=ev.target,
                     detail=f"scheduled client op was rejected: {ev.req.as_wire()}",
                 )
-            for sync in reply.get("syncs", []):
-                pool.put(sync["dest"], sync["msg"])
+            try:
+                fanout = _sync_fanout(reply)
+            except ProtocolViolation as exc:
+                return CaseResult(
+                    tc.case_id, REPLICA_ERROR, replica=ev.target, detail=str(exc),
+                )
+            for dest, msg in fanout:
+                pool.put(dest, msg)
         elif isinstance(ev, DeliverEvent):
             try:
                 msg = pool.take(ev.dest, ev.origin, ev.counter)
@@ -416,17 +445,23 @@ def stress(
             report.ops += 1
             models[target], model_msg = models[target].issue(req)
             model_wire = _canonical_json(model_msg.as_wire())
-            syncs = reply.get("syncs", [])
-            expected_dests = sorted(d for d in range(n) if d != target)
-            if sorted(s["dest"] for s in syncs) != expected_dests:
+            try:
+                fanout = _sync_fanout(reply)
+            except ProtocolViolation as exc:
                 report.failure = StressFailure(
-                    "issue-divergence", round_no, target,
-                    f"sync fan-out went to {[s['dest'] for s in syncs]}, "
-                    f"expected {expected_dests}",
+                    "replica-error", round_no, target, str(exc)
                 )
                 return report
-            for sync in syncs:
-                got = _canonical_json(sync["msg"])
+            dests = [dest for dest, _ in fanout]
+            expected_dests = sorted(d for d in range(n) if d != target)
+            if sorted(dests) != expected_dests:
+                report.failure = StressFailure(
+                    "issue-divergence", round_no, target,
+                    f"sync fan-out went to {dests}, expected {expected_dests}",
+                )
+                return report
+            for dest, wire_msg in fanout:
+                got = _canonical_json(wire_msg)
                 if got != model_wire:
                     offset = first_diff_offset(
                         got.encode("utf-8"), model_wire.encode("utf-8")
@@ -436,7 +471,7 @@ def stress(
                         f"sync message differs from the model at byte {offset}",
                     )
                     return report
-                in_flight.append((sync["dest"], sync["msg"], model_msg))
+                in_flight.append((dest, wire_msg, model_msg))
             # Deliver a random prefix of the backlog while the round is open.
             while in_flight and rng.random() < 0.4:
                 failure = deliver(rng.randrange(len(in_flight)), round_no)

@@ -191,14 +191,16 @@ class ReplicaState:
 
     data_type: str
     replica: int
-    counter: int = 0
     elems: dict = field(default_factory=dict)  # elem id -> RpqOps | ListOps
     pending: dict = field(default_factory=dict)  # Dot -> SyncMessage
-    delivered: CausalContext = field(default_factory=CausalContext)
     applied: CausalContext = field(default_factory=CausalContext)
     strategy: str = STANDARD
     bug_flags: frozenset = frozenset()
     bug_nonce: int = 0
+
+    def has_delivered(self, dot: Dot) -> bool:
+        """A dot was delivered here iff it is applied or buffered."""
+        return self.applied.contains(dot) or dot in self.pending
 
     # -- client side -------------------------------------------------
 
@@ -228,13 +230,14 @@ class ReplicaState:
         err = self.request_error(req)
         if err is not None:
             raise UnknownElement(err)
-        snapshot = self.delivered
-        dot = Dot(self.counter + 1, self.replica)
+        snapshot = self.applied
+        for buffered in self.pending:
+            snapshot = snapshot.add(buffered)
+        # Own dots are applied on issue, so they fill the frontier from 1.
+        dot = Dot(self.applied.seen.get(self.replica, 0) + 1, self.replica)
         op = self._stamp(req, dot)
         state = replace(
             self,
-            counter=self.counter + 1,
-            delivered=self.delivered.add(dot),
             applied=self.applied.add(dot),
             elems=self._effect(op, snapshot),
         )
@@ -279,19 +282,16 @@ class ReplicaState:
         mishandled on the spot.
         """
         dot = msg.op.dot
-        if self.delivered.contains(dot):
+        if self.has_delivered(dot):
             raise DuplicateDelivery(f"dot {dot} delivered twice at replica {self.replica}")
-        state = replace(self, delivered=self.delivered.add(dot))
         if self.strategy == CAUSAL_ASSUMING or BUG_ASSUME_CAUSAL in self.bug_flags:
-            return state._apply_now_or_mangle(msg)
+            return self._apply_now_or_mangle(msg)
         if self._deps_met(msg.op):
-            state = state._apply(msg)
+            state = self._apply(msg)
         elif BUG_READD_ACCEPT in self.bug_flags and msg.op.kind == "readd":
-            state = state._bug_materialize_readd(msg)
+            state = self._bug_materialize_readd(msg)
         else:
-            pending = dict(state.pending)
-            pending[dot] = msg
-            state = replace(state, pending=pending)
+            state = replace(self, pending={**self.pending, dot: msg})
         return state._flush()
 
     def _deps_met(self, op: Operation) -> bool:
@@ -414,9 +414,9 @@ class ReplicaState:
         """Canonical form: sorted-key JSON, UTF-8, no whitespace.
 
         Contains the per-element views plus the applied-dot context, and
-        deliberately nothing else — not the local counter, not the
-        pending buffer, not the record store — so replicas that applied
-        the same dots serialize identically.
+        deliberately nothing else — not the pending buffer, not the
+        record store — so replicas that applied the same dots serialize
+        identically.
         """
         elements = {}
         for elem, v in sorted(self.views().items()):
@@ -443,12 +443,11 @@ class ReplicaState:
 
         Unlike ``normalize`` this keeps everything that can influence a
         future transition: record stores with their context snapshots,
-        the pending buffer contents, both causal contexts, the counter.
-        Buffer *ordering* still does not matter.
+        the pending buffer contents, the applied context.  The delivered
+        set and the next own dot derive from these.  Buffer *ordering*
+        still does not matter.
         """
         return (
-            self.counter,
-            self.delivered.canonical(),
             self.applied.canonical(),
             tuple(sorted((e, o.canonical()) for e, o in self.elems.items())),
             tuple(sorted((d.key(), m.canonical()) for d, m in self.pending.items())),

@@ -225,5 +225,9 @@ def test_bugs_catalog_lists_all_four(capsys):
         "bug4-dummy-position", "bug7-idgen-order",
     }
     scopes = {entry["flag"]: entry["scope"] for entry in doc}
-    assert scopes["bug1-readd-accept"] == "model+server"
-    assert scopes["bug4-dummy-position"] == "server"
+    assert scopes == {
+        "bug1-readd-accept": "model+server",
+        "bug2-assume-causal": "model+server",
+        "bug4-dummy-position": "server",
+        "bug7-idgen-order": "server",
+    }

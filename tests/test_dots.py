@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 
 from crdtcheck.dots import EMPTY_CONTEXT, CausalContext, Dot
@@ -79,11 +81,19 @@ def test_from_dots_matches_incremental_adds():
 
 
 def test_context_equality_ignores_construction_order():
-    a = CausalContext.from_dots([Dot.of(0, 1), Dot.of(1, 2), Dot.of(1, 1)])
-    b = CausalContext.from_dots([Dot.of(1, 1), Dot.of(1, 2), Dot.of(0, 1)])
-    assert a == b
-    assert hash(a) == hash(b)
-    assert a.canonical() == b.canonical()
+    # Replica 0 has a run that closes in several orders plus a dot past a
+    # gap; replica 1 never gets its counter 1, so both its dots stay extra.
+    dots = [Dot.of(0, 1), Dot.of(0, 2), Dot.of(0, 3), Dot.of(0, 5),
+            Dot.of(1, 2), Dot.of(1, 3)]
+    expected = CausalContext({0: 3}, frozenset(
+        [Dot.of(0, 5), Dot.of(1, 2), Dot.of(1, 3)]
+    ))
+    for order in itertools.permutations(dots):
+        ctx = EMPTY_CONTEXT
+        for d in order:
+            ctx = ctx.add(d)
+        assert ctx == expected, order
+        assert hash(ctx) == hash(expected)
 
 
 def test_iter_dots_yields_frontier_and_extras():

@@ -34,6 +34,7 @@ from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
     ExplorationConfig,
+    GlobalState,
     config_fingerprint,
     enabled_events,
     enumerate_traces,
@@ -44,10 +45,11 @@ from crdtcheck.explorer import (
     is_terminal,
     replay_schedule,
     schedule_has_causal_inversion,
+    state_digest,
     state_violations,
     step,
 )
-from crdtcheck.operations import OperationRequest
+from crdtcheck.operations import OperationRequest, SyncMessage
 from crdtcheck.replica import fresh_replica
 
 
@@ -273,6 +275,28 @@ def test_terminal_means_all_slots_used_and_channels_empty():
     assert not is_terminal(cfg, gs)
     gs = step(cfg, gs, enabled_events(cfg, gs)[0])
     assert is_terminal(cfg, gs)  # one replica: no messages at all
+
+
+def test_state_digest_ignores_object_sharing():
+    # Replicas 1 and 2 receive the same broadcast: once as one shared
+    # object, once as an equal copy rebuilt from the wire.
+    cfg = cfg_of(n=3, q=3)
+    gs = step(cfg, initial_state(cfg), enabled_events(cfg, initial_state(cfg))[0])
+    msg = next(iter(gs.channels[1]))
+    copy = SyncMessage.from_wire(msg.as_wire())
+    assert copy == msg and copy is not msg
+
+    def delivered_to_both(second: SyncMessage) -> GlobalState:
+        r0, r1, r2 = gs.replicas
+        return GlobalState(
+            (r0, r1.deliver(msg), r2.deliver(second)),
+            (frozenset(),) * 3,
+            gs.next_slot,
+        )
+
+    shared, copied = delivered_to_both(msg), delivered_to_both(copy)
+    assert shared.canonical() == copied.canonical()
+    assert state_digest(shared) == state_digest(copied)
 
 
 # -- invariant machinery -----------------------------------------------------

@@ -195,6 +195,62 @@ def test_failure_reporting_is_capped():
     assert len(summary.first_failures) == 10
 
 
+# -- malformed sync fan-out ----------------------------------------------------
+
+# Each rewrites an honest ClientOp reply's "syncs" list.
+BAD_FANOUTS = {
+    "dest-missing": lambda syncs: [{"to": s["dest"], "msg": s["msg"]} for s in syncs],
+    "dest-not-int": lambda syncs: [{**s, "dest": [s["dest"]]} for s in syncs],
+    "msg-missing": lambda syncs: [{"dest": s["dest"]} for s in syncs],
+    "dot-missing": lambda syncs: [
+        {**s, "msg": {**s["msg"], "op": {}}} for s in syncs
+    ],
+    "not-an-array": lambda syncs: {"dest": 1},
+}
+
+
+class MangledFanout:
+    """Honest server whose accepted ClientOp replies carry a bad fan-out."""
+
+    def __init__(self, server: ReplicaServer, mangle):
+        self._inner = LoopbackEndpoint(server)
+        self._mangle = mangle
+
+    def send(self, obj: dict) -> dict:
+        reply = self._inner.send(obj)
+        if obj["type"] == "ClientOp" and reply.get("accepted"):
+            reply = {**reply, "syncs": self._mangle(reply["syncs"])}
+        return reply
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FANOUTS))
+def test_bad_fanout_is_a_replica_error_in_replay(name):
+    cfg = rpq_cfg()
+    tc = first_case(cfg)
+    endpoints = [
+        MangledFanout(ReplicaServer("rpq", i, 2), BAD_FANOUTS[name])
+        for i in range(2)
+    ]
+    result = replay_case(tc, endpoints, config_fingerprint(cfg))
+    assert result.status == REPLICA_ERROR
+    assert result.replica == 0
+    assert "fan-out" in result.detail
+
+
+@pytest.mark.parametrize("name", sorted(BAD_FANOUTS))
+def test_bad_fanout_is_a_replica_error_in_stress(name):
+    endpoints = [
+        MangledFanout(ReplicaServer("rpq", i, 2), BAD_FANOUTS[name])
+        for i in range(2)
+    ]
+    report = stress("rpq", 2, seed=3, rounds=2, ops_per_round=5,
+                    endpoints=endpoints)
+    assert report.failure is not None
+    assert report.failure.kind == "replica-error"
+    assert report.ops == 1
+    assert "fan-out" in report.failure.detail
+
+
 # -- stress -----------------------------------------------------------------
 
 

@@ -127,6 +127,27 @@ def test_duplicate_delivery_raises():
         r1.deliver(msg)
 
 
+def test_duplicate_delivery_of_a_buffered_message_raises():
+    r0 = fresh_replica("rpq", 0)
+    r0, _add_msg = r0.issue(req("add", "e", 10))
+    r0, rem_msg = r0.issue(req("remove", "e"))
+    r1 = fresh_replica("rpq", 1).deliver(rem_msg)  # buffered: add missing
+    assert rem_msg.op.dot in r1.pending
+    with pytest.raises(DuplicateDelivery):
+        r1.deliver(rem_msg)
+
+
+def test_snapshot_includes_buffered_remote_dots():
+    r0 = fresh_replica("rpq", 0)
+    r0, add_msg = r0.issue(req("add", "e", 10))
+    r0, rem_msg = r0.issue(req("remove", "e"))
+    r1 = fresh_replica("rpq", 1).deliver(rem_msg)  # buffered: add missing
+    r1, msg = r1.issue(req("add", "f", 20))
+    assert msg.op.dot == Dot(1, 1)
+    assert msg.ctx.contains(rem_msg.op.dot)
+    assert not msg.ctx.contains(add_msg.op.dot)
+
+
 def test_out_of_order_delivery_buffers_then_flushes():
     r0 = fresh_replica("rpq", 0)
     r0, add_msg = r0.issue(req("add", "e", 10))
