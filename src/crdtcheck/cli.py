@@ -24,12 +24,10 @@ from .explorer import (
     MAX_REPLICAS,
     MODEL_BUG_FLAGS,
     ExplorationConfig,
-    STRATEGIES,
     explore,
 )
 from .harness import replay_corpus, stress
 from .operations import LIST, RPQ
-from .replica import STANDARD
 from .server import BUG_DESCRIPTIONS, BUG_FLAGS
 from .testgen import generate_corpus
 
@@ -51,8 +49,6 @@ def _add_model_flags(sub, *, bugs_help: str) -> None:
                      help="number of client request slots")
     sub.add_argument("--channel", choices=CHANNELS, default=CHANNEL_ARBITRARY,
                      help="delivery discipline explored")
-    sub.add_argument("--strategy", choices=STRATEGIES, default=STANDARD,
-                     help="how replicas treat out-of-order deliveries")
     sub.add_argument("--bug", action="append", default=[],
                      metavar="FLAG", help=bugs_help)
     sub.add_argument("--state-cap", type=int, default=None,
@@ -129,7 +125,6 @@ def _config(args, model_bugs) -> ExplorationConfig:
         n=args.n,
         q=args.q,
         channel=args.channel,
-        strategy=args.strategy,
         bug_flags=frozenset(model_bugs),
         state_cap=args.state_cap,
     )

@@ -18,7 +18,7 @@ never lost — every terminal state has empty channels).  The *causal*
 channel only enables a delivery when the destination has already
 delivered everything in the message's context snapshot.
 
-Two search strategies share the same transition function:
+Two searches share the same transition function:
 
 - ``explore`` — breadth-first over *distinct* global states, deduplicated
   by a full-fidelity canonical key, with a path-count accumulator so the
@@ -72,8 +72,6 @@ from .positions import BASE
 from .replica import (
     BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
-    CAUSAL_ASSUMING,
-    STANDARD,
     Existence,
     ReplicaState,
     fresh_replica,
@@ -82,7 +80,6 @@ from .replica import (
 CHANNEL_ARBITRARY = "arbitrary"
 CHANNEL_CAUSAL = "causal"
 CHANNELS = (CHANNEL_ARBITRARY, CHANNEL_CAUSAL)
-STRATEGIES = (STANDARD, CAUSAL_ASSUMING)
 
 # Only these flags change the *model* state machine; the rest of the
 # bug catalog lives in the replica server implementation.
@@ -121,7 +118,6 @@ class ExplorationConfig:
     n: int
     q: int
     channel: str = CHANNEL_ARBITRARY
-    strategy: str = STANDARD
     bug_flags: frozenset = frozenset()
     pinned_ops: tuple | None = None
     state_cap: int | None = None
@@ -139,8 +135,6 @@ class ExplorationConfig:
             )
         if self.channel not in CHANNELS:
             raise BadConfig(f"unknown channel mode {self.channel!r}")
-        if self.strategy not in STRATEGIES:
-            raise BadConfig(f"unknown strategy {self.strategy!r}")
         bad = set(self.bug_flags) - MODEL_BUG_FLAGS
         if bad:
             raise BadConfig(
@@ -184,7 +178,9 @@ def config_fingerprint(cfg: ExplorationConfig) -> str:
         "n": cfg.n,
         "op_space": space,
         "q": cfg.q,
-        "strategy": cfg.strategy,
+        # A constant of the v1 document: existing corpora keep their
+        # fingerprints.
+        "strategy": "standard",
     }
     blob = json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()
@@ -274,7 +270,7 @@ def state_digest(gs: GlobalState) -> bytes:
 def initial_state(cfg: ExplorationConfig) -> GlobalState:
     return GlobalState(
         replicas=tuple(
-            fresh_replica(cfg.data_type, i, cfg.strategy, cfg.bug_flags)
+            fresh_replica(cfg.data_type, i, cfg.bug_flags)
             for i in range(cfg.n)
         ),
         channels=tuple(frozenset() for _ in range(cfg.n)),
@@ -500,16 +496,42 @@ class ExplorationReport:
         }
 
 
-@dataclass
-class BruteResult:
-    """Outcome of the non-deduplicating depth-first walk."""
+class _ViolationLog:
+    """Violations in discovery order, one per (invariant, state digest),
+    at most ``VIOLATION_CAP`` of them.  ``schedule_to`` maps a digest to
+    the events that reached the state; it runs only for a violation that
+    gets recorded."""
 
-    states_visited: int
-    terminal_traces: int
-    violations: tuple[Violation, ...]
-    violations_capped: bool
-    oracle_multiset: dict | None
-    capped: bool
+    def __init__(self, schedule_to: Callable[[bytes], tuple]):
+        self.found: list[Violation] = []
+        self.capped = False
+        self._shapes: set = set()
+        self._schedule_to = schedule_to
+
+    def note(self, name: str, detail: str, key: bytes) -> None:
+        shape = (name, key)
+        if shape in self._shapes:
+            return
+        if len(self.found) >= VIOLATION_CAP:
+            self.capped = True
+            return
+        self._shapes.add(shape)
+        self.found.append(Violation(name, self._schedule_to(key), detail))
+
+    def check(
+        self, cfg: ExplorationConfig, gs: GlobalState, terminal: bool,
+        key: bytes | None = None,
+    ) -> bool:
+        """Record every invariant ``gs`` breaks; True if it breaks any.
+        ``key`` is the digest of ``gs``, computed here if needed."""
+        vs = state_violations(cfg, gs)
+        if terminal:
+            vs += terminal_violations(cfg, gs)
+        if vs and key is None:
+            key = state_digest(gs)
+        for name, detail in vs:
+            self.note(name, detail, key)
+        return bool(vs)
 
 
 # -- depth-first walk ----------------------------------------------------
@@ -521,48 +543,31 @@ def enumerate_traces(
     *,
     check: bool = False,
     collect_oracles: bool = False,
-    state_cap: int | None = None,
-) -> BruteResult:
+) -> ExplorationReport:
     """Walk every schedule depth-first, children in sorted event order.
 
     No deduplication happens, so ``terminal_traces`` counts schedules
-    exactly and the ``emit`` callback sees them in an order that is a
-    pure function of the configuration.  With ``check`` set, the same
+    exactly, every walked node counts as a distinct state, and the
+    ``emit`` callback sees the schedules in an order that is a pure
+    function of the configuration.  With ``check`` set, the same
     invariants as the deduplicating search run at every node, violating
-    non-terminal nodes pruning their subtree the same way.
+    non-terminal nodes pruning their subtree the same way.  The walk
+    stops early, with ``exhaustive`` false, once ``cfg.state_cap``
+    nodes are visited.
     """
-    root = initial_state(cfg)
+    t0 = time.monotonic()
     visited = 1
     leaves = 0
-    violations: list[Violation] = []
-    shapes: set = set()
-    capped_v = False
     budget_hit = False
     oracle_ms: dict | None = {} if collect_oracles else None
     path: list = []
-
-    def note(name: str, detail: str, gs: GlobalState) -> None:
-        nonlocal capped_v
-        shape = (name, state_digest(gs))
-        if shape in shapes:
-            return
-        if len(violations) >= VIOLATION_CAP:
-            capped_v = True
-            return
-        shapes.add(shape)
-        violations.append(Violation(name, tuple(path), detail))
+    log = _ViolationLog(lambda _key: tuple(path))
 
     def walk(gs: GlobalState) -> None:
         nonlocal visited, leaves, budget_hit
         terminal = is_terminal(cfg, gs)
-        if check:
-            vs = state_violations(cfg, gs)
-            if terminal:
-                vs += terminal_violations(cfg, gs)
-            for name, detail in vs:
-                note(name, detail, gs)
-            if vs and not terminal:
-                return  # prune below a broken state
+        if check and log.check(cfg, gs, terminal) and not terminal:
+            return  # prune below a broken state
         if terminal:
             leaves += 1
             if emit is not None or collect_oracles:
@@ -575,10 +580,11 @@ def enumerate_traces(
         succs = _successors(cfg, gs)
         if not succs:
             if check:
-                note("stuck", "no enabled events before the run completed", gs)
+                log.note("stuck", "no enabled events before the run completed",
+                         state_digest(gs))
             return
         for ev, succ in succs:
-            if state_cap is not None and visited >= state_cap:
+            if cfg.state_cap is not None and visited >= cfg.state_cap:
                 budget_hit = True
                 return
             visited += 1
@@ -588,78 +594,60 @@ def enumerate_traces(
             if budget_hit:
                 return
 
-    walk(root)
-    violations.sort(key=lambda v: len(v.schedule))
-    return BruteResult(
+    walk(initial_state(cfg))
+    return ExplorationReport(
+        fingerprint=config_fingerprint(cfg),
         states_visited=visited,
+        distinct_states=visited,
         terminal_traces=leaves,
-        violations=tuple(violations),
-        violations_capped=capped_v,
+        violations=tuple(sorted(log.found, key=lambda v: len(v.schedule))),
+        violations_capped=log.capped,
+        exhaustive=not budget_hit,
+        wall_time_s=time.monotonic() - t0,
         oracle_multiset=oracle_ms,
-        capped=budget_hit,
     )
 
 
 # -- deduplicating search -------------------------------------------------
 
 
-def explore(
-    cfg: ExplorationConfig,
-    *,
-    collect_oracles: bool = False,
-    force_bfs: bool = False,
-) -> ExplorationReport:
+def explore(cfg: ExplorationConfig, *, collect_oracles: bool = False) -> ExplorationReport:
     """Search the full state space and check every invariant.
 
     Returns a report with exact distinct-state and terminal-schedule
     counts.  Raises ``BudgetExceeded`` (with the partial report attached)
     when ``cfg.state_cap`` distinct states is not enough to finish.
     """
-    t0 = time.monotonic()
-    if cfg.n == 1 and not force_bfs:
-        return _explore_tree(cfg, collect_oracles, t0)
-    return _explore_bfs(cfg, collect_oracles, t0)
-
-
-def _explore_tree(cfg: ExplorationConfig, collect_oracles: bool, t0: float) -> ExplorationReport:
-    # One replica means no messages: the state graph is a tree, every
-    # walked node is a distinct state, and the depth-first walk needs
-    # only O(depth) memory where the frontier of a breadth-first pass
-    # would hold a whole level of full states.
-    br = enumerate_traces(
-        cfg, None, check=True, collect_oracles=collect_oracles,
-        state_cap=cfg.state_cap,
-    )
-    report = ExplorationReport(
-        fingerprint=config_fingerprint(cfg),
-        states_visited=br.states_visited,
-        distinct_states=br.states_visited,
-        terminal_traces=br.terminal_traces,
-        violations=br.violations,
-        violations_capped=br.violations_capped,
-        exhaustive=not br.capped,
-        wall_time_s=time.monotonic() - t0,
-        oracle_multiset=br.oracle_multiset,
-    )
-    if br.capped:
+    if cfg.n == 1:
+        # One replica means no messages: the state graph is a tree, every
+        # walked node is a distinct state, and the depth-first walk needs
+        # only O(depth) memory where the frontier of a breadth-first pass
+        # would hold a whole level of full states.
+        report = enumerate_traces(cfg, check=True, collect_oracles=collect_oracles)
+    else:
+        report = _explore_bfs(cfg, collect_oracles)
+    if not report.exhaustive:
         raise BudgetExceeded(
-            f"state cap {cfg.state_cap} exhausted after {br.states_visited} states",
+            f"state cap {cfg.state_cap} exhausted after "
+            f"{report.distinct_states} distinct states",
             report,
         )
     return report
 
 
-def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool, t0: float) -> ExplorationReport:
+def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationReport:
+    """Breadth-first over distinct states, one level at a time.
+
+    Every event consumes a slot or delivers a message, so all paths to a
+    state have the same length: deduplicating within a level is complete,
+    and every terminal state sits in the last level.  Stops early, with
+    ``exhaustive`` false, once more than ``cfg.state_cap`` distinct
+    states are found.
+    """
+    t0 = time.monotonic()
     root = initial_state(cfg)
     root_key = state_digest(root)
     preds: dict[bytes, tuple | None] = {root_key: None}
-    violations: list[Violation] = []
-    shapes: set = set()
-    capped_v = False
-    visited = 1
-    distinct = 1
-    terminal_paths: dict[bytes, int] = {}
-    terminal_oracles: dict[bytes, tuple] = {}
 
     def schedule_to(key: bytes) -> tuple:
         events = []
@@ -670,92 +658,62 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool, t0: float) -> Ex
             entry = preds[parent]
         return tuple(reversed(events))
 
-    def note(name: str, detail: str, key: bytes) -> None:
-        nonlocal capped_v
-        shape = (name, key)
-        if shape in shapes:
-            return
-        if len(violations) >= VIOLATION_CAP:
-            capped_v = True
-            return
-        shapes.add(shape)
-        violations.append(Violation(name, schedule_to(key), detail))
+    log = _ViolationLog(schedule_to)
+    visited = 1
+    distinct = 1
+    # (level entry, oracle or None) per terminal state, in discovery order
+    terminals: list[tuple[list, tuple | None]] = []
 
-    def partial_report(exhausted: bool) -> ExplorationReport:
-        oracle_ms = None
-        if collect_oracles:
-            oracle_ms = {}
-            for key, count in terminal_paths.items():
-                oracle = terminal_oracles[key]
-                oracle_ms[oracle] = oracle_ms.get(oracle, 0) + count
-        return ExplorationReport(
-            fingerprint=config_fingerprint(cfg),
-            states_visited=visited,
-            distinct_states=distinct,
-            terminal_traces=sum(terminal_paths.values()),
-            violations=tuple(violations),
-            violations_capped=capped_v,
-            exhaustive=exhausted,
-            wall_time_s=time.monotonic() - t0,
-            oracle_multiset=oracle_ms,
-        )
-
-    def over_cap() -> bool:
-        return cfg.state_cap is not None and distinct > cfg.state_cap
-
-    # key -> [state, path count, pruned]
-    frontier: dict[bytes, list] = {root_key: [root, 1, False]}
-    for name, detail in state_violations(cfg, root):
-        note(name, detail, root_key)
-
-    while frontier:
-        level: dict[bytes, list] = {}
-        for key, (state, paths, pruned) in frontier.items():
-            if pruned:
-                continue
-            succs = _successors(cfg, state)
-            if not succs:
-                note("stuck", "no enabled events before the run completed", key)
-                continue
-            for ev, succ in succs:
-                visited += 1
-                skey = state_digest(succ)
-                if is_terminal(cfg, succ):
-                    if skey in terminal_paths:
-                        terminal_paths[skey] += paths
+    def search() -> bool:
+        """Expand level by level; False if the state cap stops it."""
+        nonlocal visited, distinct
+        # key -> [state to expand (None if terminal or broken), path count]
+        frontier = {root_key: [None if log.check(cfg, root, False, root_key) else root, 1]}
+        while frontier:
+            level: dict[bytes, list] = {}
+            for key, (state, paths) in frontier.items():
+                if state is None:
+                    continue
+                succs = _successors(cfg, state)
+                if not succs:
+                    log.note("stuck", "no enabled events before the run completed", key)
+                    continue
+                for ev, succ in succs:
+                    visited += 1
+                    skey = state_digest(succ)
+                    entry = level.get(skey)
+                    if entry is not None:
+                        entry[1] += paths
                         continue
                     distinct += 1
                     preds[skey] = (ev, key)
-                    terminal_paths[skey] = paths
-                    if collect_oracles:
-                        terminal_oracles[skey] = tuple(
-                            r.normalize() for r in succ.replicas
-                        )
-                    for name, detail in state_violations(cfg, succ):
-                        note(name, detail, skey)
-                    for name, detail in terminal_violations(cfg, succ):
-                        note(name, detail, skey)
-                    if over_cap():
-                        raise BudgetExceeded(
-                            f"state cap {cfg.state_cap} exhausted",
-                            partial_report(False),
-                        )
-                    continue
-                entry = level.get(skey)
-                if entry is not None:
-                    entry[1] += paths
-                    continue
-                distinct += 1
-                preds[skey] = (ev, key)
-                vs = state_violations(cfg, succ)
-                for name, detail in vs:
-                    note(name, detail, skey)
-                level[skey] = [succ, paths, bool(vs)]
-                if over_cap():
-                    raise BudgetExceeded(
-                        f"state cap {cfg.state_cap} exhausted",
-                        partial_report(False),
-                    )
-        frontier = level
+                    terminal = is_terminal(cfg, succ)
+                    broken = log.check(cfg, succ, terminal, skey)
+                    entry = level[skey] = [None if terminal or broken else succ, paths]
+                    if terminal:
+                        oracle = None
+                        if collect_oracles:
+                            oracle = tuple(r.normalize() for r in succ.replicas)
+                        terminals.append((entry, oracle))
+                    if cfg.state_cap is not None and distinct > cfg.state_cap:
+                        return False
+            frontier = level
+        return True
 
-    return partial_report(True)
+    exhaustive = search()
+    oracle_ms = None
+    if collect_oracles:
+        oracle_ms = {}
+        for (_, paths), oracle in terminals:
+            oracle_ms[oracle] = oracle_ms.get(oracle, 0) + paths
+    return ExplorationReport(
+        fingerprint=config_fingerprint(cfg),
+        states_visited=visited,
+        distinct_states=distinct,
+        terminal_traces=sum(paths for (_, paths), _ in terminals),
+        violations=tuple(log.found),
+        violations_capped=log.capped,
+        exhaustive=exhaustive,
+        wall_time_s=time.monotonic() - t0,
+        oracle_multiset=oracle_ms,
+    )

@@ -15,7 +15,7 @@ Verdicts per case:
                      carries the replica index and the first differing
                      byte offset.
 - ``replica-error``  the server rejected a scheduled client op, raised
-                     an error, answered with a malformed sync fan-out,
+                     an error, sent a malformed reply or sync fan-out,
                      or the schedule asked to deliver a message that
                      was never produced.
 - ``rejected``       the case was generated for a different
@@ -42,7 +42,6 @@ from typing import IO, Callable, Iterable
 from .errors import CrdtCheckError, ProtocolViolation, ScheduleUnsatisfiable
 from .explorer import (
     ClientEvent,
-    DeliverEvent,
     ExplorationConfig,
     config_fingerprint,
 )
@@ -212,6 +211,26 @@ def first_diff_offset(a: bytes, b: bytes) -> int:
     return min(len(a), len(b))
 
 
+def _exchange(endpoint, frame: dict, want: str) -> dict:
+    """Send one frame and return the reply.
+
+    Raises ``ProtocolViolation`` unless the reply is an object of type
+    ``want``, and an ``InspectReply`` carries a string ``state``.  An
+    Error reply raises with the server's error text as the message.
+    """
+    reply = endpoint.send(frame)
+    if not isinstance(reply, dict):
+        raise ProtocolViolation(f"reply is not an object: {reply!r}")
+    kind = reply.get("type")
+    if kind == "Error":
+        raise ProtocolViolation(str(reply.get("error", "")))
+    if kind != want:
+        raise ProtocolViolation(f"expected a {want} reply, got {kind!r}")
+    if want == "InspectReply" and not isinstance(reply.get("state"), str):
+        raise ProtocolViolation(f"state is not a string: {reply.get('state')!r}")
+    return reply
+
+
 def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
     """Run one corpus case against freshly constructed endpoints."""
     if tc.fingerprint != expected_fp:
@@ -228,59 +247,40 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
             detail=f"oracle covers {len(tc.oracle)} replicas, configuration has {n}",
         )
     pool = PendingPool()
-    for ev in tc.schedule:
-        if isinstance(ev, ClientEvent):
-            reply = endpoints[ev.target].send(
-                {"req": ev.req.as_wire(), "type": "ClientOp"}
-            )
-            if reply.get("type") == "Error":
-                return CaseResult(
-                    tc.case_id, REPLICA_ERROR, replica=ev.target,
-                    detail=reply.get("error", ""),
+    replica = None  # the replica a failure is blamed on
+    try:
+        for ev in tc.schedule:
+            if isinstance(ev, ClientEvent):
+                replica = ev.target
+                reply = _exchange(
+                    endpoints[replica],
+                    {"req": ev.req.as_wire(), "type": "ClientOp"}, "Ack",
                 )
-            if not reply.get("accepted"):
-                return CaseResult(
-                    tc.case_id, REPLICA_ERROR, replica=ev.target,
-                    detail=f"scheduled client op was rejected: {ev.req.as_wire()}",
-                )
-            try:
-                fanout = _sync_fanout(reply)
-            except ProtocolViolation as exc:
-                return CaseResult(
-                    tc.case_id, REPLICA_ERROR, replica=ev.target, detail=str(exc),
-                )
-            for dest, msg in fanout:
-                pool.put(dest, msg)
-        elif isinstance(ev, DeliverEvent):
-            try:
+                if not reply.get("accepted"):
+                    return CaseResult(
+                        tc.case_id, REPLICA_ERROR, replica=replica,
+                        detail=f"scheduled client op was rejected: {ev.req.as_wire()}",
+                    )
+                for dest, msg in _sync_fanout(reply):
+                    pool.put(dest, msg)
+            else:
+                replica = ev.dest
                 msg = pool.take(ev.dest, ev.origin, ev.counter)
-            except ScheduleUnsatisfiable as exc:
-                return CaseResult(
-                    tc.case_id, REPLICA_ERROR, replica=ev.dest, detail=str(exc)
+                _exchange(endpoints[replica], {"msg": msg, "type": "Sync"}, "Ack")
+        for replica in range(n):
+            got = _exchange(
+                endpoints[replica], {"type": "Inspect"}, "InspectReply"
+            )["state"]
+            if got != tc.oracle[replica]:
+                offset = first_diff_offset(
+                    got.encode("utf-8"), tc.oracle[replica].encode("utf-8")
                 )
-            reply = endpoints[ev.dest].send({"msg": msg, "type": "Sync"})
-            if reply.get("type") == "Error":
                 return CaseResult(
-                    tc.case_id, REPLICA_ERROR, replica=ev.dest,
-                    detail=reply.get("error", ""),
+                    tc.case_id, DIVERGED, replica=replica, diff_offset=offset,
+                    detail=f"replica {replica} differs from the oracle at byte {offset}",
                 )
-        else:  # pragma: no cover - schedules parse to the two event types
-            return CaseResult(tc.case_id, REPLICA_ERROR, detail=f"bad event {ev!r}")
-    for i in range(n):
-        reply = endpoints[i].send({"type": "Inspect"})
-        if reply.get("type") != "InspectReply":
-            return CaseResult(
-                tc.case_id, REPLICA_ERROR, replica=i, detail=reply.get("error", ""),
-            )
-        got = reply.get("state", "")
-        if got != tc.oracle[i]:
-            offset = first_diff_offset(
-                got.encode("utf-8"), tc.oracle[i].encode("utf-8")
-            )
-            return CaseResult(
-                tc.case_id, DIVERGED, replica=i, diff_offset=offset,
-                detail=f"replica {i} differs from the oracle at byte {offset}",
-            )
+    except (ProtocolViolation, ScheduleUnsatisfiable) as exc:
+        return CaseResult(tc.case_id, REPLICA_ERROR, replica=replica, detail=str(exc))
     return CaseResult(tc.case_id, PASS)
 
 
@@ -401,105 +401,85 @@ def stress(
     # in-flight: list of (dest, wire message, model SyncMessage)
     in_flight: list = []
     issued = 0
+    replica = 0  # the replica a failure is blamed on
 
-    def deliver(index: int, round_no: int) -> StressFailure | None:
-        nonlocal models
-        dest, wire_msg, model_msg = in_flight.pop(index)
+    def deliver(index: int) -> None:
+        nonlocal replica
+        replica, wire_msg, model_msg = in_flight.pop(index)
         report.deliveries += 1
-        reply = eps[dest].send({"msg": wire_msg, "type": "Sync"})
-        if reply.get("type") == "Error":
-            return StressFailure(
-                "replica-error", round_no, dest, reply.get("error", "")
-            )
-        models[dest] = models[dest].deliver(model_msg)
-        return None
+        _exchange(eps[replica], {"msg": wire_msg, "type": "Sync"}, "Ack")
+        models[replica] = models[replica].deliver(model_msg)
 
-    for round_no in range(rounds):
-        for _ in range(ops_per_round):
-            target = rng.randrange(n)
-            issued += 1
-            req = _random_request(rng, data_type, models[target], f"x{issued}")
-            err = models[target].request_error(req)
-            reply = eps[target].send({"req": req.as_wire(), "type": "ClientOp"})
-            if reply.get("type") == "Error":
-                report.failure = StressFailure(
-                    "replica-error", round_no, target, reply.get("error", "")
+    try:
+        for round_no in range(rounds):
+            for _ in range(ops_per_round):
+                target = replica = rng.randrange(n)
+                issued += 1
+                req = _random_request(rng, data_type, models[target], f"x{issued}")
+                err = models[target].request_error(req)
+                reply = _exchange(
+                    eps[target], {"req": req.as_wire(), "type": "ClientOp"}, "Ack"
                 )
-                return report
-            if err is not None:
-                report.ops += 1
-                report.rejected += 1
-                if reply.get("accepted"):
+                if err is not None:
+                    report.ops += 1
+                    report.rejected += 1
+                    if reply.get("accepted"):
+                        report.failure = StressFailure(
+                            "rejection-mismatch", round_no, target,
+                            f"model rejects {req.as_wire()} ({err}); server accepted",
+                        )
+                        return report
+                    continue
+                if not reply.get("accepted"):
                     report.failure = StressFailure(
                         "rejection-mismatch", round_no, target,
-                        f"model rejects {req.as_wire()} ({err}); server accepted",
+                        f"model accepts {req.as_wire()}; server rejected",
                     )
                     return report
-                continue
-            if not reply.get("accepted"):
-                report.failure = StressFailure(
-                    "rejection-mismatch", round_no, target,
-                    f"model accepts {req.as_wire()}; server rejected",
-                )
-                return report
-            report.ops += 1
-            models[target], model_msg = models[target].issue(req)
-            model_wire = _canonical_json(model_msg.as_wire())
-            try:
+                report.ops += 1
+                models[target], model_msg = models[target].issue(req)
+                model_wire = _canonical_json(model_msg.as_wire())
                 fanout = _sync_fanout(reply)
-            except ProtocolViolation as exc:
-                report.failure = StressFailure(
-                    "replica-error", round_no, target, str(exc)
-                )
-                return report
-            dests = [dest for dest, _ in fanout]
-            expected_dests = sorted(d for d in range(n) if d != target)
-            if sorted(dests) != expected_dests:
-                report.failure = StressFailure(
-                    "issue-divergence", round_no, target,
-                    f"sync fan-out went to {dests}, expected {expected_dests}",
-                )
-                return report
-            for dest, wire_msg in fanout:
-                got = _canonical_json(wire_msg)
-                if got != model_wire:
-                    offset = first_diff_offset(
-                        got.encode("utf-8"), model_wire.encode("utf-8")
-                    )
+                dests = [dest for dest, _ in fanout]
+                expected_dests = sorted(d for d in range(n) if d != target)
+                if sorted(dests) != expected_dests:
                     report.failure = StressFailure(
                         "issue-divergence", round_no, target,
-                        f"sync message differs from the model at byte {offset}",
+                        f"sync fan-out went to {dests}, expected {expected_dests}",
                     )
                     return report
-                in_flight.append((dest, wire_msg, model_msg))
-            # Deliver a random prefix of the backlog while the round is open.
-            while in_flight and rng.random() < 0.4:
-                failure = deliver(rng.randrange(len(in_flight)), round_no)
-                if failure is not None:
-                    report.failure = failure
+                for dest, wire_msg in fanout:
+                    got = _canonical_json(wire_msg)
+                    if got != model_wire:
+                        offset = first_diff_offset(
+                            got.encode("utf-8"), model_wire.encode("utf-8")
+                        )
+                        report.failure = StressFailure(
+                            "issue-divergence", round_no, target,
+                            f"sync message differs from the model at byte {offset}",
+                        )
+                        return report
+                    in_flight.append((dest, wire_msg, model_msg))
+                # Deliver a random prefix of the backlog while the round is open.
+                while in_flight and rng.random() < 0.4:
+                    deliver(rng.randrange(len(in_flight)))
+            # Round ends: drain everything, then compare canonical bytes.
+            while in_flight:
+                deliver(rng.randrange(len(in_flight)))
+            for replica in range(n):
+                got = _exchange(
+                    eps[replica], {"type": "Inspect"}, "InspectReply"
+                )["state"]
+                want = models[replica].normalize().decode("utf-8")
+                if got != want:
+                    offset = first_diff_offset(
+                        got.encode("utf-8"), want.encode("utf-8")
+                    )
+                    report.failure = StressFailure(
+                        "inspect-divergence", round_no, replica,
+                        f"canonical bytes differ from the model at byte {offset}",
+                    )
                     return report
-        # Round ends: drain everything, then compare canonical bytes.
-        while in_flight:
-            failure = deliver(rng.randrange(len(in_flight)), round_no)
-            if failure is not None:
-                report.failure = failure
-                return report
-        for i in range(n):
-            reply = eps[i].send({"type": "Inspect"})
-            if reply.get("type") != "InspectReply":
-                report.failure = StressFailure(
-                    "replica-error", round_no, i, reply.get("error", "")
-                )
-                return report
-            want = models[i].normalize().decode("utf-8")
-            got = reply.get("state", "")
-            if got != want:
-                offset = first_diff_offset(
-                    got.encode("utf-8"), want.encode("utf-8")
-                )
-                report.failure = StressFailure(
-                    "inspect-divergence", round_no, i,
-                    f"canonical bytes differ from the model at byte {offset}",
-                )
-                return report
+    except ProtocolViolation as exc:
+        report.failure = StressFailure("replica-error", round_no, replica, str(exc))
     return report

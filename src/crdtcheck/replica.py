@@ -17,11 +17,7 @@ conflict-resolution recipe:
 Out-of-order delivery is handled by *buffering*, not by assuming a
 causal channel: an incoming operation whose dependency dots are not all
 applied yet sits in a pending buffer until they are, and the buffer is
-flushed transitively after every apply.  The ``causal-assuming``
-strategy is the deliberately unsafe variant: it skips the dependency
-check and silently discards an operation whose prerequisites are
-missing, which is only correct when the transport already delivers
-causally.
+flushed transitively after every apply.
 
 ## Invariants
 
@@ -38,8 +34,12 @@ causally.
 Bug injection: ``bug1-readd-accept`` makes a re-add with missing
 dependencies take effect immediately, fabricating a position for the
 element it has never seen; the original insert, arriving later, is
-ignored.  The flag exists so the explorer can demonstrate that the
-checker catches the divergence this causes.
+ignored.  ``bug2-assume-causal`` is a replica that assumes a causal
+channel: it skips the dependency check and silently discards an
+operation whose prerequisites are missing, which is only correct when
+the transport already delivers causally.  Both flags exist so the
+explorer can demonstrate that the checker catches the divergence they
+cause.
 """
 
 from __future__ import annotations
@@ -52,9 +52,6 @@ from .dots import CausalContext, Dot
 from .errors import DuplicateDelivery, UnknownElement
 from .operations import LIST, RPQ, Operation, OperationRequest, SyncMessage
 from .positions import Position, generate_between, position_wire
-
-STANDARD = "standard"
-CAUSAL_ASSUMING = "causal-assuming"
 
 BUG_READD_ACCEPT = "bug1-readd-accept"
 BUG_ASSUME_CAUSAL = "bug2-assume-causal"
@@ -194,7 +191,6 @@ class ReplicaState:
     elems: dict = field(default_factory=dict)  # elem id -> RpqOps | ListOps
     pending: dict = field(default_factory=dict)  # Dot -> SyncMessage
     applied: CausalContext = field(default_factory=CausalContext)
-    strategy: str = STANDARD
     bug_flags: frozenset = frozenset()
     bug_nonce: int = 0
 
@@ -276,15 +272,15 @@ class ReplicaState:
     def deliver(self, msg: SyncMessage) -> "ReplicaState":
         """Handle one incoming sync message.
 
-        Standard strategy: apply if the dependencies are met, buffer
-        otherwise, then flush the buffer to a fixpoint.  Causal-assuming
-        strategy: never buffer; unmet dependencies mean the operation is
-        mishandled on the spot.
+        Apply if the dependencies are met, buffer otherwise, then flush
+        the buffer to a fixpoint.  Under ``bug2-assume-causal`` nothing is
+        buffered: unmet dependencies mean the operation is mishandled on
+        the spot.
         """
         dot = msg.op.dot
         if self.has_delivered(dot):
             raise DuplicateDelivery(f"dot {dot} delivered twice at replica {self.replica}")
-        if self.strategy == CAUSAL_ASSUMING or BUG_ASSUME_CAUSAL in self.bug_flags:
+        if BUG_ASSUME_CAUSAL in self.bug_flags:
             return self._apply_now_or_mangle(msg)
         if self._deps_met(msg.op):
             state = self._apply(msg)
@@ -305,7 +301,7 @@ class ReplicaState:
         )
 
     def _apply_now_or_mangle(self, msg: SyncMessage) -> "ReplicaState":
-        """Causal-assuming handling: no buffer, missing deps lose the op."""
+        """bug2: no buffer, missing deps lose the op."""
         if self._deps_met(msg.op):
             return self._apply(msg)
         # The operation is "processed" — its dot counts as handled — but
@@ -455,11 +451,10 @@ class ReplicaState:
         )
 
 
-def fresh_replica(data_type: str, replica: int, strategy: str = STANDARD,
+def fresh_replica(data_type: str, replica: int,
                   bug_flags: frozenset | None = None) -> ReplicaState:
     return ReplicaState(
         data_type=data_type,
         replica=replica,
-        strategy=strategy,
         bug_flags=bug_flags or frozenset(),
     )

@@ -97,10 +97,10 @@ def generate_corpus(
         count += 1
 
     try:
-        result = enumerate_traces(cfg, emit, state_cap=cfg.state_cap)
+        result = enumerate_traces(cfg, emit)
     except _Done:
         return count
-    if result.capped:
+    if not result.exhaustive:
         raise BudgetExceeded(
             f"state cap {cfg.state_cap} hit after {count} emitted case(s)"
         )

@@ -191,18 +191,16 @@ def test_criterion_3_readd_defect_and_counterexample_shape():
 
 
 def test_criterion_4_causal_assumption():
+    bug2 = frozenset(["bug2-assume-causal"])
     safe = explore(
-        cfg(data_type="rpq", n=3, q=3, strategy="causal-assuming",
-            channel="causal")
+        cfg(data_type="rpq", n=3, q=3, bug_flags=bug2, channel="causal")
     )
     broken = explore(
-        cfg(data_type="rpq", n=3, q=3, strategy="causal-assuming",
-            channel="arbitrary")
+        cfg(data_type="rpq", n=3, q=3, bug_flags=bug2, channel="arbitrary")
     )
     inversion = any(
         schedule_has_causal_inversion(
-            cfg(data_type="rpq", n=3, q=3, strategy="causal-assuming"),
-            v.schedule,
+            cfg(data_type="rpq", n=3, q=3, bug_flags=bug2), v.schedule,
         )
         for v in broken.violations
     )

@@ -31,10 +31,29 @@ def test_explore_clean_run_exits_zero(capsys):
 def test_explore_with_violations_exits_two(capsys):
     code, out, _ = run(
         capsys, "explore", "--type", "rpq", "-n", "2", "-q", "3",
-        "--strategy", "causal-assuming",
+        "--bug", "bug2-assume-causal",
     )
     assert code == 2
     assert json.loads(out)["violations"]
+
+
+def test_causal_assumption_holds_on_a_causal_channel(capsys):
+    code, out, _ = run(
+        capsys, "explore", "--type", "rpq", "-n", "2", "-q", "3",
+        "--bug", "bug2-assume-causal", "--channel", "causal",
+    )
+    assert code == 0
+    assert json.loads(out)["violations"] == []
+
+
+@pytest.mark.parametrize("command", [["explore"], ["gen"], ["replay", "-"]])
+def test_retired_strategy_flag_is_a_usage_error(capsys, command):
+    code, _, err = run(
+        capsys, *command, "--type", "rpq", "-n", "2", "-q", "3",
+        "--strategy", "causal-assuming",
+    )
+    assert code == 1
+    assert "--strategy" in err
 
 
 def test_explore_budget_exhaustion_exits_three(capsys):

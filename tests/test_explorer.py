@@ -26,10 +26,14 @@ Counting oracles used below, derived by hand before any run:
 
 from __future__ import annotations
 
+import hashlib
+import json
+
 import pytest
 
 from crdtcheck.dots import EMPTY_CONTEXT, Dot
 from crdtcheck.errors import BadConfig, BudgetExceeded, NotEnabled
+from crdtcheck import explorer
 from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
@@ -48,9 +52,14 @@ from crdtcheck.explorer import (
     state_digest,
     state_violations,
     step,
+    _explore_bfs,
 )
 from crdtcheck.operations import OperationRequest, SyncMessage
 from crdtcheck.replica import fresh_replica
+
+
+BUG1 = frozenset(["bug1-readd-accept"])
+BUG2 = frozenset(["bug2-assume-causal"])
 
 
 def cfg_of(**kw) -> ExplorationConfig:
@@ -72,7 +81,7 @@ def test_bad_configs_are_rejected():
     with pytest.raises(BadConfig):
         cfg_of(channel="fifo")
     with pytest.raises(BadConfig):
-        cfg_of(strategy="optimistic")
+        cfg_of(bug_flags=frozenset(["bug2-optimistic"]))
     with pytest.raises(BadConfig):
         cfg_of(state_cap=0)
 
@@ -90,9 +99,18 @@ def test_fingerprint_tracks_semantics_not_budgets():
     assert a == config_fingerprint(cfg_of(state_cap=10_000))
     assert a != config_fingerprint(cfg_of(q=3))
     assert a != config_fingerprint(cfg_of(channel="causal"))
-    assert a != config_fingerprint(cfg_of(strategy="causal-assuming"))
     assert a != config_fingerprint(
         cfg_of(bug_flags=frozenset(["bug2-assume-causal"]))
+    )
+
+
+def test_fingerprint_is_stable():
+    # Every corpus embeds these; a change here orphans existing corpora.
+    assert config_fingerprint(ExplorationConfig("list", 2, 3)) == (
+        "3e2b799069a1aa4f55a7149fcdbc46c1216ff0ea073807fda02de9eb8c58a52b"
+    )
+    assert config_fingerprint(ExplorationConfig("rpq", 2, 3, bug_flags=BUG2)) == (
+        "7fe6975648be5e75c7748feb0d801e5b6b89c6ec38a327f0a46ee0a6820839f2"
     )
 
 
@@ -145,7 +163,7 @@ def test_two_replica_list_q2_has_24_schedules():
 def test_dedup_never_loses_or_invents_traces(kw):
     cfg = cfg_of(**kw)
     brute = enumerate_traces(cfg, collect_oracles=True)
-    deduped = explore(cfg, collect_oracles=True, force_bfs=True)
+    deduped = _explore_bfs(cfg, collect_oracles=True)
     assert deduped.terminal_traces == brute.terminal_traces
     assert deduped.oracle_multiset == brute.oracle_multiset
     assert deduped.distinct_states <= brute.states_visited
@@ -154,7 +172,7 @@ def test_dedup_never_loses_or_invents_traces(kw):
 def test_tree_mode_and_bfs_agree_on_single_replica():
     cfg = cfg_of(q=3)
     tree = explore(cfg, collect_oracles=True)
-    bfs = explore(cfg, collect_oracles=True, force_bfs=True)
+    bfs = _explore_bfs(cfg, collect_oracles=True)
     assert tree.terminal_traces == bfs.terminal_traces
     assert tree.oracle_multiset == bfs.oracle_multiset
 
@@ -357,7 +375,7 @@ def test_out_of_range_digit_is_reported():
 
 
 def test_causal_assumption_breaks_under_arbitrary_delivery():
-    cfg = cfg_of(n=2, q=3, strategy="causal-assuming")
+    cfg = cfg_of(n=2, q=3, bug_flags=BUG2)
     report = explore(cfg)
     assert report.violations
     assert {v.invariant for v in report.violations} == {"convergence"}
@@ -371,7 +389,7 @@ def test_causal_assumption_breaks_under_arbitrary_delivery():
 
 def test_causal_assumption_is_safe_on_a_causal_channel():
     sloppy = explore(
-        cfg_of(n=2, q=3, strategy="causal-assuming", channel="causal"),
+        cfg_of(n=2, q=3, bug_flags=BUG2, channel="causal"),
         collect_oracles=True,
     )
     strict = explore(
@@ -394,12 +412,51 @@ def test_readd_acceptance_defect_found_and_shortest_is_six_events():
 
 
 def test_violating_counterexamples_replay_to_the_violation():
-    cfg = cfg_of(n=2, q=3, strategy="causal-assuming")
+    cfg = cfg_of(n=2, q=3, bug_flags=BUG2)
     report = explore(cfg)
     v = min(report.violations, key=lambda x: len(x.schedule))
     gs = replay_schedule(cfg, v.schedule)
     assert is_terminal(cfg, gs)
     assert gs.replicas[0].normalize() != gs.replicas[1].normalize()
+
+
+# -- report bytes -------------------------------------------------------------
+
+
+def report_digest(report) -> str:
+    doc = report.as_json()
+    del doc["wall_time_s"]
+    return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+
+@pytest.mark.parametrize(
+    "kw,digest",
+    [
+        (dict(), "5b0e27944cc2dd99cd0d67209c0529f86e64c00f4b4359ea7704fb09c4bc1f0c"),
+        (dict(data_type="list"),
+         "b6d54eceb762762f8e3f2f26983d7d7f761de53d480c6405b16e723d7bb963ec"),
+        (dict(data_type="list", channel="causal"),
+         "d58f3ebb9fc154354c072a3406eb325198b9fa66930dab9450f612289db15b1f"),
+        (dict(bug_flags=BUG2),
+         "1ffbfa5552266437bf008fb415a0ccfebd256fcda755ad6b183861cb0807af98"),
+        (dict(data_type="list", bug_flags=BUG1),
+         "f273eb03b457fa011025e114bd300627e3ca9cd56b00b8646f460b3326cd0093"),
+    ],
+)
+def test_report_bytes_are_pinned(kw, digest):
+    # Counts, violation lists and schedules are the regression oracle.
+    assert report_digest(explore(cfg_of(n=2, q=3, **kw))) == digest
+
+
+def test_violation_cap_keeps_discovery_order(monkeypatch):
+    cfg = cfg_of(n=2, q=3, bug_flags=BUG2)
+    full = explore(cfg)
+    assert len(full.violations) == 36
+    assert not full.violations_capped
+    monkeypatch.setattr(explorer, "VIOLATION_CAP", 10)
+    capped = explore(cfg)
+    assert capped.violations_capped
+    assert capped.violations == full.violations[:10]
 
 
 # -- budgets ------------------------------------------------------------------

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import io
+import socket
+import struct
 
 import pytest
 
@@ -20,6 +22,7 @@ from crdtcheck.harness import (
     REPLICA_ERROR,
     LoopbackEndpoint,
     PendingPool,
+    SocketEndpoint,
     first_diff_offset,
     loopback_factory,
     replay_case,
@@ -29,6 +32,7 @@ from crdtcheck.harness import (
 from crdtcheck.operations import OperationRequest
 from crdtcheck.server import ReplicaServer
 from crdtcheck.testgen import case_from_trace, generate_corpus, iter_corpus
+from crdtcheck.wire import FrameSocket
 
 
 def rpq_cfg(**kw) -> ExplorationConfig:
@@ -249,6 +253,75 @@ def test_bad_fanout_is_a_replica_error_in_stress(name):
     assert report.failure.kind == "replica-error"
     assert report.ops == 1
     assert "fan-out" in report.failure.detail
+
+
+# -- malformed replies -----------------------------------------------------------
+
+
+def non_object_frame(frame: dict):
+    """A real SocketEndpoint whose peer answers with the frame ``[1]``."""
+    near, far = socket.socketpair()
+    try:
+        far.sendall(struct.pack(">I", 3) + b"[1]")
+        return SocketEndpoint(FrameSocket(near)).send(frame)
+    finally:
+        near.close()
+        far.close()
+
+
+# name -> (frame type whose replies are replaced, replacement, detail or None)
+BAD_REPLIES = {
+    "array": ("ClientOp", lambda frame: [], None),
+    "string": ("Sync", lambda frame: "x", None),
+    "number": ("Inspect", lambda frame: 5, None),
+    "state-not-a-string": (
+        "Inspect", lambda frame: {"state": 7, "type": "InspectReply"}, None,
+    ),
+    "wrong-type": ("Sync", lambda frame: {"state": "", "type": "InspectReply"}, None),
+    "socket-non-object-frame": ("ClientOp", non_object_frame, None),
+    "error": ("Sync", lambda frame: {"error": "boom", "type": "Error"}, "boom"),
+}
+
+
+class BadReplies:
+    """Honest server whose replies to one frame type are replaced."""
+
+    def __init__(self, server: ReplicaServer, kind: str, reply):
+        self._inner = LoopbackEndpoint(server)
+        self._kind = kind
+        self._reply = reply
+
+    def send(self, obj: dict):
+        honest = self._inner.send(obj)
+        return self._reply(obj) if obj["type"] == self._kind else honest
+
+
+def bad_endpoints(name: str, n: int) -> list:
+    kind, reply, _ = BAD_REPLIES[name]
+    return [BadReplies(ReplicaServer("list", i, n), kind, reply) for i in range(n)]
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPLIES))
+def test_bad_reply_is_a_replica_error_in_replay(name):
+    cfg = ExplorationConfig(data_type="list", n=2, q=2)
+    tc = first_case(cfg)
+    result = replay_case(tc, bad_endpoints(name, 2), config_fingerprint(cfg))
+    assert result.status == REPLICA_ERROR
+    assert result.replica in (0, 1)
+    assert result.detail
+    detail = BAD_REPLIES[name][2]
+    assert detail is None or result.detail == detail
+
+
+@pytest.mark.parametrize("name", sorted(BAD_REPLIES))
+def test_bad_reply_is_a_replica_error_in_stress(name):
+    report = stress("list", 2, seed=3, rounds=2, ops_per_round=5,
+                    endpoints=bad_endpoints(name, 2))
+    assert report.failure is not None
+    assert report.failure.kind == "replica-error"
+    assert report.failure.replica in (0, 1)
+    detail = BAD_REPLIES[name][2]
+    assert detail is None or report.failure.detail == detail
 
 
 # -- stress -----------------------------------------------------------------

@@ -14,8 +14,8 @@ from crdtcheck.dots import Dot
 from crdtcheck.errors import DuplicateDelivery, UnknownElement
 from crdtcheck.operations import OperationRequest
 from crdtcheck.replica import (
+    BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
-    CAUSAL_ASSUMING,
     Existence,
     fresh_replica,
 )
@@ -326,7 +326,7 @@ def test_causal_assuming_replica_drops_early_arrivals():
     r0, add_msg = r0.issue(req("add", "e", 10))
     r0, rem_msg = r0.issue(req("remove", "e"))
 
-    sloppy = fresh_replica("rpq", 1, strategy=CAUSAL_ASSUMING)
+    sloppy = fresh_replica("rpq", 1, bug_flags=frozenset([BUG_ASSUME_CAUSAL]))
     sloppy = sloppy.deliver(rem_msg)  # deps unmet: effect silently lost
     assert sloppy.pending == {}
     sloppy = sloppy.deliver(add_msg)
