@@ -57,12 +57,6 @@ class CausalContext:
     def contains(self, dot: Dot) -> bool:
         return dot.counter <= self.seen.get(dot.replica, 0) or dot in self.extra
 
-    def covers(self, dots: Iterable[Dot]) -> bool:
-        return all(self.contains(d) for d in dots)
-
-    def covers_context(self, other: "CausalContext") -> bool:
-        return self.covers(other.iter_dots())
-
     def add(self, dot: Dot) -> "CausalContext":
         if self.contains(dot):
             return self
@@ -95,12 +89,6 @@ class CausalContext:
             "seen": {str(r): c for r, c in sorted(self.seen.items())},
             "extra": [d.as_wire() for d in sorted(self.extra)],
         }
-
-    @staticmethod
-    def from_wire(obj: dict) -> "CausalContext":
-        seen = {int(r): int(c) for r, c in obj.get("seen", {}).items()}
-        extra = frozenset(Dot.of(int(r), int(c)) for r, c in obj.get("extra", []))
-        return CausalContext(seen, extra)
 
     @staticmethod
     def from_dots(dots: Iterable[Dot]) -> "CausalContext":

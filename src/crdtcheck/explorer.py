@@ -196,17 +196,12 @@ class ClientEvent:
     req: OperationRequest
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DeliverEvent:
+    # order=True sorts deliveries by (dest, origin, counter).
     dest: int
     origin: int
     counter: int
-
-
-def event_sort_key(ev) -> tuple:
-    if isinstance(ev, ClientEvent):
-        return (0, ev.slot, ev.req.sort_key())
-    return (1, ev.dest, ev.origin, ev.counter)
 
 
 def event_wire(ev) -> list:
@@ -358,14 +353,15 @@ def _successors(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple]:
         for req in candidate_requests(cfg, gs.replicas[target], slot):
             ev = ClientEvent(slot, target, req)
             out.append((ev, _client_step(cfg, gs, ev)))
-    delivers = []
-    for dest in range(cfg.n):
-        for msg in gs.channels[dest]:
-            if _deliverable(cfg, gs, dest, msg):
-                delivers.append(
-                    (DeliverEvent(dest, msg.origin, msg.op.dot.counter), msg)
-                )
-    delivers.sort(key=lambda pair: event_sort_key(pair[0]))
+    delivers = sorted(
+        (
+            (DeliverEvent(dest, msg.origin, msg.op.dot.counter), msg)
+            for dest in range(cfg.n)
+            for msg in gs.channels[dest]
+            if _deliverable(cfg, gs, dest, msg)
+        ),
+        key=lambda pair: pair[0],
+    )
     out.extend((ev, _deliver_step(gs, ev, msg)) for ev, msg in delivers)
     return out
 
@@ -408,11 +404,7 @@ def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str,
     out = []
     if cfg.data_type == LIST:
         for i, rep in enumerate(gs.replicas):
-            poss = [
-                v.pos
-                for v in rep.views().values()
-                if v.existence is Existence.EXISTENT
-            ]
+            poss = rep.existent_positions()
             if len(set(poss)) != len(poss):
                 out.append(
                     ("position-unique", f"colliding positions at replica {i}")

@@ -78,8 +78,11 @@ class SocketEndpoint:
         self._fs = frame_socket
 
     def send(self, obj: dict) -> dict:
-        self._fs.send(obj)
-        reply = self._fs.recv()
+        try:
+            self._fs.send(obj)
+            reply = self._fs.recv()
+        except OSError as exc:
+            raise ProtocolViolation(f"connection failed: {exc}") from None
         if reply is None:
             return {"error": "connection closed", "type": "Error"}
         return reply

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dots import CausalContext, Dot
-from .positions import Position, position_from_wire, position_wire
+from .positions import Position, position_wire
 
 RPQ = "rpq"
 LIST = "list"
@@ -70,18 +70,6 @@ class Operation:
             "pos": position_wire(self.pos) if self.pos is not None else None,
         }
 
-    @staticmethod
-    def from_wire(obj: dict) -> "Operation":
-        return Operation(
-            kind=obj["kind"],
-            elem=obj["id"],
-            dot=Dot.of(*obj["dot"]),
-            arg=obj.get("arg"),
-            anchor=obj.get("anchor"),
-            pos=position_from_wire(obj["pos"]) if obj.get("pos") is not None else None,
-            deps=frozenset(Dot.of(r, c) for r, c in obj.get("deps", [])),
-        )
-
     def canonical(self) -> tuple:
         return (self.kind, self.elem, self.dot.key(), self.arg, self.anchor, self.pos,
                 tuple(sorted(d.key() for d in self.deps)))
@@ -95,14 +83,6 @@ class SyncMessage:
 
     def as_wire(self) -> dict:
         return {"ctx": self.ctx.as_wire(), "op": self.op.as_wire(), "origin": self.origin}
-
-    @staticmethod
-    def from_wire(obj: dict) -> "SyncMessage":
-        return SyncMessage(
-            origin=int(obj["origin"]),
-            op=Operation.from_wire(obj["op"]),
-            ctx=CausalContext.from_wire(obj["ctx"]),
-        )
 
     def canonical(self) -> tuple:
         return (self.origin, self.op.canonical(), self.ctx.canonical())

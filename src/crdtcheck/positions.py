@@ -97,7 +97,3 @@ def generate_between(
 
 def position_wire(pos: Position) -> list[list[int]]:
     return [list(t) for t in pos]
-
-
-def position_from_wire(obj: list) -> Position:
-    return tuple((int(d), int(r), int(c)) for d, r, c in obj)

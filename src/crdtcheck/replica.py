@@ -57,7 +57,8 @@ BUG_READD_ACCEPT = "bug1-readd-accept"
 BUG_ASSUME_CAUSAL = "bug2-assume-causal"
 
 # Fabricated positions get counters far above any real dot counter so
-# they never collide with origin-generated position stamps.
+# they never collide with origin-generated position stamps; the stamp is
+# also what marks a fabricated element in the canonical key.
 _BUG_NONCE_FLOOR = 1_000_000
 
 
@@ -68,70 +69,53 @@ class Existence(Enum):
 
 
 @dataclass(frozen=True, slots=True)
-class AddRec:
+class Rec:
+    """One applied operation: its dot, its payload and its origin's
+    causal-context snapshot.  ``val`` is the added value, the delta, or
+    the inserted or updated attribute; removes and re-adds carry None."""
+
     dot: Dot
-    value: int
+    val: int | None
     ctx: CausalContext
 
-
-@dataclass(frozen=True, slots=True)
-class IncRec:
-    dot: Dot
-    delta: int
-    ctx: CausalContext
+    def key(self) -> tuple:
+        return (self.dot.key(), self.val, self.ctx.canonical())
 
 
-@dataclass(frozen=True, slots=True)
-class RemRec:
-    dot: Dot
-    ctx: CausalContext
-
-
-@dataclass(frozen=True, slots=True)
-class InsRec:
-    dot: Dot
-    pos: Position
-    attr: int
-    ctx: CausalContext
-    ghost: bool = False  # fabricated by bug1, not by a real insert
-
-
-@dataclass(frozen=True, slots=True)
-class UpdRec:
-    dot: Dot
-    attr: int
-    ctx: CausalContext
+def _keys(recs: tuple[Rec, ...]) -> tuple:
+    return tuple(sorted(map(Rec.key, recs)))
 
 
 @dataclass(frozen=True, slots=True)
 class RpqOps:
-    adds: tuple[AddRec, ...] = ()
-    incs: tuple[IncRec, ...] = ()
-    rems: tuple[RemRec, ...] = ()
+    adds: tuple[Rec, ...] = ()
+    incs: tuple[Rec, ...] = ()
+    rems: tuple[Rec, ...] = ()
 
     def canonical(self) -> tuple:
-        return (
-            tuple(sorted((a.dot.key(), a.value, a.ctx.canonical()) for a in self.adds)),
-            tuple(sorted((i.dot.key(), i.delta, i.ctx.canonical()) for i in self.incs)),
-            tuple(sorted((r.dot.key(), r.ctx.canonical()) for r in self.rems)),
-        )
+        return (_keys(self.adds), _keys(self.incs), _keys(self.rems))
 
 
 @dataclass(frozen=True, slots=True)
 class ListOps:
-    ins: InsRec | None = None
-    upds: tuple[UpdRec, ...] = ()
-    rems: tuple[RemRec, ...] = ()
-    readds: tuple[RemRec, ...] = ()  # same shape as a remove record: dot + ctx
+    ins: Rec
+    pos: Position  # fixed by the insert; re-add never reassigns it
+    upds: tuple[Rec, ...] = ()
+    rems: tuple[Rec, ...] = ()
+    readds: tuple[Rec, ...] = ()
 
     def canonical(self) -> tuple:
-        ins = self.ins
-        return (
-            (ins.dot.key(), ins.pos, ins.attr, ins.ctx.canonical(), ins.ghost) if ins else None,
-            tuple(sorted((u.dot.key(), u.attr, u.ctx.canonical()) for u in self.upds)),
-            tuple(sorted((r.dot.key(), r.ctx.canonical()) for r in self.rems)),
-            tuple(sorted((r.dot.key(), r.ctx.canonical()) for r in self.readds)),
-        )
+        return (self.ins.key(), self.pos, _keys(self.upds), _keys(self.rems),
+                _keys(self.readds))
+
+
+# The record tuple each operation kind extends; a list insert creates
+# the element's ``ListOps`` instead.
+_FIELD = {
+    RPQ: {"add": "adds", "increase": "incs", "remove": "rems"},
+    LIST: {"update": "upds", "remove": "rems", "readd": "readds"},
+}
+_VALUELESS = ("rems", "readds")
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,7 +133,7 @@ class ListView:
     add_dot: Dot
 
 
-def _survives(ctx: CausalContext, rems: tuple[RemRec, ...]) -> bool:
+def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:
     """Remove-win kill rule: the record lives iff it saw every remove."""
     return all(ctx.contains(r.dot) for r in rems)
 
@@ -158,8 +142,8 @@ def rpq_view(ops: RpqOps) -> RpqView:
     alive = [a for a in ops.adds if _survives(a.ctx, ops.rems)]
     if alive:
         win = max(alive, key=lambda a: a.dot)
-        total = win.value + sum(
-            i.delta for i in ops.incs if _survives(i.ctx, ops.rems)
+        total = win.val + sum(
+            i.val for i in ops.incs if _survives(i.ctx, ops.rems)
         )
         return RpqView(Existence.EXISTENT, total, win.dot)
     if ops.adds:
@@ -170,16 +154,15 @@ def rpq_view(ops: RpqOps) -> RpqView:
 
 def list_view(ops: ListOps) -> ListView:
     ins = ops.ins
-    assert ins is not None, "list records only exist once their insert applied"
     alive = _survives(ins.ctx, ops.rems) or any(
         _survives(x.ctx, ops.rems) for x in ops.readds
     )
-    candidates = [(ins.dot, ins.attr)] + [
-        (u.dot, u.attr) for u in ops.upds if _survives(u.ctx, ops.rems)
+    candidates = [(ins.dot, ins.val)] + [
+        (u.dot, u.val) for u in ops.upds if _survives(u.ctx, ops.rems)
     ]
     _, attr = max(candidates)
     existence = Existence.EXISTENT if alive else Existence.ONCE_EXISTENT
-    return ListView(existence, attr, ins.pos, ins.dot)
+    return ListView(existence, attr, ops.pos, ins.dot)
 
 
 @dataclass(frozen=True, slots=True)
@@ -257,14 +240,10 @@ class ReplicaState:
 
     def _position_after(self, anchor: str | None, dot: Dot) -> Position:
         """Generate a position between the anchor and its visible successor."""
-        existing = sorted(
-            v.pos for v in (list_view(o) for o in self.elems.values())
-            if v.existence is Existence.EXISTENT
+        left = self.elems[anchor].pos if anchor is not None else None
+        right = next(
+            (p for p in self.existent_positions() if left is None or p > left), None
         )
-        left = None
-        if anchor is not None:
-            left = list_view(self.elems[anchor]).pos
-        right = next((p for p in existing if left is None or p > left), None)
         return generate_between(left, right, self.replica, dot.counter)
 
     # -- remote side -------------------------------------------------
@@ -316,16 +295,11 @@ class ReplicaState:
         position; the real insert is ignored when it shows up.
         """
         nonce = self.bug_nonce + 1
-        existing = sorted(
-            v.pos for v in (list_view(o) for o in self.elems.values())
-            if v.existence is Existence.EXISTENT
-        )
+        existing = self.existent_positions()
         pos = generate_between(existing[-1] if existing else None, None,
                                self.replica, _BUG_NONCE_FLOOR + nonce)
         elems = dict(self.elems)
-        elems[msg.op.elem] = ListOps(
-            ins=InsRec(dot=msg.op.dot, pos=pos, attr=0, ctx=msg.ctx, ghost=True),
-        )
+        elems[msg.op.elem] = ListOps(Rec(msg.op.dot, 0, msg.ctx), pos)
         return replace(self, applied=self.applied.add(msg.op.dot),
                        elems=elems, bug_nonce=nonce)
 
@@ -349,40 +323,32 @@ class ReplicaState:
 
     def _effect(self, op: Operation, ctx: CausalContext) -> dict:
         elems = dict(self.elems)
-        if self.data_type == RPQ:
-            ops = elems.get(op.elem, RpqOps())
-            if op.kind == "add":
-                ops = replace(ops, adds=ops.adds + (AddRec(op.dot, op.arg, ctx),))
-            elif op.kind == "increase":
-                ops = replace(ops, incs=ops.incs + (IncRec(op.dot, op.arg, ctx),))
-            elif op.kind == "remove":
-                ops = replace(ops, rems=ops.rems + (RemRec(op.dot, ctx),))
-            else:
-                raise ValueError(f"bad kind {op.kind!r} for rpq")
-            elems[op.elem] = ops
-            return elems
         ops = elems.get(op.elem)
-        if op.kind == "insert":
-            if ops is not None:
-                # Either a bug fabricated this element (the late insert is
-                # ignored — that is the bug) or a duplicate id arrived; the
-                # first applied insert keeps the position either way.
-                return elems
-            elems[op.elem] = ListOps(ins=InsRec(op.dot, op.pos, op.arg, ctx))
+        if self.data_type == LIST and op.kind == "insert":
+            # A second insert for one id is ignored: either a bug
+            # fabricated the element (ignoring the late insert is the bug)
+            # or a duplicate id arrived.  The first keeps the position.
+            if ops is None:
+                elems[op.elem] = ListOps(Rec(op.dot, op.arg, ctx), op.pos)
             return elems
-        assert ops is not None, "deps guarantee the insert applied first"
-        if op.kind == "update":
-            ops = replace(ops, upds=ops.upds + (UpdRec(op.dot, op.arg, ctx),))
-        elif op.kind == "remove":
-            ops = replace(ops, rems=ops.rems + (RemRec(op.dot, ctx),))
-        elif op.kind == "readd":
-            ops = replace(ops, readds=ops.readds + (RemRec(op.dot, ctx),))
-        else:
-            raise ValueError(f"bad kind {op.kind!r} for list")
-        elems[op.elem] = ops
+        name = _FIELD[self.data_type].get(op.kind)
+        if name is None:
+            raise ValueError(f"bad kind {op.kind!r} for {self.data_type}")
+        if ops is None:
+            assert self.data_type == RPQ, "deps guarantee the insert applied first"
+            ops = RpqOps()
+        rec = Rec(op.dot, None if name in _VALUELESS else op.arg, ctx)
+        elems[op.elem] = replace(ops, **{name: getattr(ops, name) + (rec,)})
         return elems
 
     # -- derived views -----------------------------------------------
+
+    def existent_positions(self) -> list[Position]:
+        """The positions of this list replica's existent elements, sorted."""
+        return sorted(
+            v.pos for v in map(list_view, self.elems.values())
+            if v.existence is Existence.EXISTENT
+        )
 
     def views(self) -> dict:
         if self.data_type == RPQ:

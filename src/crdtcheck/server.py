@@ -47,13 +47,6 @@ LIST = "list"
 BASE = 64
 _GHOST_COUNTER_FLOOR = 1_000_000
 
-BUG_FLAGS = (
-    "bug1-readd-accept",
-    "bug2-assume-causal",
-    "bug4-dummy-position",
-    "bug7-idgen-order",
-)
-
 BUG_DESCRIPTIONS = {
     "bug1-readd-accept": (
         "re-add applied without its insert; fabricates a position, "
@@ -72,9 +65,18 @@ BUG_DESCRIPTIONS = {
         "anchored inserts pick the wrong neighbor"
     ),
 }
+BUG_FLAGS = tuple(BUG_DESCRIPTIONS)
 
 _RPQ_KINDS = ("add", "increase", "remove")
 _LIST_KINDS = ("insert", "update", "remove", "readd")
+
+
+def _ints(obj, n: int) -> bool:
+    """True if ``obj`` is an array of ``n`` integers."""
+    return (
+        isinstance(obj, list) and len(obj) == n
+        and all(isinstance(x, int) for x in obj)
+    )
 
 
 def _dot_order(dot):
@@ -120,12 +122,11 @@ class _Ctx:
 
     @staticmethod
     def from_wire(obj) -> "_Ctx":
-        ctx = _Ctx()
-        for r, c in obj.get("seen", {}).items():
-            ctx.seen[int(r)] = int(c)
-        for r, c in obj.get("extra", []):
-            ctx.extra.add((int(r), int(c)))
-        return ctx
+        """Decode a context that ``_check_sync_shape`` accepted."""
+        return _Ctx(
+            {int(r): int(c) for r, c in obj.get("seen", {}).items()},
+            {(int(r), int(c)) for r, c in obj.get("extra", [])},
+        )
 
 
 class _Rec:
@@ -151,23 +152,25 @@ class _RpqElem:
 
 
 class _ListElem:
-    __slots__ = ("ins_dot", "pos", "base_attr", "ins_ctx", "ins_alive",
-                 "upds", "readds", "rems", "ghost")
+    __slots__ = ("ins", "pos", "upds", "readds", "rems")
 
-    def __init__(self, ins_dot, pos, base_attr, ins_ctx, ghost=False):
-        self.ins_dot = ins_dot
+    def __init__(self, dot, pos, attr, ctx):
+        self.ins = _Rec(dot, attr, ctx, True)  # val = initial attr
         self.pos = pos  # tuple of (digit, replica, counter) triples
-        self.base_attr = base_attr
-        self.ins_ctx = ins_ctx
-        self.ins_alive = True
         self.upds = []    # _Rec, val = new attr
         self.readds = []  # _Rec, val unused
         self.rems = []    # (replica, counter)
-        self.ghost = ghost
 
 
 def _survives(ctx: _Ctx, rems) -> bool:
     return all(ctx.has(r, c) for r, c in rems)
+
+
+def _kill(recs, dot) -> None:
+    """Remove-win: every live record whose context lacks ``dot`` dies."""
+    for rec in recs:
+        if rec.alive and not rec.ctx.has(*dot):
+            rec.alive = False
 
 
 def _gen_pos(left, right, replica, counter, depth=0):
@@ -210,8 +213,6 @@ class ReplicaServer:
         self.data_type = data_type
         self.replica = replica
         self.n = n
-        self.counter = 0
-        self.delivered = _Ctx()
         self.applied = _Ctx()
         self.elems: dict = {}
         self.by_pos: list = []  # (index key, pos, elem id); inserts only
@@ -245,9 +246,12 @@ class ReplicaServer:
         if self._rejection(kind, elem, anchor) is not None:
             return {"accepted": False, "syncs": [], "type": "Ack"}
 
-        snapshot = self.delivered.snapshot()
-        self.counter += 1
-        dot = (self.replica, self.counter)
+        # The issue snapshot is every delivered dot: applied or buffered.
+        snapshot = self.applied.snapshot()
+        for buffered in self.pending:
+            snapshot.add(*buffered)
+        # Own dots are applied on issue, so they fill the frontier from 1.
+        dot = (self.replica, self.applied.seen.get(self.replica, 0) + 1)
         deps: list = []
         pos = None
         if self.data_type == RPQ:
@@ -257,9 +261,9 @@ class ReplicaServer:
                     deps = [list(win)]
         else:
             if kind == "insert":
-                pos = self._generate_position(anchor, self.counter)
+                pos = self._generate_position(anchor, dot[1])
             else:
-                deps = [list(self.elems[elem].ins_dot)]
+                deps = [list(self.elems[elem].ins.dot)]
         op = {
             "anchor": anchor,
             "arg": arg,
@@ -269,7 +273,6 @@ class ReplicaServer:
             "kind": kind,
             "pos": [list(t) for t in pos] if pos is not None else None,
         }
-        self.delivered.add(*dot)
         self._apply(op, snapshot)
         msg = {"ctx": snapshot.wire(), "op": op, "origin": self.replica}
         syncs = [
@@ -320,11 +323,10 @@ class ReplicaServer:
             raise ProtocolViolation("Sync frame carries no message object")
         op, ctx = self._check_sync_shape(msg)
         dot = (op["dot"][0], op["dot"][1])
-        if self.delivered.has(*dot):
+        if self.applied.has(*dot) or dot in self.pending:
             raise DuplicateDelivery(
                 f"dot {dot} delivered twice at replica {self.replica}"
             )
-        self.delivered.add(*dot)
         if self.bug2:
             if self._deps_applied(op):
                 self._apply(op, ctx)
@@ -354,32 +356,43 @@ class ReplicaServer:
         if not isinstance(op, dict):
             raise ProtocolViolation("sync message has no operation")
         dot = op.get("dot")
-        if (
-            not isinstance(dot, list)
-            or len(dot) != 2
-            or not all(isinstance(x, int) for x in dot)
-        ):
+        if not _ints(dot, 2):
             raise ProtocolViolation("operation dot must be [replica, counter]")
+        if dot[0] == self.replica:
+            # Own dots are only ever issued here; one arriving from a
+            # peer would collide with the next own dot.
+            raise ProtocolViolation(f"replica {self.replica} was sent its own dot {dot}")
+        kind = op.get("kind")
         kinds = _RPQ_KINDS if self.data_type == RPQ else _LIST_KINDS
-        if op.get("kind") not in kinds:
-            raise ProtocolViolation(
-                f"kind {op.get('kind')!r} not valid for {self.data_type}"
-            )
+        if kind not in kinds:
+            raise ProtocolViolation(f"kind {kind!r} not valid for {self.data_type}")
         if not isinstance(op.get("id"), str):
             raise ProtocolViolation("operation id must be a string")
-        deps = op.get("deps", [])
-        if not isinstance(deps, list) or not all(
-            isinstance(d, list) and len(d) == 2 for d in deps
+        if kind in ("add", "increase", "insert", "update") and not isinstance(
+            op.get("arg"), int
         ):
+            raise ProtocolViolation(f"{kind} requires an integer arg")
+        deps = op.get("deps", [])
+        if not isinstance(deps, list) or not all(_ints(d, 2) for d in deps):
             raise ProtocolViolation("operation deps must be [replica, counter] pairs")
-        if op["kind"] == "insert":
+        if kind == "insert":
             pos = op.get("pos")
-            if not isinstance(pos, list) or not pos:
-                raise ProtocolViolation("insert carries no position")
-        ctx_obj = msg.get("ctx")
-        if not isinstance(ctx_obj, dict):
+            if not isinstance(pos, list) or not pos or not all(_ints(t, 3) for t in pos):
+                raise ProtocolViolation(
+                    "insert position must be [digit, replica, counter] triples"
+                )
+        ctx = msg.get("ctx")
+        if not isinstance(ctx, dict):
             raise ProtocolViolation("sync message has no context")
-        return op, _Ctx.from_wire(ctx_obj)
+        seen, extra = ctx.get("seen", {}), ctx.get("extra", [])
+        if not isinstance(seen, dict) or not all(
+            isinstance(r, str) and r.isdecimal() and isinstance(c, int)
+            for r, c in seen.items()
+        ):
+            raise ProtocolViolation("context seen must map replica to counter")
+        if not isinstance(extra, list) or not all(_ints(d, 2) for d in extra):
+            raise ProtocolViolation("context extra must be [replica, counter] pairs")
+        return op, _Ctx.from_wire(ctx)
 
     def _deps_applied(self, op: dict) -> bool:
         return all(self.applied.has(r, c) for r, c in op.get("deps", []))
@@ -414,12 +427,7 @@ class ReplicaServer:
                 e.incs.append(_Rec(dot, op["arg"], ctx, _survives(ctx, e.rems)))
             else:  # remove
                 e.rems.append(dot)
-                for rec in e.adds:
-                    if rec.alive and not rec.ctx.has(*dot):
-                        rec.alive = False
-                for rec in e.incs:
-                    if rec.alive and not rec.ctx.has(*dot):
-                        rec.alive = False
+                _kill(e.adds + e.incs, dot)
             return
         if kind == "insert":
             if elem in self.elems:
@@ -439,14 +447,7 @@ class ReplicaServer:
             e.readds.append(_Rec(dot, None, ctx, _survives(ctx, e.rems)))
         else:  # remove
             e.rems.append(dot)
-            if e.ins_alive and not e.ins_ctx.has(*dot):
-                e.ins_alive = False
-            for rec in e.upds:
-                if rec.alive and not rec.ctx.has(*dot):
-                    rec.alive = False
-            for rec in e.readds:
-                if rec.alive and not rec.ctx.has(*dot):
-                    rec.alive = False
+            _kill([e.ins, *e.upds, *e.readds], dot)
 
     def _materialize_ghost(self, op: dict, ctx: _Ctx) -> None:
         """bug1: accept a re-add for an element nobody inserted here."""
@@ -461,7 +462,7 @@ class ReplicaServer:
         dot = (op["dot"][0], op["dot"][1])
         self.applied.add(*dot)
         self._index_insert(pos, op["id"])
-        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx, ghost=True)
+        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
 
     def _materialize_dummy(self, op: dict, ctx: _Ctx) -> None:
         """bug4: fabricate a placeholder instead of buffering."""
@@ -470,7 +471,7 @@ class ReplicaServer:
         pos = ((BASE, 0, 0),)
         dot = (op["dot"][0], op["dot"][1])
         self._index_insert(pos, op["id"])
-        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx, ghost=True)
+        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
 
     # -- position index ----------------------------------------------------
 
@@ -512,7 +513,7 @@ class ReplicaServer:
         return max(alive, key=lambda rec: _dot_order(rec.dot)).dot
 
     def _list_existent(self, e: _ListElem) -> bool:
-        return e.ins_alive or any(rec.alive for rec in e.readds)
+        return e.ins.alive or any(rec.alive for rec in e.readds)
 
     def canonical_state(self) -> str:
         elements: dict = {}
@@ -543,13 +544,13 @@ class ReplicaServer:
         else:
             for elem, e in self.elems.items():
                 existent = self._list_existent(e)
-                pairs = [(_dot_order(e.ins_dot), e.base_attr)]
+                pairs = [(_dot_order(e.ins.dot), e.ins.val)]
                 pairs += [
                     (_dot_order(rec.dot), rec.val) for rec in e.upds if rec.alive
                 ]
                 attr = max(pairs)[1]
                 elements[elem] = {
-                    "add_dot": [e.ins_dot[0], e.ins_dot[1]],
+                    "add_dot": [e.ins.dot[0], e.ins.dot[1]],
                     "attr": attr if existent else None,
                     "existence": "existent" if existent else "once-existent",
                     "pos": [list(t) for t in e.pos],

@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import hashlib
 import json
+from copy import deepcopy
+from dataclasses import replace
 
 import pytest
 
@@ -297,11 +299,11 @@ def test_terminal_means_all_slots_used_and_channels_empty():
 
 def test_state_digest_ignores_object_sharing():
     # Replicas 1 and 2 receive the same broadcast: once as one shared
-    # object, once as an equal copy rebuilt from the wire.
+    # object, once as an equal deep copy.
     cfg = cfg_of(n=3, q=3)
     gs = step(cfg, initial_state(cfg), enabled_events(cfg, initial_state(cfg))[0])
     msg = next(iter(gs.channels[1]))
-    copy = SyncMessage.from_wire(msg.as_wire())
+    copy = deepcopy(msg)
     assert copy == msg and copy is not msg
 
     def delivered_to_both(second: SyncMessage) -> GlobalState:
@@ -325,17 +327,9 @@ def test_position_collision_is_reported():
     rep = fresh_replica("list", 0)
     rep, _ = rep.issue(OperationRequest("insert", "e1", 10))
     rep, _ = rep.issue(OperationRequest("insert", "e2", 20))
-    collided = rep.elems["e2"]
     forged = dict(rep.elems)
-    forged["e2"] = type(collided)(
-        ins=type(collided.ins)(
-            dot=collided.ins.dot,
-            pos=rep.elems["e1"].ins.pos,  # same position as e1
-            attr=collided.ins.attr,
-            ctx=collided.ins.ctx,
-        )
-    )
-    from dataclasses import replace
+    # same position as e1
+    forged["e2"] = replace(rep.elems["e2"], pos=rep.elems["e1"].pos)
 
     bad_state = initial_state(cfg)
     bad_state = type(bad_state)(
@@ -351,15 +345,8 @@ def test_out_of_range_digit_is_reported():
     cfg = cfg_of(data_type="list", n=1, q=1)
     rep = fresh_replica("list", 0)
     rep, _ = rep.issue(OperationRequest("insert", "e1", 10))
-    broken = rep.elems["e1"]
     forged = dict(rep.elems)
-    forged["e1"] = type(broken)(
-        ins=type(broken.ins)(
-            dot=broken.ins.dot, pos=((64, 0, 1),), attr=broken.ins.attr,
-            ctx=broken.ins.ctx,
-        )
-    )
-    from dataclasses import replace
+    forged["e1"] = replace(rep.elems["e1"], pos=((64, 0, 1),))
 
     bad_state = initial_state(cfg)
     bad_state = type(bad_state)(

@@ -269,6 +269,16 @@ def non_object_frame(frame: dict):
         far.close()
 
 
+def closed_peer(frame: dict):
+    """A real SocketEndpoint whose peer has closed its end."""
+    near, far = socket.socketpair()
+    far.close()
+    try:
+        return SocketEndpoint(FrameSocket(near)).send(frame)
+    finally:
+        near.close()
+
+
 # name -> (frame type whose replies are replaced, replacement, detail or None)
 BAD_REPLIES = {
     "array": ("ClientOp", lambda frame: [], None),
@@ -279,6 +289,7 @@ BAD_REPLIES = {
     ),
     "wrong-type": ("Sync", lambda frame: {"state": "", "type": "InspectReply"}, None),
     "socket-non-object-frame": ("ClientOp", non_object_frame, None),
+    "socket-peer-closed": ("ClientOp", closed_peer, None),
     "error": ("Sync", lambda frame: {"error": "boom", "type": "Error"}, "boom"),
 }
 

@@ -15,7 +15,6 @@ import pytest
 from crdtcheck.positions import (
     BASE,
     generate_between,
-    position_from_wire,
     position_wire,
 )
 
@@ -85,7 +84,6 @@ def test_unordered_bounds_raise():
 def test_wire_round_trip():
     pos = ((5, 0, 1), (32, 3, 7))
     assert position_wire(pos) == [[5, 0, 1], [32, 3, 7]]
-    assert position_from_wire(position_wire(pos)) == pos
 
 
 # -- properties --------------------------------------------------------------

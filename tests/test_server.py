@@ -139,22 +139,47 @@ def test_unknown_frame_type_raises():
         srv.handle_frame({"type": "Gossip"})
 
 
+def peer_sync(data_type: str, op=None, ctx=None) -> dict:
+    """A Sync frame from replica 1's first operation, with fields of its
+    operation and context overridden."""
+    kind, elem = ("add", "e") if data_type == "rpq" else ("insert", "e1")
+    peer = ReplicaServer(data_type, 1, 2)
+    msg = peer.handle_frame(client_frame(kind, elem, 10))["syncs"][0]["msg"]
+    msg["op"].update(op or {})
+    msg["ctx"].update(ctx or {})
+    return {"msg": msg, "type": "Sync"}
+
+
+MALFORMED = [
+    ("rpq", {"type": "ClientOp"}),
+    ("rpq", {"type": "ClientOp", "req": {"kind": "add"}}),
+    ("rpq", {"type": "ClientOp", "req": {"kind": "add", "id": "", "arg": 1}}),
+    ("rpq", {"type": "ClientOp", "req": {"kind": "add", "id": "e", "arg": "x"}}),
+    ("rpq", {"type": "ClientOp", "req": {"kind": "frobnicate", "id": "e"}}),
+    ("rpq", {"type": "Sync"}),
+    ("rpq", {"type": "Sync", "msg": {"op": {"kind": "add"}}}),
+    ("list", peer_sync("list", op={"pos": [[1, 2]]})),
+    ("list", peer_sync("list", op={"pos": [["a", 1, 1]]})),
+    ("list", peer_sync("list", op={"kind": "update", "deps": [["x", "y"]]})),
+    ("rpq", peer_sync("rpq", op={"deps": [["x", "y"]]})),
+    ("rpq", peer_sync("rpq", ctx={"seen": {"0": "zz"}})),
+    ("rpq", peer_sync("rpq", ctx={"extra": [1]})),
+    ("rpq", peer_sync("rpq", op={"arg": "s"})),
+    ("rpq", peer_sync("rpq", op={"dot": [0, 5]})),  # the receiver's own dot
+]
+
+
 @pytest.mark.parametrize(
-    "frame",
-    [
-        {"type": "ClientOp"},
-        {"type": "ClientOp", "req": {"kind": "add"}},
-        {"type": "ClientOp", "req": {"kind": "add", "id": "", "arg": 1}},
-        {"type": "ClientOp", "req": {"kind": "add", "id": "e", "arg": "x"}},
-        {"type": "ClientOp", "req": {"kind": "frobnicate", "id": "e"}},
-        {"type": "Sync"},
-        {"type": "Sync", "msg": {"op": {"kind": "add"}}},
-    ],
+    "data_type, frame", MALFORMED, ids=[f"frame{i}" for i in range(len(MALFORMED))]
 )
-def test_malformed_frames_raise(frame):
-    srv = ReplicaServer("rpq", 0, 2)
+def test_malformed_frames_raise(data_type, frame):
+    srv = ReplicaServer(data_type, 0, 2)
+    srv.handle_frame(client_frame(*(("add", "e", 5) if data_type == "rpq"
+                                    else ("insert", "e0", 5))))
+    before = srv.handle_frame({"type": "Inspect"})
     with pytest.raises(ProtocolViolation):
         srv.handle_frame(frame)
+    assert srv.handle_frame({"type": "Inspect"}) == before
 
 
 def test_inspect_matches_the_model_normal_form():

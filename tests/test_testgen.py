@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
 import json
 
@@ -31,6 +32,26 @@ def gen_lines(cfg=None, limit=None) -> list[str]:
 def test_corpus_counts_match_the_schedule_space():
     lines = gen_lines()
     assert len(lines) == 75  # see the counting notes in test_explorer
+
+
+@pytest.mark.parametrize(
+    "data_type, bugs, digest",
+    [
+        ("list", (), "015139bdc5989dae1a1d867f4b33cde484b09383e99b60f87cbef8bdcd1fa025"),
+        # The walk fabricates a re-added element 12 times, so the oracles
+        # pin the bug1 position stamps too.
+        ("list", ("bug1-readd-accept",),
+         "a239be749bd218fa7d054bcbf8d89a9384af6d6fda6fcbf1accc36393e1901aa"),
+        ("rpq", (), "71de6861657e915a6524050b15edd61849871fc125ae51f9b9fda5e72982541c"),
+    ],
+)
+def test_corpus_bytes_are_pinned(data_type, bugs, digest):
+    # Corpus bytes are a regression oracle: every n=2 q=3 schedule with
+    # its per-replica canonical states.
+    cfg = ExplorationConfig(data_type=data_type, n=2, q=3, bug_flags=frozenset(bugs))
+    out = io.StringIO()
+    generate_corpus(cfg, out)
+    assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
 
 
 def test_generation_is_byte_deterministic():
