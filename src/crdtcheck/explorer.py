@@ -36,6 +36,22 @@ With a single replica there are no messages, so the state graph is a
 tree and the two searches coincide; ``explore`` uses the depth-first
 walk there to keep memory flat.
 
+State store of the breadth-first search (collapse compression, as in
+Holzmann, *State compression in SPIN*, 1997):
+
+- ``ReplicaState`` and ``SyncMessage`` each cache a 16-byte digest of
+  their canonical form, so a global state's digest hashes the slot, n
+  replica digests and the sorted message digests of each channel; a
+  successor re-hashes only the replica and the message it created.
+- A stored state is rebuilt from interned components: one shared
+  object per distinct (replica index, replica digest) and per distinct
+  channel.  The index is part of the key because the digest omits it.
+- A delivery memo maps (destination, replica digest, message digest) to
+  the interned successor replica, so each distinct delivery runs once.
+  Only the breadth-first search uses it: ``step``, ``replay_schedule``
+  and ``enumerate_traces`` call ``ReplicaState.deliver`` directly, so
+  the depth-first walk stays an independent check of the store.
+
 Checked invariants (reported by name):
 
 - ``convergence``     terminal states must render byte-identical
@@ -54,7 +70,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import marshal
 import time
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -67,6 +82,7 @@ from .operations import (
     RPQ_KINDS,
     OperationRequest,
     SyncMessage,
+    canonical_digest,
 )
 from .positions import BASE
 from .replica import (
@@ -244,22 +260,46 @@ class GlobalState:
     next_slot: int
 
     def canonical(self) -> tuple:
+        """The slot, each replica's digest and each channel's sorted
+        message digests: equal iff the canonical keys are equal."""
         return (
             self.next_slot,
-            tuple(r.canonical_key() for r in self.replicas),
-            tuple(
-                tuple(sorted(m.canonical() for m in ch)) for ch in self.channels
-            ),
+            tuple(r.digest() for r in self.replicas),
+            tuple(tuple(sorted(m.digest() for m in ch)) for ch in self.channels),
         )
 
 
 def state_digest(gs: GlobalState) -> bytes:
-    # marshal version 2 writes no back-references and no interning flags,
-    # so the bytes depend on the canonical value alone, not on which of
-    # its parts happen to be shared objects.
-    return hashlib.blake2b(
-        marshal.dumps(gs.canonical(), 2), digest_size=16
-    ).digest()
+    return canonical_digest(gs.canonical())
+
+
+class _Store:
+    """The intern tables and delivery memo of one breadth-first search
+    (see "State store" in the module docstring)."""
+
+    def __init__(self):
+        # (index, digest): the digest omits the replica index.
+        self._replicas: dict[tuple[int, bytes], ReplicaState] = {}
+        self._channels: dict[frozenset, frozenset] = {}
+        # (dest, replica digest, message digest) -> interned successor
+        self._delivered: dict[tuple[int, bytes, bytes], ReplicaState] = {}
+
+    def replica(self, index: int, rep: ReplicaState) -> ReplicaState:
+        return self._replicas.setdefault((index, rep.digest()), rep)
+
+    def deliver(self, dest: int, rep: ReplicaState, msg: SyncMessage) -> ReplicaState:
+        key = (dest, rep.digest(), msg.digest())
+        succ = self._delivered.get(key)
+        if succ is None:
+            succ = self._delivered[key] = self.replica(dest, rep.deliver(msg))
+        return succ
+
+    def intern(self, gs: GlobalState) -> GlobalState:
+        return GlobalState(
+            tuple(self.replica(i, r) for i, r in enumerate(gs.replicas)),
+            tuple(self._channels.setdefault(ch, ch) for ch in gs.channels),
+            gs.next_slot,
+        )
 
 
 def initial_state(cfg: ExplorationConfig) -> GlobalState:
@@ -323,9 +363,12 @@ def _client_step(cfg: ExplorationConfig, gs: GlobalState, ev: ClientEvent) -> Gl
     return GlobalState(tuple(replicas), channels, gs.next_slot + 1)
 
 
-def _deliver_step(gs: GlobalState, ev: DeliverEvent, msg: SyncMessage) -> GlobalState:
+def _deliver_step(
+    gs: GlobalState, ev: DeliverEvent, msg: SyncMessage, store: _Store | None
+) -> GlobalState:
     replicas = list(gs.replicas)
-    replicas[ev.dest] = replicas[ev.dest].deliver(msg)
+    rep = replicas[ev.dest]
+    replicas[ev.dest] = rep.deliver(msg) if store is None else store.deliver(ev.dest, rep, msg)
     channels = list(gs.channels)
     channels[ev.dest] = channels[ev.dest] - {msg}
     return GlobalState(tuple(replicas), tuple(channels), gs.next_slot)
@@ -343,9 +386,13 @@ def enabled_events(cfg: ExplorationConfig, gs: GlobalState) -> list:
     return [ev for ev, _succ in _successors(cfg, gs)]
 
 
-def _successors(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple]:
+def _successors(
+    cfg: ExplorationConfig, gs: GlobalState, store: _Store | None = None
+) -> list[tuple]:
     """(event, successor state) pairs in sorted event order: the one
-    definition of which events are enabled."""
+    definition of which events are enabled.  Only the breadth-first
+    search passes a ``store``, whose delivery memo replaces
+    ``ReplicaState.deliver``; every other caller delivers directly."""
     out = []
     if gs.next_slot < cfg.q:
         slot = gs.next_slot
@@ -362,7 +409,7 @@ def _successors(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple]:
         ),
         key=lambda pair: pair[0],
     )
-    out.extend((ev, _deliver_step(gs, ev, msg)) for ev, msg in delivers)
+    out.extend((ev, _deliver_step(gs, ev, msg, store)) for ev, msg in delivers)
     return out
 
 
@@ -651,6 +698,8 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         return tuple(reversed(events))
 
     log = _ViolationLog(schedule_to)
+    store = _Store()
+    shared_events: dict = {}  # one object per distinct event in ``preds``
     visited = 1
     distinct = 1
     # (level entry, oracle or None) per terminal state, in discovery order
@@ -666,7 +715,7 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
             for key, (state, paths) in frontier.items():
                 if state is None:
                     continue
-                succs = _successors(cfg, state)
+                succs = _successors(cfg, state, store)
                 if not succs:
                     log.note("stuck", "no enabled events before the run completed", key)
                     continue
@@ -678,10 +727,12 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                         entry[1] += paths
                         continue
                     distinct += 1
-                    preds[skey] = (ev, key)
+                    preds[skey] = (shared_events.setdefault(ev, ev), key)
                     terminal = is_terminal(cfg, succ)
                     broken = log.check(cfg, succ, terminal, skey)
-                    entry = level[skey] = [None if terminal or broken else succ, paths]
+                    entry = level[skey] = [
+                        None if terminal or broken else store.intern(succ), paths
+                    ]
                     if terminal:
                         oracle = None
                         if collect_oracles:

@@ -13,6 +13,8 @@ use to decide which operations were concurrent.
 
 from __future__ import annotations
 
+import hashlib
+import marshal
 from dataclasses import dataclass, field
 
 from .dots import CausalContext, Dot
@@ -23,6 +25,13 @@ LIST = "list"
 
 RPQ_KINDS = ("add", "increase", "remove")
 LIST_KINDS = ("insert", "update", "remove", "readd")
+
+
+def canonical_digest(canonical: tuple) -> bytes:
+    """16-byte digest of a canonical value.  marshal version 2 writes no
+    back-references and no interning flags, so the bytes depend on the
+    value alone, not on which of its parts happen to be shared objects."""
+    return hashlib.blake2b(marshal.dumps(canonical, 2), digest_size=16).digest()
 
 
 @dataclass(frozen=True, slots=True)
@@ -80,6 +89,8 @@ class SyncMessage:
     origin: int
     op: Operation
     ctx: CausalContext  # origin's delivered set just before the op
+    # Cached ``digest()``; ``replace`` resets it instead of copying it.
+    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_wire(self) -> dict:
         return {"ctx": self.ctx.as_wire(), "op": self.op.as_wire(), "origin": self.origin}
@@ -87,5 +98,10 @@ class SyncMessage:
     def canonical(self) -> tuple:
         return (self.origin, self.op.canonical(), self.ctx.canonical())
 
+    def digest(self) -> bytes:
+        if self._digest is None:
+            object.__setattr__(self, "_digest", canonical_digest(self.canonical()))
+        return self._digest
+
     def __hash__(self) -> int:
-        return hash(self.canonical())
+        return hash(self.digest())

@@ -50,7 +50,7 @@ from enum import Enum
 
 from .dots import CausalContext, Dot
 from .errors import DuplicateDelivery, UnknownElement
-from .operations import LIST, RPQ, Operation, OperationRequest, SyncMessage
+from .operations import LIST, RPQ, Operation, OperationRequest, SyncMessage, canonical_digest
 from .positions import Position, generate_between, position_wire
 
 BUG_READD_ACCEPT = "bug1-readd-accept"
@@ -176,6 +176,8 @@ class ReplicaState:
     applied: CausalContext = field(default_factory=CausalContext)
     bug_flags: frozenset = frozenset()
     bug_nonce: int = 0
+    # Cached ``digest()``; ``replace`` resets it instead of copying it.
+    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def has_delivered(self, dot: Dot) -> bool:
         """A dot was delivered here iff it is applied or buffered."""
@@ -415,6 +417,14 @@ class ReplicaState:
             tuple(sorted((d.key(), m.canonical()) for d, m in self.pending.items())),
             self.bug_nonce,
         )
+
+    def digest(self) -> bytes:
+        """16-byte digest of ``canonical_key()``, computed once per object.
+        Like the key it omits the replica index, so fresh replicas 0 and
+        1 digest the same."""
+        if self._digest is None:
+            object.__setattr__(self, "_digest", canonical_digest(self.canonical_key()))
+        return self._digest
 
 
 def fresh_replica(data_type: str, replica: int,

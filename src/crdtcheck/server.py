@@ -398,6 +398,10 @@ class ReplicaServer:
         return all(self.applied.has(r, c) for r, c in op.get("deps", []))
 
     def _flush(self) -> None:
+        """Apply buffered operations to a fixpoint.  One that ``_apply``
+        refuses is dropped, and the first refusal is raised once the
+        fixpoint is reached."""
+        refused = None
         while True:
             ready = None
             for dot in sorted(self.pending, key=_dot_order):
@@ -406,17 +410,26 @@ class ReplicaServer:
                     ready = dot
                     break
             if ready is None:
-                return
+                break
             op, ctx = self.pending.pop(ready)
-            self._apply(op, ctx)
+            try:
+                self._apply(op, ctx)
+            except ProtocolViolation as exc:
+                refused = refused or exc
+        if refused is not None:
+            raise refused
 
     # -- effects -----------------------------------------------------------
 
     def _apply(self, op: dict, ctx: _Ctx) -> None:
+        """Apply one operation, or raise before changing any state."""
         dot = (op["dot"][0], op["dot"][1])
-        self.applied.add(*dot)
         kind = op["kind"]
         elem = op["id"]
+        if self.data_type == LIST and kind != "insert" and elem not in self.elems:
+            # Its deps were met but name another element's insert.
+            raise ProtocolViolation(f"{kind} for {elem!r} applied before its insert")
+        self.applied.add(*dot)
         if self.data_type == RPQ:
             e = self.elems.get(elem)
             if e is None:
@@ -436,11 +449,7 @@ class ReplicaServer:
             self._index_insert(pos, elem)
             self.elems[elem] = _ListElem(dot, pos, op["arg"], ctx)
             return
-        e = self.elems.get(elem)
-        if e is None:
-            raise ProtocolViolation(
-                f"{kind} for {elem!r} applied before its insert"
-            )
+        e = self.elems[elem]
         if kind == "update":
             e.upds.append(_Rec(dot, op["arg"], ctx, _survives(ctx, e.rems)))
         elif kind == "readd":

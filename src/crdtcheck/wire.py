@@ -65,7 +65,7 @@ class FrameSocket:
 
     def __init__(self, sock):
         self._sock = sock
-        self._buf = b""
+        self._buf = bytearray()
 
     def send(self, obj: dict) -> None:
         self._sock.sendall(encode_frame(obj))
@@ -80,7 +80,7 @@ class FrameSocket:
                 end = _HEADER.size + length
                 if len(self._buf) >= end:
                     body = self._buf[_HEADER.size:end]
-                    self._buf = self._buf[end:]
+                    del self._buf[:end]  # in place: no copy of the rest
                     return _parse_body(body)
             chunk = self._sock.recv(65536)
             if not chunk:

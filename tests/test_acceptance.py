@@ -7,17 +7,22 @@ the implementation ran, or independent brute-force recomputations done
 inside the test itself — never values copied from a previous run of the
 code under test.
 
-The one genuinely long check — the 5**10 single-replica sweep — only
-runs when CRDTCHECK_ACCEPT_LONG is set; everything else stays in the
-default suite.
+The genuinely long checks — the 5**10 single-replica sweep and the
+three-replica reach check — only run when CRDTCHECK_ACCEPT_LONG is set;
+everything else stays in the default suite.  The reach check's
+distinct-state and visited counts are regression pins of this
+implementation (the non-deduplicating walk cannot cross-check them at
+that size); its priority-queue schedule count is a closed form.
 """
 
 from __future__ import annotations
 
 import io
 import itertools
+import math
 import os
 import random
+import resource
 import time
 
 import pytest
@@ -102,6 +107,44 @@ def test_criterion_2_standard_sweep_is_violation_free():
         ok,
         f"{len(sweep)} configurations, violations in {bad or 'none'}, "
         f"over budget: {slow or 'none'}",
+    )
+
+
+# Linear extensions of the happens-before tree of n=3 q=4: client events
+# C0 < C1 < C2 < C3, each followed by its two deliveries.  A rooted
+# forest of N nodes has N! / prod(subtree sizes) of them; C3..C0 root
+# subtrees of 3, 6, 9 and 12 events.
+_RPQ_N3Q4_SCHEDULES = 5**4 * math.factorial(12) // (3 * 6 * 9 * 12)
+
+
+@pytest.mark.skipif(
+    not os.environ.get("CRDTCHECK_ACCEPT_LONG"),
+    reason="two searches of one to two minutes each; set CRDTCHECK_ACCEPT_LONG=1 to run",
+)
+@pytest.mark.parametrize(
+    "data_type, distinct, visited, schedules",
+    [
+        ("rpq", 1_242_621, 4_054_226, _RPQ_N3Q4_SCHEDULES),
+        ("list", 883_881, 2_535_611, 58_616_992),
+    ],
+)
+def test_criterion_2_long_reach_three_replicas_four_slots(
+    data_type, distinct, visited, schedules
+):
+    rep = explore(cfg(data_type=data_type, n=3, q=4))
+    got = (rep.distinct_states, rep.states_visited, rep.terminal_traces)
+    # ru_maxrss is in KiB on Linux: the peak of this whole test process
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    ok = (
+        rep.exhaustive and not rep.violations
+        and got == (distinct, visited, schedules) and peak_mib < 1024
+    )
+    report(
+        f"2L {data_type} n=3 q=4 reach",
+        ok,
+        f"{got} (want {(distinct, visited, schedules)}), "
+        f"{len(rep.violations)} violation(s), peak RSS {peak_mib:.0f} MiB "
+        f"(budget 1024)",
     )
 
 

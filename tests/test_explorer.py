@@ -150,6 +150,22 @@ def test_two_replica_list_q2_has_24_schedules():
 # -- deduplicating search vs. raw tree walk --------------------------------
 
 
+# Three replicas, a few candidates per slot: small enough for the
+# non-deduplicating walk.  Slot 2's re-add, issued at replica 2, can
+# reach replica 1 before the insert does; bug1 then fabricates the
+# element there and bumps its nonce, which the canonical key holds.
+PINNED_RPQ_N3 = (
+    (OperationRequest("add", "e", 10), OperationRequest("add", "e", 20)),
+    (OperationRequest("remove", "e"),),
+    (OperationRequest("increase", "e", 4),),
+)
+PINNED_LIST_N3 = (
+    (OperationRequest("insert", "e1", 10),),
+    (OperationRequest("insert", "e2", 20), OperationRequest("remove", "e1")),
+    (OperationRequest("readd", "e1"), OperationRequest("insert", "e3", 10)),
+)
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -160,15 +176,68 @@ def test_two_replica_list_q2_has_24_schedules():
         dict(data_type="list", q=3),
         dict(data_type="list", n=2, q=2),
         dict(data_type="list", n=2, q=3),
+        dict(data_type="list", n=2, q=3, bug_flags=BUG1),
+        dict(n=2, q=3, bug_flags=BUG2),
+        dict(data_type="list", n=2, q=3, bug_flags=BUG2),
+        dict(data_type="list", n=2, q=3, channel="causal"),
+        dict(n=2, q=3, channel="causal", bug_flags=BUG2),
+        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3),
+        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, bug_flags=BUG2),
+        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3),
+        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, bug_flags=BUG1),
     ],
 )
 def test_dedup_never_loses_or_invents_traces(kw):
+    # The depth-first walk delivers with ReplicaState.deliver directly;
+    # the breadth-first search goes through its interned store and memo.
     cfg = cfg_of(**kw)
-    brute = enumerate_traces(cfg, collect_oracles=True)
+    brute = enumerate_traces(cfg, check=True, collect_oracles=True)
     deduped = _explore_bfs(cfg, collect_oracles=True)
     assert deduped.terminal_traces == brute.terminal_traces
     assert deduped.oracle_multiset == brute.oracle_multiset
     assert deduped.distinct_states <= brute.states_visited
+
+    def violated(report) -> set:
+        return {
+            (v.invariant, state_digest(replay_schedule(cfg, v.schedule)))
+            for v in report.violations
+        }
+
+    assert not brute.violations_capped and not deduped.violations_capped
+    assert violated(deduped) == violated(brute)
+    # every flag breaks something, except bug2 on a causal channel
+    broken = bool(kw.get("bug_flags")) and kw.get("channel") != "causal"
+    assert bool(deduped.violations) == broken
+
+
+def test_stored_states_keep_each_replica_at_its_index(monkeypatch):
+    # canonical_key omits the replica index, so fresh replicas 0 and 1
+    # digest the same; the store must still never swap them.
+    assert fresh_replica("rpq", 0).digest() == fresh_replica("rpq", 1).digest()
+    expanded = []
+    successors = explorer._successors
+
+    def recording(cfg, gs, store=None):
+        expanded.append(gs)
+        return successors(cfg, gs, store)
+
+    monkeypatch.setattr(explorer, "_successors", recording)
+    report = explore(cfg_of(n=2, q=2))
+    assert report.terminal_traces == 75
+    assert len(expanded) > 1
+    for gs in expanded:
+        assert [r.replica for r in gs.replicas] == [0, 1]
+    # equal replica states are one shared object across stored states
+    refs = [r for gs in expanded for r in gs.replicas]
+    assert len({id(r) for r in refs}) == len({(r.replica, r.digest()) for r in refs})
+
+
+def test_cached_digest_is_not_copied_by_replace():
+    rep = fresh_replica("list", 0)
+    assert replace(rep, bug_nonce=1).digest() != rep.digest()
+    after, msg = rep.issue(OperationRequest("insert", "e1", 10))
+    assert after.digest() != rep.digest()
+    assert replace(msg, origin=1).digest() != msg.digest()
 
 
 def test_tree_mode_and_bfs_agree_on_single_replica():
@@ -298,12 +367,13 @@ def test_terminal_means_all_slots_used_and_channels_empty():
 
 
 def test_state_digest_ignores_object_sharing():
-    # Replicas 1 and 2 receive the same broadcast: once as one shared
-    # object, once as an equal deep copy.
+    # Replicas 1 and 2 receive the same broadcast, and channels 1 and 2
+    # hold it: once as one shared object, once as an equal copy built
+    # from deep-copied parts, whose digest is computed afresh.
     cfg = cfg_of(n=3, q=3)
     gs = step(cfg, initial_state(cfg), enabled_events(cfg, initial_state(cfg))[0])
     msg = next(iter(gs.channels[1]))
-    copy = deepcopy(msg)
+    copy = SyncMessage(msg.origin, deepcopy(msg.op), deepcopy(msg.ctx))
     assert copy == msg and copy is not msg
 
     def delivered_to_both(second: SyncMessage) -> GlobalState:
@@ -314,9 +384,17 @@ def test_state_digest_ignores_object_sharing():
             gs.next_slot,
         )
 
-    shared, copied = delivered_to_both(msg), delivered_to_both(copy)
-    assert shared.canonical() == copied.canonical()
-    assert state_digest(shared) == state_digest(copied)
+    def in_flight_to_both(second: SyncMessage) -> GlobalState:
+        return GlobalState(
+            gs.replicas, (frozenset(), frozenset([msg]), frozenset([second])),
+            gs.next_slot,
+        )
+
+    for build in (delivered_to_both, in_flight_to_both):
+        shared, copied = build(msg), build(copy)
+        assert shared.canonical() == copied.canonical()
+        assert state_digest(shared) == state_digest(copied)
+    assert state_digest(in_flight_to_both(msg)) != state_digest(delivered_to_both(msg))
 
 
 # -- invariant machinery -----------------------------------------------------

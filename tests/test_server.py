@@ -73,6 +73,27 @@ def test_frame_socket_handles_split_and_coalesced_reads():
         right.close()
 
 
+class ScriptedSocket:
+    """Stands in for a socket: each ``recv`` returns the next chunk."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, _size):
+        return self.chunks.pop(0) if self.chunks else b""
+
+
+def test_frame_socket_reassembles_byte_drips_and_splits_batches():
+    a, b, c = {"type": "Inspect", "pad": "x" * 300}, {"type": "Shutdown"}, {"n": [1]}
+    frame_a = encode_frame(a)
+    drips = [frame_a[i:i + 1] for i in range(len(frame_a))]
+    fs = FrameSocket(ScriptedSocket(drips + [encode_frame(b) + encode_frame(c)]))
+    assert fs.recv() == a  # one byte per recv call
+    assert fs.recv() == b  # two frames arrived in one chunk
+    assert fs.recv() == c
+    assert fs.recv() is None
+
+
 def test_eof_inside_a_frame_is_a_protocol_violation():
     left, right = socket.socketpair()
     try:
@@ -180,6 +201,44 @@ def test_malformed_frames_raise(data_type, frame):
     with pytest.raises(ProtocolViolation):
         srv.handle_frame(frame)
     assert srv.handle_frame({"type": "Inspect"}) == before
+
+
+def foreign_update():
+    """Replica 1's insert of e1 (dot [1,1]), an update of ``zz`` whose
+    deps name that insert (dot [1,2]), and an update of e1 (dot [1,3])."""
+    peer = ReplicaServer("list", 1, 2)
+    ins, bad, upd = (
+        peer.handle_frame(client_frame(*f))["syncs"][0]["msg"]
+        for f in (("insert", "e1", 10), ("update", "e1", 20), ("update", "e1", 30))
+    )
+    bad["op"]["id"] = "zz"
+    return [{"msg": m, "type": "Sync"} for m in (ins, bad, upd)]
+
+
+def test_update_of_a_foreign_element_changes_nothing():
+    ins, bad, _ = foreign_update()
+    srv = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    srv.send(ins)
+    before = srv.send({"type": "Inspect"})
+    reply = srv.send(bad)
+    assert reply["type"] == "Error" and "before its insert" in reply["error"]
+    assert srv.send({"type": "Inspect"}) == before
+    assert '"seen":{"1":1}' in before["state"]
+
+
+def test_buffered_foreign_update_is_dropped_when_released():
+    ins, bad, upd = foreign_update()
+    srv = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    assert srv.send(bad)["type"] == "Ack"  # deps unmet: buffered
+    assert srv.send(upd)["type"] == "Ack"
+    reply = srv.send(ins)  # releases both; the foreign update is refused
+    assert reply["type"] == "Error" and "before its insert" in reply["error"]
+    ref = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    ref.send(ins)
+    ref.send(upd)
+    # the legal update still applied; [1,2] is neither applied nor buffered
+    assert srv.send({"type": "Inspect"}) == ref.send({"type": "Inspect"})
+    assert srv.send(bad)["type"] == "Error"
 
 
 def test_inspect_matches_the_model_normal_form():
