@@ -88,7 +88,6 @@ from .positions import BASE
 from .replica import (
     BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
-    Existence,
     ReplicaState,
     fresh_replica,
 )
@@ -268,6 +267,10 @@ class GlobalState:
             tuple(tuple(sorted(m.digest() for m in ch)) for ch in self.channels),
         )
 
+    def render(self) -> tuple[bytes, ...]:
+        """Each replica's canonical bytes: a terminal state's oracle."""
+        return tuple(r.normalize() for r in self.replicas)
+
 
 def state_digest(gs: GlobalState) -> bytes:
     return canonical_digest(gs.canonical())
@@ -336,11 +339,10 @@ def _list_pool(state: ReplicaState, slot: int) -> list[OperationRequest]:
     """The list op space at one replica: insert a fresh slot-numbered id
     after the head or any existent element, or update / remove / re-add
     any id this replica has a record of."""
-    views = state.views()
-    seen = sorted(views)
+    seen = sorted(state.elems)
     new_id = f"e{slot + 1}"
     pool = []
-    for anchor in [None, *[e for e in seen if views[e].existence is Existence.EXISTENT]]:
+    for anchor in [None, *state.existent()]:
         for attr in LIST_ATTRS:
             pool.append(OperationRequest("insert", new_id, attr, anchor))
     for elem in seen:
@@ -463,12 +465,12 @@ def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str,
     return out
 
 
-def terminal_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str, str]]:
-    """Invariants that only make sense once every message was delivered."""
+def terminal_violations(gs: GlobalState, oracle: tuple[bytes, ...]) -> list[tuple[str, str]]:
+    """Invariants that only make sense once every message was delivered;
+    ``oracle`` is ``gs.render()``."""
     out = []
-    canon = [r.normalize() for r in gs.replicas]
-    for i in range(1, len(canon)):
-        if canon[i] != canon[0]:
+    for i in range(1, len(oracle)):
+        if oracle[i] != oracle[0]:
             out.append(
                 (
                     "convergence",
@@ -558,14 +560,15 @@ class _ViolationLog:
         self.found.append(Violation(name, self._schedule_to(key), detail))
 
     def check(
-        self, cfg: ExplorationConfig, gs: GlobalState, terminal: bool,
+        self, cfg: ExplorationConfig, gs: GlobalState, oracle: tuple | None,
         key: bytes | None = None,
     ) -> bool:
         """Record every invariant ``gs`` breaks; True if it breaks any.
+        ``oracle`` is ``gs.render()`` for a terminal state, else None.
         ``key`` is the digest of ``gs``, computed here if needed."""
         vs = state_violations(cfg, gs)
-        if terminal:
-            vs += terminal_violations(cfg, gs)
+        if oracle is not None:
+            vs += terminal_violations(gs, oracle)
         if vs and key is None:
             key = state_digest(gs)
         for name, detail in vs:
@@ -605,16 +608,15 @@ def enumerate_traces(
     def walk(gs: GlobalState) -> None:
         nonlocal visited, leaves, budget_hit
         terminal = is_terminal(cfg, gs)
-        if check and log.check(cfg, gs, terminal) and not terminal:
+        oracle = gs.render() if terminal else None
+        if check and log.check(cfg, gs, oracle) and not terminal:
             return  # prune below a broken state
         if terminal:
             leaves += 1
-            if emit is not None or collect_oracles:
-                oracle = tuple(r.normalize() for r in gs.replicas)
-                if emit is not None:
-                    emit(TraceRecord(tuple(path), oracle))
-                if oracle_ms is not None:
-                    oracle_ms[oracle] = oracle_ms.get(oracle, 0) + 1
+            if emit is not None:
+                emit(TraceRecord(tuple(path), oracle))
+            if oracle_ms is not None:
+                oracle_ms[oracle] = oracle_ms.get(oracle, 0) + 1
             return
         succs = _successors(cfg, gs)
         if not succs:
@@ -709,7 +711,7 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         """Expand level by level; False if the state cap stops it."""
         nonlocal visited, distinct
         # key -> [state to expand (None if terminal or broken), path count]
-        frontier = {root_key: [None if log.check(cfg, root, False, root_key) else root, 1]}
+        frontier = {root_key: [None if log.check(cfg, root, None, root_key) else root, 1]}
         while frontier:
             level: dict[bytes, list] = {}
             for key, (state, paths) in frontier.items():
@@ -729,15 +731,13 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                     distinct += 1
                     preds[skey] = (shared_events.setdefault(ev, ev), key)
                     terminal = is_terminal(cfg, succ)
-                    broken = log.check(cfg, succ, terminal, skey)
+                    oracle = succ.render() if terminal else None
+                    broken = log.check(cfg, succ, oracle, skey)
                     entry = level[skey] = [
                         None if terminal or broken else store.intern(succ), paths
                     ]
                     if terminal:
-                        oracle = None
-                        if collect_oracles:
-                            oracle = tuple(r.normalize() for r in succ.replicas)
-                        terminals.append((entry, oracle))
+                        terminals.append((entry, oracle if collect_oracles else None))
                     if cfg.state_cap is not None and distinct > cfg.state_cap:
                         return False
             frontier = level

@@ -46,7 +46,7 @@ from .explorer import (
     config_fingerprint,
 )
 from .operations import RPQ, OperationRequest
-from .replica import Existence, ReplicaState, fresh_replica
+from .replica import ReplicaState, fresh_replica
 from .server import ReplicaServer
 from .testgen import TestCase, iter_corpus
 
@@ -214,6 +214,11 @@ def first_diff_offset(a: bytes, b: bytes) -> int:
     return min(len(a), len(b))
 
 
+def _diff_at(got: str, want: str) -> int | None:
+    """None if equal, else the first offset where the UTF-8 bytes differ."""
+    return None if got == want else first_diff_offset(got.encode(), want.encode())
+
+
 def _exchange(endpoint, frame: dict, want: str) -> dict:
     """Send one frame and return the reply.
 
@@ -274,10 +279,8 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
             got = _exchange(
                 endpoints[replica], {"type": "Inspect"}, "InspectReply"
             )["state"]
-            if got != tc.oracle[replica]:
-                offset = first_diff_offset(
-                    got.encode("utf-8"), tc.oracle[replica].encode("utf-8")
-                )
+            offset = _diff_at(got, tc.oracle[replica])
+            if offset is not None:
                 return CaseResult(
                     tc.case_id, DIVERGED, replica=replica, diff_offset=offset,
                     detail=f"replica {replica} differs from the oracle at byte {offset}",
@@ -323,6 +326,14 @@ class StressFailure:
         }
 
 
+class _Mismatch(ProtocolViolation):
+    """A stress failure other than a replica error, named by ``kind``."""
+
+    def __init__(self, kind: str, detail: str):
+        super().__init__(detail)
+        self.kind = kind
+
+
 @dataclass
 class StressReport:
     seed: int
@@ -357,9 +368,8 @@ def _random_request(
         if roll < 4:
             return OperationRequest("increase", "e", rng.randrange(-9, 10))
         return OperationRequest("remove", "e")
-    views = model.views()
-    seen = sorted(views)
-    existent = [e for e in seen if views[e].existence is Existence.EXISTENT]
+    seen = sorted(model.elems)
+    existent = sorted(model.existent())
     roll = rng.randrange(4)
     if roll == 0 or not seen:
         anchor = rng.choice([None, *existent]) if existent else None
@@ -427,18 +437,15 @@ def stress(
                     report.ops += 1
                     report.rejected += 1
                     if reply.get("accepted"):
-                        report.failure = StressFailure(
-                            "rejection-mismatch", round_no, target,
+                        raise _Mismatch(
+                            "rejection-mismatch",
                             f"model rejects {req.as_wire()} ({err}); server accepted",
                         )
-                        return report
                     continue
                 if not reply.get("accepted"):
-                    report.failure = StressFailure(
-                        "rejection-mismatch", round_no, target,
-                        f"model accepts {req.as_wire()}; server rejected",
+                    raise _Mismatch(
+                        "rejection-mismatch", f"model accepts {req.as_wire()}; server rejected"
                     )
-                    return report
                 report.ops += 1
                 models[target], model_msg = models[target].issue(req)
                 model_wire = _canonical_json(model_msg.as_wire())
@@ -446,22 +453,17 @@ def stress(
                 dests = [dest for dest, _ in fanout]
                 expected_dests = sorted(d for d in range(n) if d != target)
                 if sorted(dests) != expected_dests:
-                    report.failure = StressFailure(
-                        "issue-divergence", round_no, target,
+                    raise _Mismatch(
+                        "issue-divergence",
                         f"sync fan-out went to {dests}, expected {expected_dests}",
                     )
-                    return report
                 for dest, wire_msg in fanout:
-                    got = _canonical_json(wire_msg)
-                    if got != model_wire:
-                        offset = first_diff_offset(
-                            got.encode("utf-8"), model_wire.encode("utf-8")
-                        )
-                        report.failure = StressFailure(
-                            "issue-divergence", round_no, target,
+                    offset = _diff_at(_canonical_json(wire_msg), model_wire)
+                    if offset is not None:
+                        raise _Mismatch(
+                            "issue-divergence",
                             f"sync message differs from the model at byte {offset}",
                         )
-                        return report
                     in_flight.append((dest, wire_msg, model_msg))
                 # Deliver a random prefix of the backlog while the round is open.
                 while in_flight and rng.random() < 0.4:
@@ -473,16 +475,13 @@ def stress(
                 got = _exchange(
                     eps[replica], {"type": "Inspect"}, "InspectReply"
                 )["state"]
-                want = models[replica].normalize().decode("utf-8")
-                if got != want:
-                    offset = first_diff_offset(
-                        got.encode("utf-8"), want.encode("utf-8")
-                    )
-                    report.failure = StressFailure(
-                        "inspect-divergence", round_no, replica,
+                offset = _diff_at(got, models[replica].normalize().decode("utf-8"))
+                if offset is not None:
+                    raise _Mismatch(
+                        "inspect-divergence",
                         f"canonical bytes differ from the model at byte {offset}",
                     )
-                    return report
     except ProtocolViolation as exc:
-        report.failure = StressFailure("replica-error", round_no, replica, str(exc))
+        kind = exc.kind if isinstance(exc, _Mismatch) else "replica-error"
+        report.failure = StressFailure(kind, round_no, replica, str(exc))
     return report

@@ -91,9 +91,17 @@ class RpqOps:
     adds: tuple[Rec, ...] = ()
     incs: tuple[Rec, ...] = ()
     rems: tuple[Rec, ...] = ()
+    # Cached ``view()``; ``replace`` resets it instead of copying it.
+    _view: "RpqView | None" = field(default=None, init=False, compare=False, repr=False)
 
     def canonical(self) -> tuple:
         return (_keys(self.adds), _keys(self.incs), _keys(self.rems))
+
+    def view(self) -> "RpqView":
+        """``rpq_view`` of this record set, derived once per object."""
+        if self._view is None:
+            object.__setattr__(self, "_view", rpq_view(self))
+        return self._view
 
 
 @dataclass(frozen=True, slots=True)
@@ -103,10 +111,18 @@ class ListOps:
     upds: tuple[Rec, ...] = ()
     rems: tuple[Rec, ...] = ()
     readds: tuple[Rec, ...] = ()
+    # Cached ``view()``; ``replace`` resets it instead of copying it.
+    _view: "ListView | None" = field(default=None, init=False, compare=False, repr=False)
 
     def canonical(self) -> tuple:
         return (self.ins.key(), self.pos, _keys(self.upds), _keys(self.rems),
                 _keys(self.readds))
+
+    def view(self) -> "ListView":
+        """``list_view`` of this record set, derived once per object."""
+        if self._view is None:
+            object.__setattr__(self, "_view", list_view(self))
+        return self._view
 
 
 # The record tuple each operation kind extends; a list insert creates
@@ -124,6 +140,10 @@ class RpqView:
     value: int | None
     add_dot: Dot | None
 
+    def as_wire(self) -> dict:
+        add_dot = self.add_dot.as_wire() if self.add_dot else None
+        return {"add_dot": add_dot, "existence": self.existence.value, "value": self.value}
+
 
 @dataclass(frozen=True, slots=True)
 class ListView:
@@ -131,6 +151,11 @@ class ListView:
     attr: int
     pos: Position
     add_dot: Dot
+
+    def as_wire(self) -> dict:
+        attr = self.attr if self.existence is Existence.EXISTENT else None
+        return {"add_dot": self.add_dot.as_wire(), "attr": attr,
+                "existence": self.existence.value, "pos": position_wire(self.pos)}
 
 
 def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:
@@ -194,7 +219,7 @@ class ReplicaState:
                 return f"id {req.elem!r} already in use"
             if req.anchor is not None:
                 anchor = self.elems.get(req.anchor)
-                if anchor is None or list_view(anchor).existence is not Existence.EXISTENT:
+                if anchor is None or anchor.view().existence is not Existence.EXISTENT:
                     return f"anchor {req.anchor!r} not resolvable"
             return None
         if req.elem not in self.elems:
@@ -229,9 +254,9 @@ class ReplicaState:
         pos: Position | None = None
         if self.data_type == RPQ:
             if req.kind in ("increase", "remove"):
-                view = rpq_view(self.elems[req.elem]) if req.elem in self.elems else None
-                if view is not None and view.existence is Existence.EXISTENT:
-                    deps = frozenset([view.add_dot])
+                ops = self.elems.get(req.elem)
+                if ops is not None and ops.view().existence is Existence.EXISTENT:
+                    deps = frozenset([ops.view().add_dot])
         else:
             if req.kind == "insert":
                 pos = self._position_after(req.anchor, dot)
@@ -344,35 +369,31 @@ class ReplicaState:
         return elems
 
     # -- derived views -----------------------------------------------
+    #
+    # An element's view is a pure function of its record set, so each
+    # ``RpqOps`` / ``ListOps`` object derives it once (``ops.view()``)
+    # and every reader below goes through that.  Record sets are shared
+    # between a state and its successors, and so are their views.
+
+    def views(self) -> dict:
+        return {e: o.view() for e, o in self.elems.items()}
+
+    def existent(self) -> dict:
+        """The views of the existent elements, by id."""
+        return {e: v for e, v in self.views().items() if v.existence is Existence.EXISTENT}
 
     def existent_positions(self) -> list[Position]:
         """The positions of this list replica's existent elements, sorted."""
-        return sorted(
-            v.pos for v in map(list_view, self.elems.values())
-            if v.existence is Existence.EXISTENT
-        )
-
-    def views(self) -> dict:
-        if self.data_type == RPQ:
-            return {e: rpq_view(o) for e, o in self.elems.items()}
-        return {e: list_view(o) for e, o in self.elems.items()}
+        return sorted(v.pos for v in self.existent().values())
 
     def query(self):
         """Reader-facing value: rpq — the max-value existent element
         (ties broken by smaller id); list — existent (id, attr) pairs in
         position order."""
-        views = self.views()
+        existent = sorted(self.existent().items())  # by id, which breaks every tie
         if self.data_type == RPQ:
-            best = None
-            for elem in sorted(views):  # ascending ids: ties keep the smaller
-                v = views[elem]
-                if v.existence is Existence.EXISTENT:
-                    if best is None or v.value > best[1]:
-                        best = (elem, v.value)
-            return best
-        existent = [(v.pos, e, v.attr) for e, v in views.items()
-                    if v.existence is Existence.EXISTENT]
-        return [(e, attr) for _, e, attr in sorted(existent)]
+            return max(((e, v.value) for e, v in existent), key=lambda ev: ev[1], default=None)
+        return [(e, v.attr) for e, v in sorted(existent, key=lambda ev: ev[1].pos)]
 
     def normalize(self) -> bytes:
         """Canonical form: sorted-key JSON, UTF-8, no whitespace.
@@ -382,21 +403,7 @@ class ReplicaState:
         record store — so replicas that applied the same dots serialize
         identically.
         """
-        elements = {}
-        for elem, v in sorted(self.views().items()):
-            if self.data_type == RPQ:
-                elements[elem] = {
-                    "add_dot": v.add_dot.as_wire() if v.add_dot else None,
-                    "existence": v.existence.value,
-                    "value": v.value,
-                }
-            else:
-                elements[elem] = {
-                    "add_dot": v.add_dot.as_wire(),
-                    "attr": v.attr if v.existence is Existence.EXISTENT else None,
-                    "existence": v.existence.value,
-                    "pos": position_wire(v.pos),
-                }
+        elements = {e: v.as_wire() for e, v in self.views().items()}
         doc = {"ctx": self.applied.as_wire(), "elements": elements, "type": self.data_type}
         return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
 

@@ -3,8 +3,8 @@
 This is a second, independent implementation of the replica semantics —
 written against the protocol, not against the model code.  It keeps its
 own causal-context bookkeeping, eagerly maintained liveness flags on
-every record (where the model recomputes survival from scratch at each
-read), a position-sorted element index, and its own position generator.
+every record (where the model derives survival once per record set), a
+position-sorted element index, and its own position generator.
 The conformance harness drives both implementations through identical
 schedules and compares canonical bytes; sharing nothing but the wire
 format is what makes that comparison worth running.
@@ -71,12 +71,13 @@ _RPQ_KINDS = ("add", "increase", "remove")
 _LIST_KINDS = ("insert", "update", "remove", "readd")
 
 
+def _int(x) -> bool:
+    return type(x) is int  # JSON true and false decode to bools, an int subclass
+
+
 def _ints(obj, n: int) -> bool:
     """True if ``obj`` is an array of ``n`` integers."""
-    return (
-        isinstance(obj, list) and len(obj) == n
-        and all(isinstance(x, int) for x in obj)
-    )
+    return isinstance(obj, list) and len(obj) == n and all(map(_int, obj))
 
 
 def _dot_order(dot):
@@ -164,6 +165,17 @@ class _ListElem:
 
 def _survives(ctx: _Ctx, rems) -> bool:
     return all(ctx.has(r, c) for r, c in rems)
+
+
+def _latest(recs):
+    """The record with the greatest dot, or None if there is none."""
+    return max(recs, key=lambda rec: _dot_order(rec.dot), default=None)
+
+
+def _rpq_winner(e: _RpqElem):
+    """The add record that determines the element's value: the live add
+    with the greatest dot, or None if no add is live."""
+    return _latest([rec for rec in e.adds if rec.alive])
 
 
 def _kill(recs, dot) -> None:
@@ -255,10 +267,10 @@ class ReplicaServer:
         deps: list = []
         pos = None
         if self.data_type == RPQ:
-            if kind in ("increase", "remove"):
-                win = self._rpq_winner(elem)
+            if kind in ("increase", "remove") and elem in self.elems:
+                win = _rpq_winner(self.elems[elem])
                 if win is not None:
-                    deps = [list(win)]
+                    deps = [list(win.dot)]
         else:
             if kind == "insert":
                 pos = self._generate_position(anchor, dot[1])
@@ -290,7 +302,7 @@ class ReplicaServer:
             raise ProtocolViolation("request id must be a non-empty string")
         arg = req.get("arg")
         if kind in ("add", "increase", "insert", "update"):
-            if not isinstance(arg, int):
+            if not _int(arg):
                 raise ProtocolViolation(f"{kind} requires an integer arg")
         else:
             arg = None
@@ -358,6 +370,8 @@ class ReplicaServer:
         dot = op.get("dot")
         if not _ints(dot, 2):
             raise ProtocolViolation("operation dot must be [replica, counter]")
+        if not 0 <= dot[0] < self.n:
+            raise ProtocolViolation(f"dot {dot} names no replica of {self.n}")
         if dot[0] == self.replica:
             # Own dots are only ever issued here; one arriving from a
             # peer would collide with the next own dot.
@@ -368,9 +382,7 @@ class ReplicaServer:
             raise ProtocolViolation(f"kind {kind!r} not valid for {self.data_type}")
         if not isinstance(op.get("id"), str):
             raise ProtocolViolation("operation id must be a string")
-        if kind in ("add", "increase", "insert", "update") and not isinstance(
-            op.get("arg"), int
-        ):
+        if kind in ("add", "increase", "insert", "update") and not _int(op.get("arg")):
             raise ProtocolViolation(f"{kind} requires an integer arg")
         deps = op.get("deps", [])
         if not isinstance(deps, list) or not all(_ints(d, 2) for d in deps):
@@ -386,7 +398,7 @@ class ReplicaServer:
             raise ProtocolViolation("sync message has no context")
         seen, extra = ctx.get("seen", {}), ctx.get("extra", [])
         if not isinstance(seen, dict) or not all(
-            isinstance(r, str) and r.isdecimal() and isinstance(c, int)
+            isinstance(r, str) and r.isdecimal() and _int(c)
             for r, c in seen.items()
         ):
             raise ProtocolViolation("context seen must map replica to counter")
@@ -512,15 +524,6 @@ class ReplicaServer:
 
     # -- read side -----------------------------------------------------------
 
-    def _rpq_winner(self, elem: str):
-        e = self.elems.get(elem)
-        if e is None:
-            return None
-        alive = [rec for rec in e.adds if rec.alive]
-        if not alive:
-            return None
-        return max(alive, key=lambda rec: _dot_order(rec.dot)).dot
-
     def _list_existent(self, e: _ListElem) -> bool:
         return e.ins.alive or any(rec.alive for rec in e.readds)
 
@@ -528,36 +531,18 @@ class ReplicaServer:
         elements: dict = {}
         if self.data_type == RPQ:
             for elem, e in self.elems.items():
-                alive = [rec for rec in e.adds if rec.alive]
-                if alive:
-                    win = max(alive, key=lambda rec: _dot_order(rec.dot))
-                    value = win.val + sum(rec.val for rec in e.incs if rec.alive)
-                    elements[elem] = {
-                        "add_dot": [win.dot[0], win.dot[1]],
-                        "existence": "existent",
-                        "value": value,
-                    }
-                elif e.adds:
-                    last = max(e.adds, key=lambda rec: _dot_order(rec.dot))
-                    elements[elem] = {
-                        "add_dot": [last.dot[0], last.dot[1]],
-                        "existence": "once-existent",
-                        "value": None,
-                    }
-                else:
-                    elements[elem] = {
-                        "add_dot": None,
-                        "existence": "non-existent",
-                        "value": None,
-                    }
+                win = _rpq_winner(e)
+                last = _latest(e.adds)  # a removed element shows its last add
+                value = win.val + sum(rec.val for rec in e.incs if rec.alive) if win else None
+                elements[elem] = {
+                    "add_dot": list((win or last).dot) if last else None,
+                    "existence": "existent" if win else "once-existent" if last else "non-existent",
+                    "value": value,
+                }
         else:
             for elem, e in self.elems.items():
                 existent = self._list_existent(e)
-                pairs = [(_dot_order(e.ins.dot), e.ins.val)]
-                pairs += [
-                    (_dot_order(rec.dot), rec.val) for rec in e.upds if rec.alive
-                ]
-                attr = max(pairs)[1]
+                attr = _latest([e.ins, *(rec for rec in e.upds if rec.alive)]).val
                 elements[elem] = {
                     "add_dot": [e.ins.dot[0], e.ins.dot[1]],
                     "attr": attr if existent else None,

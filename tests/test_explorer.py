@@ -57,7 +57,7 @@ from crdtcheck.explorer import (
     _explore_bfs,
 )
 from crdtcheck.operations import OperationRequest, SyncMessage
-from crdtcheck.replica import fresh_replica
+from crdtcheck.replica import ReplicaState, fresh_replica
 
 
 BUG1 = frozenset(["bug1-readd-accept"])
@@ -238,6 +238,29 @@ def test_cached_digest_is_not_copied_by_replace():
     after, msg = rep.issue(OperationRequest("insert", "e1", 10))
     assert after.digest() != rep.digest()
     assert replace(msg, origin=1).digest() != msg.digest()
+
+
+def test_terminal_states_are_rendered_once(monkeypatch):
+    # the invariant check, the oracle multiset and the emitted records
+    # share one rendering of each terminal state
+    calls = []
+    normalize = ReplicaState.normalize
+
+    def counting(self):
+        calls.append(self)
+        return normalize(self)
+
+    monkeypatch.setattr(ReplicaState, "normalize", counting)
+    cfg = cfg_of(data_type="list", n=2, q=3)
+    _explore_bfs(cfg, collect_oracles=False)
+    assert len(calls) == 776
+    calls.clear()
+    _explore_bfs(cfg, collect_oracles=True)
+    assert len(calls) == 776
+    calls.clear()
+    report = enumerate_traces(cfg, check=True, collect_oracles=True)
+    assert report.terminal_traces == 908
+    assert len(calls) == 2 * 908
 
 
 def test_tree_mode_and_bfs_agree_on_single_replica():

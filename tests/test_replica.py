@@ -8,8 +8,13 @@ removal.  Concurrent adds/updates lose.
 
 from __future__ import annotations
 
+import random
+from collections import Counter
+from dataclasses import fields
+
 import pytest
 
+from crdtcheck import replica
 from crdtcheck.dots import Dot
 from crdtcheck.errors import DuplicateDelivery, UnknownElement
 from crdtcheck.operations import OperationRequest
@@ -366,3 +371,60 @@ def test_strict_replica_buffers_the_same_scenario():
     r1 = r1.deliver(rem_msg)
     r1 = r1.deliver(ins_msg)
     assert r1.normalize() == r0.normalize()
+
+
+# -- views derived once per record set ------------------------------------
+
+
+def random_history(data_type: str, seed: int, length: int):
+    """The states of one replica after each of ``length`` random valid
+    requests, reading ``views()`` after every one."""
+    rng = random.Random(seed)
+    rep = fresh_replica(data_type, 0)
+    for i in range(length):
+        views = rep.views()
+        if data_type == "rpq":
+            kind = rng.choice(["add", "increase", "remove"])
+            r = req(kind, rng.choice("ab"), None if kind == "remove" else rng.randrange(-9, 10))
+        else:
+            kind = rng.choice(["insert", "update", "remove", "readd"] if views else ["insert"])
+            arg = rng.randrange(100) if kind in ("insert", "update") else None
+            if kind == "insert":
+                existent = [e for e, v in sorted(views.items())
+                            if v.existence is Existence.EXISTENT]
+                r = req("insert", f"e{i}", arg, rng.choice([None, *existent]))
+            else:
+                r = req(kind, rng.choice(sorted(views)), arg)
+        rep, _ = rep.issue(r)
+        rep.views()
+        yield rep
+
+
+def test_list_view_runs_once_per_record_set(monkeypatch):
+    calls = Counter()
+    kept = []  # keeps each record set alive so no id is reused
+    list_view = replica.list_view
+
+    def counting(ops):
+        calls[id(ops)] += 1
+        kept.append(ops)
+        return list_view(ops)
+
+    monkeypatch.setattr(replica, "list_view", counting)
+    states = list(random_history("list", seed=3, length=100))
+    assert len(states[-1].elems) > 20
+    assert max(calls.values()) == 1
+
+
+@pytest.mark.parametrize("data_type, derive", [
+    ("rpq", replica.rpq_view), ("list", replica.list_view),
+])
+def test_cached_view_is_not_carried_by_replace(data_type, derive):
+    # updates, removes and re-adds replace record sets whose views were read
+    kinds = Counter()
+    for rep in random_history(data_type, seed=11, length=100):
+        for ops in rep.elems.values():
+            fresh = type(ops)(**{f.name: getattr(ops, f.name) for f in fields(ops) if f.init})
+            assert ops.view() == derive(fresh)
+            kinds[ops.view().existence] += 1
+    assert len(kinds) >= 2  # both live and removed elements were checked

@@ -187,6 +187,18 @@ MALFORMED = [
     ("rpq", peer_sync("rpq", ctx={"extra": [1]})),
     ("rpq", peer_sync("rpq", op={"arg": "s"})),
     ("rpq", peer_sync("rpq", op={"dot": [0, 5]})),  # the receiver's own dot
+    # JSON true and false decode to bools, which isinstance counts as ints
+    ("rpq", peer_sync("rpq", op={"dot": [True, 1]})),
+    ("rpq", {"type": "ClientOp", "req": {"kind": "add", "id": "e", "arg": True}}),
+    ("list", {"type": "ClientOp", "req": {"kind": "update", "id": "e0", "arg": False}}),
+    ("list", peer_sync("list", op={"arg": True})),
+    ("list", peer_sync("list", op={"pos": [[1, True, 1]]})),
+    ("rpq", peer_sync("rpq", op={"deps": [[True, 1]]})),
+    ("rpq", peer_sync("rpq", ctx={"seen": {"0": True}})),
+    ("rpq", peer_sync("rpq", ctx={"extra": [[0, False]]})),
+    # dots from replicas outside 0..n-1
+    ("rpq", peer_sync("rpq", op={"dot": [7, 1]})),
+    ("list", peer_sync("list", op={"dot": [-1, 1]})),
 ]
 
 
