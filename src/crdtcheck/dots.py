@@ -17,7 +17,7 @@ regardless of arrival order.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterator
 
 
 @dataclass(frozen=True, order=True, slots=True)
@@ -89,13 +89,6 @@ class CausalContext:
             "seen": {str(r): c for r, c in sorted(self.seen.items())},
             "extra": [d.as_wire() for d in sorted(self.extra)],
         }
-
-    @staticmethod
-    def from_dots(dots: Iterable[Dot]) -> "CausalContext":
-        ctx = CausalContext()
-        for d in sorted(dots):
-            ctx = ctx.add(d)
-        return ctx
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CausalContext):

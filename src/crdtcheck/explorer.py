@@ -36,21 +36,28 @@ With a single replica there are no messages, so the state graph is a
 tree and the two searches coincide; ``explore`` uses the depth-first
 walk there to keep memory flat.
 
-State store of the breadth-first search (collapse compression, as in
-Holzmann, *State compression in SPIN*, 1997):
+State store of the breadth-first search (integer handles over the
+collapse compression of Holzmann, *State compression in SPIN*, 1997):
 
-- ``ReplicaState`` and ``SyncMessage`` each cache a 16-byte digest of
-  their canonical form, so a global state's digest hashes the slot, n
-  replica digests and the sorted message digests of each channel; a
-  successor re-hashes only the replica and the message it created.
-- A stored state is rebuilt from interned components: one shared
-  object per distinct (replica index, replica digest) and per distinct
-  channel.  The index is part of the key because the digest omits it.
-- A delivery memo maps (destination, replica digest, message digest) to
-  the interned successor replica, so each distinct delivery runs once.
-  Only the breadth-first search uses it: ``step``, ``replay_schedule``
-  and ``enumerate_traces`` call ``ReplicaState.deliver`` directly, so
-  the depth-first walk stays an independent check of the store.
+- Each distinct (replica index, replica digest), sync message and
+  channel gets a small int.  The index is part of the replica key
+  because the digest omits it.  A state is the flat tuple
+  ``(slot, *replica ids, *channel ids)``, and each level is
+  deduplicated on that tuple.
+- Every component move is memoized on ids and runs once: the client
+  requests and ``issue`` per (replica id, slot), ``deliver`` per
+  (replica id, message id), a channel's add or remove per (channel id,
+  message id), causal enabledness per (replica id, message id), the
+  list position check per replica id and the terminal ``normalize``
+  per replica id.
+- Only a new distinct state is digested, by ``state_digest`` of the
+  ``GlobalState`` its ids stand for, so ``preds``, violations and
+  counterexamples are keyed as without the store.
+- ``_successors`` is the one definition of the enabled events over a
+  store: the breadth-first search passes its ``_IdStore``; ``step``,
+  ``replay_schedule`` and ``enumerate_traces`` pass none and call
+  ``ReplicaState.issue``/``deliver`` directly, so the depth-first walk
+  stays an independent check of the store.
 
 Checked invariants (reported by name):
 
@@ -72,7 +79,7 @@ import hashlib
 import json
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import BadConfig, BudgetExceeded, NotEnabled
 from .operations import (
@@ -226,7 +233,9 @@ def event_wire(ev) -> list:
 
 
 def event_from_wire(item) -> ClientEvent | DeliverEvent:
-    """Inverse of ``event_wire``; raises ValueError on anything off-shape."""
+    """Inverse of ``event_wire``; raises ValueError on anything off-shape.
+    Integers must be exactly ``int``: JSON true and false decode to bools,
+    an int subclass."""
     if not isinstance(item, (list, tuple)) or not item:
         raise ValueError("event must be a non-empty array")
     tag = item[0]
@@ -234,7 +243,7 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
         if len(item) != 4:
             raise ValueError("client event needs [\"C\", slot, request, target]")
         _, slot, req, target = item
-        if not isinstance(slot, int) or not isinstance(target, int):
+        if type(slot) is not int or type(target) is not int:
             raise ValueError("client event slot/target must be integers")
         if not isinstance(req, dict):
             raise ValueError("client event request must be an object")
@@ -243,7 +252,7 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
         if len(item) != 4:
             raise ValueError("deliver event needs [\"D\", dest, origin, counter]")
         _, dest, origin, counter = item
-        if not all(isinstance(x, int) for x in (dest, origin, counter)):
+        if not all(type(x) is int for x in (dest, origin, counter)):
             raise ValueError("deliver event fields must be integers")
         return DeliverEvent(dest, origin, counter)
     raise ValueError(f"unknown event tag {tag!r}")
@@ -263,8 +272,8 @@ class GlobalState:
         message digests: equal iff the canonical keys are equal."""
         return (
             self.next_slot,
-            tuple(r.digest() for r in self.replicas),
-            tuple(tuple(sorted(m.digest() for m in ch)) for ch in self.channels),
+            tuple(map(ReplicaState.digest, self.replicas)),
+            tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in self.channels),
         )
 
     def render(self) -> tuple[bytes, ...]:
@@ -274,35 +283,6 @@ class GlobalState:
 
 def state_digest(gs: GlobalState) -> bytes:
     return canonical_digest(gs.canonical())
-
-
-class _Store:
-    """The intern tables and delivery memo of one breadth-first search
-    (see "State store" in the module docstring)."""
-
-    def __init__(self):
-        # (index, digest): the digest omits the replica index.
-        self._replicas: dict[tuple[int, bytes], ReplicaState] = {}
-        self._channels: dict[frozenset, frozenset] = {}
-        # (dest, replica digest, message digest) -> interned successor
-        self._delivered: dict[tuple[int, bytes, bytes], ReplicaState] = {}
-
-    def replica(self, index: int, rep: ReplicaState) -> ReplicaState:
-        return self._replicas.setdefault((index, rep.digest()), rep)
-
-    def deliver(self, dest: int, rep: ReplicaState, msg: SyncMessage) -> ReplicaState:
-        key = (dest, rep.digest(), msg.digest())
-        succ = self._delivered.get(key)
-        if succ is None:
-            succ = self._delivered[key] = self.replica(dest, rep.deliver(msg))
-        return succ
-
-    def intern(self, gs: GlobalState) -> GlobalState:
-        return GlobalState(
-            tuple(self.replica(i, r) for i, r in enumerate(gs.replicas)),
-            tuple(self._channels.setdefault(ch, ch) for ch in gs.channels),
-            gs.next_slot,
-        )
 
 
 def initial_state(cfg: ExplorationConfig) -> GlobalState:
@@ -354,64 +334,247 @@ def _list_pool(state: ReplicaState, slot: int) -> list[OperationRequest]:
     return pool
 
 
-def _client_step(cfg: ExplorationConfig, gs: GlobalState, ev: ClientEvent) -> GlobalState:
-    state, msg = gs.replicas[ev.target].issue(ev.req)
-    replicas = list(gs.replicas)
-    replicas[ev.target] = state
-    channels = tuple(
-        ch | {msg} if dest != ev.target else ch
-        for dest, ch in enumerate(gs.channels)
-    )
-    return GlobalState(tuple(replicas), channels, gs.next_slot + 1)
+def _causally_ready(rep: ReplicaState, msg: SyncMessage) -> bool:
+    """A causal channel delivers ``msg`` only once ``rep`` has every dot
+    of its context snapshot."""
+    return all(rep.has_delivered(d) for d in msg.ctx.iter_dots())
 
 
-def _deliver_step(
-    gs: GlobalState, ev: DeliverEvent, msg: SyncMessage, store: _Store | None
-) -> GlobalState:
-    replicas = list(gs.replicas)
-    rep = replicas[ev.dest]
-    replicas[ev.dest] = rep.deliver(msg) if store is None else store.deliver(ev.dest, rep, msg)
-    channels = list(gs.channels)
-    channels[ev.dest] = channels[ev.dest] - {msg}
-    return GlobalState(tuple(replicas), tuple(channels), gs.next_slot)
+def _dot_order(msg: SyncMessage) -> tuple[int, int]:
+    return (msg.origin, msg.op.dot.counter)
 
 
-def _deliverable(cfg: ExplorationConfig, gs: GlobalState, dest: int, msg: SyncMessage) -> bool:
-    if cfg.channel == CHANNEL_CAUSAL:
-        rep = gs.replicas[dest]
-        return all(rep.has_delivered(d) for d in msg.ctx.iter_dots())
-    return True
+def _in_order(dest: int, channel: frozenset[SyncMessage]) -> list:
+    """(delivery event, message) for each message in flight to ``dest``,
+    in (origin, counter) order."""
+    return [
+        (DeliverEvent(dest, *_dot_order(msg)), msg)
+        for msg in sorted(channel, key=_dot_order)
+    ]
 
 
-def enabled_events(cfg: ExplorationConfig, gs: GlobalState) -> list:
-    """All events enabled in ``gs``, in deterministic sorted order."""
-    return [ev for ev, _succ in _successors(cfg, gs)]
+def _intern(ids: dict, items: list, key, item) -> int:
+    """The id of ``key``, appending ``item`` to ``items`` if it is new."""
+    i = ids.setdefault(key, len(items))
+    if i == len(items):
+        items.append(item)
+    return i
 
 
-def _successors(
-    cfg: ExplorationConfig, gs: GlobalState, store: _Store | None = None
-) -> list[tuple]:
-    """(event, successor state) pairs in sorted event order: the one
-    definition of which events are enabled.  Only the breadth-first
-    search passes a ``store``, whose delivery memo replaces
-    ``ReplicaState.deliver``; every other caller delivers directly."""
+class _Direct:
+    """Moves on plain ``GlobalState``s by ``ReplicaState.issue``/``deliver``,
+    computed afresh on every call: the store of ``step``,
+    ``replay_schedule`` and the depth-first walk, which shares no memo
+    with ``_IdStore``."""
+
+    def slot(self, gs: GlobalState) -> int:
+        return gs.next_slot
+
+    def issued(self, cfg: ExplorationConfig, gs: GlobalState, slot: int, target: int) -> list:
+        rep = gs.replicas[target]
+        return [
+            (ClientEvent(slot, target, req), *rep.issue(req))
+            for req in candidate_requests(cfg, rep, slot)
+        ]
+
+    def after_issue(
+        self, gs: GlobalState, target: int, rep: ReplicaState, msg: SyncMessage
+    ) -> GlobalState:
+        replicas = list(gs.replicas)
+        replicas[target] = rep
+        channels = tuple(
+            ch if dest == target else ch | {msg} for dest, ch in enumerate(gs.channels)
+        )
+        return GlobalState(tuple(replicas), channels, gs.next_slot + 1)
+
+    def deliveries(self, gs: GlobalState, dest: int) -> list:
+        return _in_order(dest, gs.channels[dest])
+
+    def ready(self, gs: GlobalState, dest: int, msg: SyncMessage) -> bool:
+        return _causally_ready(gs.replicas[dest], msg)
+
+    def after_deliver(self, gs: GlobalState, dest: int, msg: SyncMessage) -> GlobalState:
+        replicas = list(gs.replicas)
+        replicas[dest] = replicas[dest].deliver(msg)
+        channels = list(gs.channels)
+        channels[dest] = channels[dest] - {msg}
+        return GlobalState(tuple(replicas), tuple(channels), gs.next_slot)
+
+
+_DIRECT = _Direct()  # stateless: one instance serves every caller
+
+
+class _IdStore:
+    """The integer handles and move memos of one breadth-first search
+    (see "State store" in the module docstring).  A state is the tuple
+    ``ids = (slot, *replica ids, *channel ids)``."""
+
+    def __init__(self, cfg: ExplorationConfig):
+        self.cfg = cfg
+        # id -> component, and component key -> id; the replica digest
+        # omits the index
+        self.replicas: list[ReplicaState] = []
+        self.messages: list[SyncMessage] = []
+        self.channels: list[frozenset[SyncMessage]] = []
+        self._replica_ids: dict[tuple[int, bytes], int] = {}
+        self._message_ids: dict[bytes, int] = {}
+        self._channel_ids: dict[frozenset[SyncMessage], int] = {}
+        # per replica id: its position-check violations, if any, and
+        # its rendering once it is in a terminal state; equal renderings
+        # share one bytes object
+        self._violations: dict[int, list[tuple[str, str]]] = {}
+        self._rendered: dict[int, bytes] = {}
+        self._renderings: dict[bytes, bytes] = {}
+        # move memos, keyed on ids; a replica id fixes its index
+        self._issued: dict[tuple[int, int], list] = {}  # (replica, slot)
+        self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
+        self._ready: dict[tuple[int, int], bool] = {}  # (replica, message)
+        self._toggled: dict[tuple[int, int], int] = {}  # (channel, message)
+        self._deliveries: dict[tuple[int, int], list] = {}  # (dest, channel)
+        self._channel(frozenset())  # id 0, which ``is_terminal`` relies on
+
+    def root(self) -> tuple:
+        gs = initial_state(self.cfg)
+        return (
+            gs.next_slot,
+            *(self._replica(i, rep) for i, rep in enumerate(gs.replicas)),
+            *(self._channel(frozenset()) for _ in gs.channels),
+        )
+
+    def _replica(self, index: int, rep: ReplicaState) -> int:
+        key = (index, rep.digest())
+        rid = self._replica_ids.get(key)
+        if rid is None:
+            rid = self._replica_ids[key] = len(self.replicas)
+            self.replicas.append(rep)
+            vs = replica_violations(self.cfg, index, rep)
+            if vs:
+                self._violations[rid] = vs
+        return rid
+
+    def _message(self, msg: SyncMessage) -> int:
+        return _intern(self._message_ids, self.messages, msg.digest(), msg)
+
+    def _channel(self, msgs: frozenset[SyncMessage]) -> int:
+        return _intern(self._channel_ids, self.channels, msgs, msgs)
+
+    def _toggle(self, cid: int, mid: int) -> int:
+        """The channel with the message added or removed.  A message only
+        joins a channel that lacks it and only leaves one that holds it,
+        so one memo serves both moves."""
+        key = (cid, mid)
+        got = self._toggled.get(key)
+        if got is None:
+            got = self._toggled[key] = self._channel(self.channels[cid] ^ {self.messages[mid]})
+        return got
+
+    # -- the moves ``_successors`` asks for ---------------------------
+
+    def slot(self, ids: tuple) -> int:
+        return ids[0]
+
+    def issued(self, cfg: ExplorationConfig, ids: tuple, slot: int, target: int) -> list:
+        rid = ids[1 + target]
+        got = self._issued.get((rid, slot))
+        if got is None:
+            rep = self.replicas[rid]
+            got = self._issued[rid, slot] = []
+            for req in candidate_requests(cfg, rep, slot):
+                after, msg = rep.issue(req)
+                got.append(
+                    (ClientEvent(slot, target, req), self._replica(target, after),
+                     self._message(msg))
+                )
+        return got
+
+    def after_issue(self, ids: tuple, target: int, rid: int, mid: int) -> tuple:
+        n = self.cfg.n
+        out = list(ids)
+        out[0] += 1
+        out[1 + target] = rid
+        for dest in range(n):
+            if dest != target:
+                out[1 + n + dest] = self._toggle(ids[1 + n + dest], mid)
+        return tuple(out)
+
+    def deliveries(self, ids: tuple, dest: int) -> list:
+        cid = ids[1 + self.cfg.n + dest]
+        got = self._deliveries.get((dest, cid))
+        if got is None:
+            got = self._deliveries[dest, cid] = [
+                (ev, self._message(msg)) for ev, msg in _in_order(dest, self.channels[cid])
+            ]
+        return got
+
+    def ready(self, ids: tuple, dest: int, mid: int) -> bool:
+        key = (ids[1 + dest], mid)
+        got = self._ready.get(key)
+        if got is None:
+            got = self._ready[key] = _causally_ready(self.replicas[key[0]], self.messages[mid])
+        return got
+
+    def after_deliver(self, ids: tuple, dest: int, mid: int) -> tuple:
+        key = (ids[1 + dest], mid)
+        rid = self._delivered.get(key)
+        if rid is None:
+            rep = self.replicas[key[0]].deliver(self.messages[mid])
+            rid = self._delivered[key] = self._replica(dest, rep)
+        cslot = 1 + self.cfg.n + dest
+        out = list(ids)
+        out[1 + dest] = rid
+        out[cslot] = self._toggle(ids[cslot], mid)
+        return tuple(out)
+
+    # -- what the search reads off a state ----------------------------
+
+    def resolve(self, ids: tuple) -> GlobalState:
+        """The ``GlobalState`` these ids stand for."""
+        n = self.cfg.n
+        return GlobalState(
+            tuple(map(self.replicas.__getitem__, ids[1:n + 1])),
+            tuple(map(self.channels.__getitem__, ids[n + 1:])),
+            ids[0],
+        )
+
+    def is_terminal(self, ids: tuple) -> bool:
+        return ids[0] >= self.cfg.q and not any(ids[self.cfg.n + 1:])
+
+    def violations(self, ids: tuple) -> list[tuple[str, str]]:
+        """``state_violations`` of the state, from the check each replica
+        id got when it was interned."""
+        return [v for r in ids[1:self.cfg.n + 1] for v in self._violations.get(r, ())]
+
+    def render(self, ids: tuple) -> tuple[bytes, ...]:
+        """``GlobalState.render`` of the state, one ``normalize`` per replica id."""
+        out = []
+        for r in ids[1:self.cfg.n + 1]:
+            got = self._rendered.get(r)
+            if got is None:
+                got = self.replicas[r].normalize()
+                got = self._rendered[r] = self._renderings.setdefault(got, got)
+            out.append(got)
+        return tuple(out)
+
+
+def _successors(cfg: ExplorationConfig, gs, store=None) -> list[tuple]:
+    """(event, successor state) pairs, client events first, then the
+    deliveries in (dest, origin, counter) order: the one definition of
+    which events are enabled.  ``store`` holds the states: None means
+    ``GlobalState``s moved by ``ReplicaState.issue``/``deliver``
+    directly; the breadth-first search passes its ``_IdStore``."""
+    if store is None:
+        store = _DIRECT
     out = []
-    if gs.next_slot < cfg.q:
-        slot = gs.next_slot
+    slot = store.slot(gs)
+    if slot < cfg.q:
         target = slot % cfg.n
-        for req in candidate_requests(cfg, gs.replicas[target], slot):
-            ev = ClientEvent(slot, target, req)
-            out.append((ev, _client_step(cfg, gs, ev)))
-    delivers = sorted(
-        (
-            (DeliverEvent(dest, msg.origin, msg.op.dot.counter), msg)
-            for dest in range(cfg.n)
-            for msg in gs.channels[dest]
-            if _deliverable(cfg, gs, dest, msg)
-        ),
-        key=lambda pair: pair[0],
-    )
-    out.extend((ev, _deliver_step(gs, ev, msg, store)) for ev, msg in delivers)
+        for ev, rep, msg in store.issued(cfg, gs, slot, target):
+            out.append((ev, store.after_issue(gs, target, rep, msg)))
+    causal = cfg.channel == CHANNEL_CAUSAL
+    for dest in range(cfg.n):
+        for ev, msg in store.deliveries(gs, dest):
+            if not causal or store.ready(gs, dest, msg):
+                out.append((ev, store.after_deliver(gs, dest, msg)))
     return out
 
 
@@ -432,37 +595,26 @@ def replay_schedule(cfg: ExplorationConfig, schedule) -> GlobalState:
     return gs
 
 
-def schedule_has_causal_inversion(cfg: ExplorationConfig, schedule) -> bool:
-    """True if some delivery happens before one of its causal
-    predecessors reached the same destination — the reordering a causal
-    channel would have forbidden.  Raises ``NotEnabled`` if the schedule
-    is not valid under ``cfg`` itself."""
-    replay_schedule(cfg, schedule)
-    try:
-        replay_schedule(replace(cfg, channel=CHANNEL_CAUSAL), schedule)
-    except NotEnabled:
-        return True
-    return False
-
-
 # -- invariant checks ---------------------------------------------------
+
+
+def replica_violations(
+    cfg: ExplorationConfig, index: int, rep: ReplicaState
+) -> list[tuple[str, str]]:
+    """The per-state invariants of the replica at ``index``."""
+    out = []
+    if cfg.data_type == LIST:
+        poss = rep.existent_positions()
+        if len(set(poss)) != len(poss):
+            out.append(("position-unique", f"colliding positions at replica {index}"))
+        if any(not 0 <= digit < BASE for p in poss for digit, _, _ in p):
+            out.append(("position-range", f"digit out of range at replica {index}"))
+    return out
 
 
 def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str, str]]:
     """Per-state invariants; returned as (name, detail) pairs."""
-    out = []
-    if cfg.data_type == LIST:
-        for i, rep in enumerate(gs.replicas):
-            poss = rep.existent_positions()
-            if len(set(poss)) != len(poss):
-                out.append(
-                    ("position-unique", f"colliding positions at replica {i}")
-                )
-            if any(
-                not 0 <= digit < BASE for p in poss for digit, _, _ in p
-            ):
-                out.append(("position-range", f"digit out of range at replica {i}"))
-    return out
+    return [v for i, rep in enumerate(gs.replicas) for v in replica_violations(cfg, i, rep)]
 
 
 def terminal_violations(gs: GlobalState, oracle: tuple[bytes, ...]) -> list[tuple[str, str]]:
@@ -559,21 +711,20 @@ class _ViolationLog:
         self._shapes.add(shape)
         self.found.append(Violation(name, self._schedule_to(key), detail))
 
-    def check(
-        self, cfg: ExplorationConfig, gs: GlobalState, oracle: tuple | None,
-        key: bytes | None = None,
-    ) -> bool:
-        """Record every invariant ``gs`` breaks; True if it breaks any.
-        ``oracle`` is ``gs.render()`` for a terminal state, else None.
-        ``key`` is the digest of ``gs``, computed here if needed."""
-        vs = state_violations(cfg, gs)
-        if oracle is not None:
-            vs += terminal_violations(gs, oracle)
-        if vs and key is None:
-            key = state_digest(gs)
+    def record(self, vs: list[tuple[str, str]], key: bytes | None) -> bool:
+        """Note every (name, detail) in ``vs`` for the state digesting to
+        ``key`` (None only when ``vs`` is empty); True if there are any."""
         for name, detail in vs:
             self.note(name, detail, key)
         return bool(vs)
+
+    def check(self, cfg: ExplorationConfig, gs: GlobalState, oracle: tuple | None) -> bool:
+        """Record every invariant ``gs`` breaks; True if it breaks any.
+        ``oracle`` is ``gs.render()`` for a terminal state, else None."""
+        vs = state_violations(cfg, gs)
+        if oracle is not None:
+            vs += terminal_violations(gs, oracle)
+        return self.record(vs, state_digest(gs) if vs else None)
 
 
 # -- depth-first walk ----------------------------------------------------
@@ -686,8 +837,9 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     states are found.
     """
     t0 = time.monotonic()
-    root = initial_state(cfg)
-    root_key = state_digest(root)
+    store = _IdStore(cfg)
+    root = store.root()
+    root_key = state_digest(store.resolve(root))
     preds: dict[bytes, tuple | None] = {root_key: None}
 
     def schedule_to(key: bytes) -> tuple:
@@ -700,8 +852,6 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         return tuple(reversed(events))
 
     log = _ViolationLog(schedule_to)
-    store = _Store()
-    shared_events: dict = {}  # one object per distinct event in ``preds``
     visited = 1
     distinct = 1
     # (level entry, oracle or None) per terminal state, in discovery order
@@ -710,32 +860,34 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     def search() -> bool:
         """Expand level by level; False if the state cap stops it."""
         nonlocal visited, distinct
-        # key -> [state to expand (None if terminal or broken), path count]
-        frontier = {root_key: [None if log.check(cfg, root, None, root_key) else root, 1]}
+        # ids -> [digest (None if terminal or broken: not expanded), path count]
+        frontier = {root: [None if log.record(store.violations(root), root_key) else root_key, 1]}
         while frontier:
-            level: dict[bytes, list] = {}
-            for key, (state, paths) in frontier.items():
-                if state is None:
+            level: dict[tuple, list] = {}
+            for ids, (key, paths) in frontier.items():
+                if key is None:
                     continue
-                succs = _successors(cfg, state, store)
+                succs = _successors(cfg, ids, store)
                 if not succs:
                     log.note("stuck", "no enabled events before the run completed", key)
                     continue
                 for ev, succ in succs:
                     visited += 1
-                    skey = state_digest(succ)
-                    entry = level.get(skey)
+                    entry = level.get(succ)
                     if entry is not None:
                         entry[1] += paths
                         continue
                     distinct += 1
-                    preds[skey] = (shared_events.setdefault(ev, ev), key)
-                    terminal = is_terminal(cfg, succ)
-                    oracle = succ.render() if terminal else None
-                    broken = log.check(cfg, succ, oracle, skey)
-                    entry = level[skey] = [
-                        None if terminal or broken else store.intern(succ), paths
-                    ]
+                    gs = store.resolve(succ)
+                    skey = state_digest(gs)
+                    preds[skey] = (ev, key)
+                    vs = store.violations(succ)
+                    terminal = store.is_terminal(succ)
+                    if terminal:
+                        oracle = store.render(succ)
+                        vs = vs + terminal_violations(gs, oracle)
+                    broken = log.record(vs, skey)
+                    entry = level[succ] = [None if terminal or broken else skey, paths]
                     if terminal:
                         terminals.append((entry, oracle if collect_oracles else None))
                     if cfg.state_cap is not None and distinct > cfg.state_cap:

@@ -258,8 +258,13 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
     replica = None  # the replica a failure is blamed on
     try:
         for ev in tc.schedule:
+            replica = ev.target if isinstance(ev, ClientEvent) else ev.dest
+            if not 0 <= replica < n:
+                return CaseResult(
+                    tc.case_id, REPLICA_ERROR,
+                    detail=f"schedule names replica {replica}, configuration has {n}",
+                )
             if isinstance(ev, ClientEvent):
-                replica = ev.target
                 reply = _exchange(
                     endpoints[replica],
                     {"req": ev.req.as_wire(), "type": "ClientOp"}, "Ack",
@@ -272,7 +277,6 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
                 for dest, msg in _sync_fanout(reply):
                     pool.put(dest, msg)
             else:
-                replica = ev.dest
                 msg = pool.take(ev.dest, ev.origin, ev.counter)
                 _exchange(endpoints[replica], {"msg": msg, "type": "Sync"}, "Ack")
         for replica in range(n):

@@ -27,12 +27,12 @@ import time
 
 import pytest
 
+from conftest import schedule_has_causal_inversion
 from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
     ExplorationConfig,
     explore,
-    schedule_has_causal_inversion,
 )
 from crdtcheck.harness import replay_corpus
 from crdtcheck.operations import OperationRequest
@@ -119,7 +119,7 @@ _RPQ_N3Q4_SCHEDULES = 5**4 * math.factorial(12) // (3 * 6 * 9 * 12)
 
 @pytest.mark.skipif(
     not os.environ.get("CRDTCHECK_ACCEPT_LONG"),
-    reason="two searches of one to two minutes each; set CRDTCHECK_ACCEPT_LONG=1 to run",
+    reason="two searches of 30-50 s each; set CRDTCHECK_ACCEPT_LONG=1 to run",
 )
 @pytest.mark.parametrize(
     "data_type, distinct, visited, schedules",

@@ -6,6 +6,7 @@ import itertools
 
 import pytest
 
+from conftest import context_from_dots
 from crdtcheck.dots import EMPTY_CONTEXT, CausalContext, Dot
 
 
@@ -67,7 +68,7 @@ def test_from_dots_matches_incremental_adds():
     incremental = EMPTY_CONTEXT
     for d in dots:
         incremental = incremental.add(d)
-    assert CausalContext.from_dots(dots) == incremental
+    assert context_from_dots(dots) == incremental
     assert incremental.seen == {0: 1, 1: 3}
 
 
@@ -88,27 +89,27 @@ def test_context_equality_ignores_construction_order():
 
 
 def test_iter_dots_yields_frontier_and_extras():
-    ctx = CausalContext.from_dots([Dot.of(0, 1), Dot.of(0, 2), Dot.of(1, 3)])
+    ctx = context_from_dots([Dot.of(0, 1), Dot.of(0, 2), Dot.of(1, 3)])
     got = set(ctx.iter_dots())
     assert got == {Dot.of(0, 1), Dot.of(0, 2), Dot.of(1, 3)}
 
 
 def test_wire_round_trip_with_extras():
-    ctx = CausalContext.from_dots([Dot.of(0, 1), Dot.of(1, 2), Dot.of(2, 5)])
+    ctx = context_from_dots([Dot.of(0, 1), Dot.of(1, 2), Dot.of(2, 5)])
     wire = ctx.as_wire()
     assert wire["seen"] == {"0": 1}
     assert [1, 2] in wire["extra"] and [2, 5] in wire["extra"]
 
 
 def test_wire_seen_keys_are_sorted_strings():
-    ctx = CausalContext.from_dots(
+    ctx = context_from_dots(
         [Dot.of(10, 1), Dot.of(2, 1), Dot.of(0, 1)]
     )
     assert list(ctx.as_wire()["seen"].keys()) == ["0", "2", "10"]
 
 
 def test_add_duplicate_dot_is_identity():
-    ctx = CausalContext.from_dots([Dot.of(0, 1)])
+    ctx = context_from_dots([Dot.of(0, 1)])
     assert ctx.add(Dot.of(0, 1)) == ctx
 
 

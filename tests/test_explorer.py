@@ -33,6 +33,7 @@ from dataclasses import replace
 
 import pytest
 
+from conftest import enabled_events, schedule_has_causal_inversion
 from crdtcheck.dots import EMPTY_CONTEXT, Dot
 from crdtcheck.errors import BadConfig, BudgetExceeded, NotEnabled
 from crdtcheck import explorer
@@ -42,7 +43,6 @@ from crdtcheck.explorer import (
     ExplorationConfig,
     GlobalState,
     config_fingerprint,
-    enabled_events,
     enumerate_traces,
     event_from_wire,
     event_wire,
@@ -50,7 +50,6 @@ from crdtcheck.explorer import (
     initial_state,
     is_terminal,
     replay_schedule,
-    schedule_has_causal_inversion,
     state_digest,
     state_violations,
     step,
@@ -185,11 +184,13 @@ PINNED_LIST_N3 = (
         dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, bug_flags=BUG2),
         dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3),
         dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, bug_flags=BUG1),
+        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, channel="causal"),
+        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, channel="causal", bug_flags=BUG2),
     ],
 )
 def test_dedup_never_loses_or_invents_traces(kw):
-    # The depth-first walk delivers with ReplicaState.deliver directly;
-    # the breadth-first search goes through its interned store and memo.
+    # The depth-first walk issues and delivers with ReplicaState directly;
+    # the breadth-first search goes through its id store and move memos.
     cfg = cfg_of(**kw)
     brute = enumerate_traces(cfg, check=True, collect_oracles=True)
     deduped = _explore_bfs(cfg, collect_oracles=True)
@@ -217,19 +218,48 @@ def test_stored_states_keep_each_replica_at_its_index(monkeypatch):
     expanded = []
     successors = explorer._successors
 
-    def recording(cfg, gs, store=None):
-        expanded.append(gs)
-        return successors(cfg, gs, store)
+    def recording(cfg, ids, store=None):
+        expanded.append((store, ids))
+        return successors(cfg, ids, store)
 
     monkeypatch.setattr(explorer, "_successors", recording)
     report = explore(cfg_of(n=2, q=2))
     assert report.terminal_traces == 75
     assert len(expanded) > 1
-    for gs in expanded:
-        assert [r.replica for r in gs.replicas] == [0, 1]
-    # equal replica states are one shared object across stored states
-    refs = [r for gs in expanded for r in gs.replicas]
-    assert len({id(r) for r in refs}) == len({(r.replica, r.digest()) for r in refs})
+    store = expanded[0][0]
+    assert all(other is store for other, _ in expanded)
+    # a state is (slot, replica 0 id, replica 1 id, channel 0 id, channel 1 id)
+    for _, ids in expanded:
+        assert len(ids) == 5
+        assert [store.replicas[h].replica for h in ids[1:3]] == [0, 1]
+    # equal (index, digest) pairs share one handle
+    handles = {h for _, ids in expanded for h in ids[1:3]}
+    pairs = {(store.replicas[h].replica, store.replicas[h].digest()) for h in handles}
+    assert len(handles) == len(pairs)
+
+
+def test_each_distinct_state_and_move_is_computed_once(monkeypatch):
+    # rpq n=3 q=3: 27,621 distinct states of which 1,000 are terminal,
+    # reached over 71,726 transitions.  The store digests each distinct
+    # state once, expands each non-terminal one once, and issues each
+    # request once per distinct (replica state, slot).
+    calls = {"state_digest": 0, "_successors": 0, "issue": 0}
+
+    def counting(owner, name):
+        original = getattr(owner, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    counting(explorer, "state_digest")
+    counting(explorer, "_successors")
+    counting(ReplicaState, "issue")
+    report = explore(cfg_of(n=3, q=3))
+    assert (report.distinct_states, report.states_visited) == (27_621, 71_726)
+    assert calls == {"state_digest": 27_621, "_successors": 26_621, "issue": 380}
 
 
 def test_cached_digest_is_not_copied_by_replace():

@@ -2,13 +2,15 @@
 
 from __future__ import annotations
 
+import hashlib
 import io
+import json
 import socket
 import struct
 
 import pytest
 
-from crdtcheck.errors import ScheduleUnsatisfiable
+from crdtcheck.errors import MalformedCase, ScheduleUnsatisfiable
 from crdtcheck.explorer import (
     ClientEvent,
     ExplorationConfig,
@@ -147,6 +149,42 @@ def test_rejected_scheduled_request_is_a_replica_error():
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
     assert "rejected" in result.detail
+
+
+# field of the replica index in a client ("C") and a delivery ("D") event
+REPLICA_FIELD = {"C": 3, "D": 1}
+
+
+def retargeted_line(cfg, tag: str, value) -> str:
+    """The first corpus line with the replica index of its first ``tag``
+    event set to ``value``, under a recomputed (so still valid) case id."""
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    event = next(ev for ev in doc["sched"] if ev[0] == tag)
+    event[REPLICA_FIELD[tag]] = value
+    blob = json.dumps(doc["sched"], separators=(",", ":"), ensure_ascii=False)
+    doc["case"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return json.dumps(doc, separators=(",", ":"))
+
+
+@pytest.mark.parametrize("tag", ["C", "D"])
+@pytest.mark.parametrize("index", [7, -1])
+def test_out_of_range_replica_is_a_replica_error(tag, index):
+    # a corrupted corpus must neither crash replay nor drive the last
+    # replica through a negative index
+    cfg = rpq_cfg()
+    summary = replay_corpus(cfg, io.StringIO(retargeted_line(cfg, tag, index)))
+    assert (summary.cases, summary.replica_error) == (1, 1)
+    [failure] = summary.first_failures
+    assert failure["detail"] == f"schedule names replica {index}, configuration has 2"
+
+
+@pytest.mark.parametrize("tag", ["C", "D"])
+def test_boolean_replica_index_is_malformed(tag):
+    # JSON true decodes to a bool, which Python counts as the int 1
+    cfg = rpq_cfg()
+    with pytest.raises(MalformedCase) as exc:
+        replay_corpus(cfg, io.StringIO(retargeted_line(cfg, tag, True)))
+    assert exc.value.field == "sched"
 
 
 # -- corpus-level replay -------------------------------------------------------
