@@ -47,9 +47,8 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
 - Every component move is memoized on ids and runs once: the client
   requests and ``issue`` per (replica id, slot), ``deliver`` per
   (replica id, message id), a channel's add or remove per (channel id,
-  message id), causal enabledness per (replica id, message id), the
-  list position check per replica id and the terminal ``normalize``
-  per replica id.
+  message id), the list position check per replica id and the terminal
+  ``normalize`` per replica id.
 - Only a new distinct state is digested, by ``state_digest`` of the
   ``GlobalState`` its ids stand for, so ``preds``, violations and
   counterexamples are keyed as without the store.
@@ -218,9 +217,8 @@ class ClientEvent:
     req: OperationRequest
 
 
-@dataclass(frozen=True, order=True, slots=True)
+@dataclass(frozen=True, slots=True)
 class DeliverEvent:
-    # order=True sorts deliveries by (dest, origin, counter).
     dest: int
     origin: int
     counter: int
@@ -428,7 +426,6 @@ class _IdStore:
         # move memos, keyed on ids; a replica id fixes its index
         self._issued: dict[tuple[int, int], list] = {}  # (replica, slot)
         self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
-        self._ready: dict[tuple[int, int], bool] = {}  # (replica, message)
         self._toggled: dict[tuple[int, int], int] = {}  # (channel, message)
         self._deliveries: dict[tuple[int, int], list] = {}  # (dest, channel)
         self._channel(frozenset())  # id 0, which ``is_terminal`` relies on
@@ -507,11 +504,7 @@ class _IdStore:
         return got
 
     def ready(self, ids: tuple, dest: int, mid: int) -> bool:
-        key = (ids[1 + dest], mid)
-        got = self._ready.get(key)
-        if got is None:
-            got = self._ready[key] = _causally_ready(self.replicas[key[0]], self.messages[mid])
-        return got
+        return _causally_ready(self.replicas[ids[1 + dest]], self.messages[mid])
 
     def after_deliver(self, ids: tuple, dest: int, mid: int) -> tuple:
         key = (ids[1 + dest], mid)
