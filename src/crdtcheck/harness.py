@@ -34,7 +34,6 @@ byte comparison at every round end.
 
 from __future__ import annotations
 
-import json
 import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
@@ -49,6 +48,7 @@ from .operations import RPQ, OperationRequest
 from .replica import ReplicaState, fresh_replica
 from .server import ReplicaServer
 from .testgen import TestCase, iter_corpus
+from .wire import canonical_json
 
 PASS = "pass"
 DIVERGED = "diverged"
@@ -196,7 +196,7 @@ def _sync_fanout(reply: dict) -> list[tuple[int, dict]]:
     try:
         fanout = [(sync["dest"], sync["msg"]) for sync in syncs]
         ok = all(
-            isinstance(dest, int) and isinstance(msg["origin"], int)
+            type(dest) is int and type(msg["origin"]) is int
             and [type(x) for x in msg["op"]["dot"]] == [int, int]
             for dest, msg in fanout
         )
@@ -372,22 +372,17 @@ def _random_request(
         if roll < 4:
             return OperationRequest("increase", "e", rng.randrange(-9, 10))
         return OperationRequest("remove", "e")
-    seen = sorted(model.elems)
-    existent = sorted(model.existent())
     roll = rng.randrange(4)
-    if roll == 0 or not seen:
+    if roll == 0 or not model.elems:
+        existent = sorted(model.existent())
         anchor = rng.choice([None, *existent]) if existent else None
         return OperationRequest("insert", fresh_id, rng.randrange(0, 100), anchor)
-    elem = rng.choice(seen)
+    elem = rng.choice(sorted(model.elems))
     if roll == 1:
         return OperationRequest("update", elem, rng.randrange(0, 100))
     if roll == 2:
         return OperationRequest("remove", elem)
     return OperationRequest("readd", elem)
-
-
-def _canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def stress(
@@ -452,7 +447,7 @@ def stress(
                     )
                 report.ops += 1
                 models[target], model_msg = models[target].issue(req)
-                model_wire = _canonical_json(model_msg.as_wire())
+                model_wire = canonical_json(model_msg.as_wire())
                 fanout = _sync_fanout(reply)
                 dests = [dest for dest, _ in fanout]
                 expected_dests = sorted(d for d in range(n) if d != target)
@@ -462,7 +457,7 @@ def stress(
                         f"sync fan-out went to {dests}, expected {expected_dests}",
                     )
                 for dest, wire_msg in fanout:
-                    offset = _diff_at(_canonical_json(wire_msg), model_wire)
+                    offset = _diff_at(canonical_json(wire_msg), model_wire)
                     if offset is not None:
                         raise _Mismatch(
                             "issue-divergence",

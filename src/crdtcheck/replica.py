@@ -47,6 +47,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from json.encoder import encode_basestring
 
 from .dots import CausalContext, Dot
 from .errors import DuplicateDelivery, UnknownElement
@@ -60,6 +61,12 @@ BUG_ASSUME_CAUSAL = "bug2-assume-causal"
 # they never collide with origin-generated position stamps; the stamp is
 # also what marks a fabricated element in the canonical key.
 _BUG_NONCE_FLOOR = 1_000_000
+
+# Sorted keys, no whitespace, UTF-8 text: the canonical form ``normalize``
+# assembles from per-element pieces.
+_canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
 
 
 class Existence(Enum):
@@ -139,10 +146,18 @@ class RpqView:
     existence: Existence
     value: int | None
     add_dot: Dot | None
+    # Cached ``wire()``; shared by every state that shares the view.
+    _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_wire(self) -> dict:
         add_dot = self.add_dot.as_wire() if self.add_dot else None
         return {"add_dot": add_dot, "existence": self.existence.value, "value": self.value}
+
+    def wire(self) -> str:
+        """``as_wire()`` as canonical JSON, rendered once per view."""
+        if self._wire is None:
+            object.__setattr__(self, "_wire", _canonical_json(self.as_wire()))
+        return self._wire
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,11 +166,19 @@ class ListView:
     attr: int
     pos: Position
     add_dot: Dot
+    # Cached ``wire()``; shared by every state that shares the view.
+    _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_wire(self) -> dict:
         attr = self.attr if self.existence is Existence.EXISTENT else None
         return {"add_dot": self.add_dot.as_wire(), "attr": attr,
                 "existence": self.existence.value, "pos": position_wire(self.pos)}
+
+    def wire(self) -> str:
+        """``as_wire()`` as canonical JSON, rendered once per view."""
+        if self._wire is None:
+            object.__setattr__(self, "_wire", _canonical_json(self.as_wire()))
+        return self._wire
 
 
 def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:
@@ -372,8 +395,11 @@ class ReplicaState:
     #
     # An element's view is a pure function of its record set, so each
     # ``RpqOps`` / ``ListOps`` object derives it once (``ops.view()``)
-    # and every reader below goes through that.  Record sets are shared
-    # between a state and its successors, and so are their views.
+    # and every reader below goes through that.  Each view renders its
+    # JSON once too (``view.wire()``), and ``normalize`` only joins those
+    # pieces.  Record sets are shared between a state and its
+    # successors, and so are their views and renderings: a new state
+    # re-renders only the elements its last transition changed.
 
     def views(self) -> dict:
         return {e: o.view() for e, o in self.elems.items()}
@@ -403,9 +429,13 @@ class ReplicaState:
         record store — so replicas that applied the same dots serialize
         identically.
         """
-        elements = {e: v.as_wire() for e, v in self.views().items()}
-        doc = {"ctx": self.applied.as_wire(), "elements": elements, "type": self.data_type}
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+        elements = ",".join(
+            encode_basestring(e) + ":" + v.wire() for e, v in sorted(self.views().items())
+        )
+        return "".join((
+            '{"ctx":', _canonical_json(self.applied.as_wire()),
+            ',"elements":{', elements, '},"type":', encode_basestring(self.data_type), "}",
+        )).encode("utf-8")
 
     # -- identity ----------------------------------------------------
 

@@ -5,6 +5,16 @@ written against the protocol, not against the model code.  It keeps its
 own causal-context bookkeeping, eagerly maintained liveness flags on
 every record (where the model derives survival once per record set), a
 position-sorted element index, and its own position generator.
+
+``canonical_state`` renders each element's ``"id":{...}`` member once
+and keeps it in ``members`` until that element changes.  Every change
+to an element drops its entry first: ``_apply`` (the only path that
+adds records or flips liveness flags, for client ops, deliveries and
+buffer flushes alike) and the bug paths that create an element,
+``_materialize_ghost`` and ``_materialize_dummy``.  The causal context
+is rendered afresh on every call.  An insert finds its right neighbour
+by bisecting the index past the anchor, then stepping to the first
+existent entry.
 The conformance harness drives both implementations through identical
 schedules and compares canonical bytes; sharing nothing but the wire
 format is what makes that comparison worth running.
@@ -37,7 +47,7 @@ Bug flags (transcription mistakes kept reproducible on purpose):
 from __future__ import annotations
 
 import json
-from bisect import insort
+from bisect import bisect_right, insort
 
 from .errors import DuplicateDelivery, ProtocolViolation, UnknownFlag
 
@@ -66,6 +76,9 @@ BUG_DESCRIPTIONS = {
     ),
 }
 BUG_FLAGS = tuple(BUG_DESCRIPTIONS)
+
+# Sorted keys, no whitespace; built once rather than per ``json.dumps`` call.
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 _RPQ_KINDS = ("add", "increase", "remove")
 _LIST_KINDS = ("insert", "update", "remove", "readd")
@@ -229,6 +242,7 @@ class ReplicaServer:
         self.elems: dict = {}
         self.by_pos: list = []  # (index key, pos, elem id); inserts only
         self.pending: dict = {}  # (replica, counter) -> sync msg object
+        self.members: dict = {}  # elem id -> its rendered '"id":{...}' member
         self.bug1 = "bug1-readd-accept" in bug_flags
         self.bug2 = "bug2-assume-causal" in bug_flags
         self.bug4 = "bug4-dummy-position" in bug_flags
@@ -441,6 +455,7 @@ class ReplicaServer:
         if self.data_type == LIST and kind != "insert" and elem not in self.elems:
             # Its deps were met but name another element's insert.
             raise ProtocolViolation(f"{kind} for {elem!r} applied before its insert")
+        self.members.pop(elem, None)
         self.applied.add(*dot)
         if self.data_type == RPQ:
             e = self.elems.get(elem)
@@ -483,6 +498,7 @@ class ReplicaServer:
         dot = (op["dot"][0], op["dot"][1])
         self.applied.add(*dot)
         self._index_insert(pos, op["id"])
+        self.members.pop(op["id"], None)
         self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
 
     def _materialize_dummy(self, op: dict, ctx: _Ctx) -> None:
@@ -492,6 +508,7 @@ class ReplicaServer:
         pos = ((BASE, 0, 0),)
         dot = (op["dot"][0], op["dot"][1])
         self._index_insert(pos, op["id"])
+        self.members.pop(op["id"], None)
         self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
 
     # -- position index ----------------------------------------------------
@@ -505,21 +522,18 @@ class ReplicaServer:
         insort(self.by_pos, (self._index_key(pos), pos, elem))
 
     def _generate_position(self, anchor, counter: int):
-        ordered = [
-            (key, pos) for key, pos, elem in self.by_pos
-            if self._list_existent(self.elems[elem])
-        ]
-        if anchor is None:
-            left = None
-            right = ordered[0][1] if ordered else None
-        else:
+        """A position between the anchor and the first existent element
+        indexed after it (or before every existent element if no anchor)."""
+        left, start = None, 0
+        if anchor is not None:
             left = self.elems[anchor].pos
-            left_key = self._index_key(left)
-            right = None
-            for key, pos in ordered:
-                if key > left_key:
-                    right = pos
-                    break
+            start = bisect_right(self.by_pos, self._index_key(left), key=lambda entry: entry[0])
+        right = None
+        for i in range(start, len(self.by_pos)):
+            _key, pos, elem = self.by_pos[i]
+            if self._list_existent(self.elems[elem]):
+                right = pos
+                break
         return _gen_pos(left, right, self.replica, counter)
 
     # -- read side -----------------------------------------------------------
@@ -528,33 +542,37 @@ class ReplicaServer:
         return e.ins.alive or any(rec.alive for rec in e.readds)
 
     def canonical_state(self) -> str:
-        elements: dict = {}
+        members = []
+        for elem in sorted(self.elems):
+            member = self.members.get(elem)
+            if member is None:
+                # '{"id":{...}}' less its outer braces
+                member = _encode({elem: self._element_doc(self.elems[elem])})[1:-1]
+                self.members[elem] = member
+            members.append(member)
+        return "".join((
+            '{"ctx":', _encode(self.applied.wire()), ',"elements":{', ",".join(members),
+            '},"type":', _encode(self.data_type), "}",
+        ))
+
+    def _element_doc(self, e) -> dict:
         if self.data_type == RPQ:
-            for elem, e in self.elems.items():
-                win = _rpq_winner(e)
-                last = _latest(e.adds)  # a removed element shows its last add
-                value = win.val + sum(rec.val for rec in e.incs if rec.alive) if win else None
-                elements[elem] = {
-                    "add_dot": list((win or last).dot) if last else None,
-                    "existence": "existent" if win else "once-existent" if last else "non-existent",
-                    "value": value,
-                }
-        else:
-            for elem, e in self.elems.items():
-                existent = self._list_existent(e)
-                attr = _latest([e.ins, *(rec for rec in e.upds if rec.alive)]).val
-                elements[elem] = {
-                    "add_dot": [e.ins.dot[0], e.ins.dot[1]],
-                    "attr": attr if existent else None,
-                    "existence": "existent" if existent else "once-existent",
-                    "pos": [list(t) for t in e.pos],
-                }
-        doc = {
-            "ctx": self.applied.wire(),
-            "elements": elements,
-            "type": self.data_type,
+            win = _rpq_winner(e)
+            last = _latest(e.adds)  # a removed element shows its last add
+            value = win.val + sum(rec.val for rec in e.incs if rec.alive) if win else None
+            return {
+                "add_dot": list((win or last).dot) if last else None,
+                "existence": "existent" if win else "once-existent" if last else "non-existent",
+                "value": value,
+            }
+        existent = self._list_existent(e)
+        attr = _latest([e.ins, *(rec for rec in e.upds if rec.alive)]).val
+        return {
+            "add_dot": [e.ins.dot[0], e.ins.dot[1]],
+            "attr": attr if existent else None,
+            "existence": "existent" if existent else "once-existent",
+            "pos": [list(t) for t in e.pos],
         }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 def serve_connection(server: ReplicaServer, sock) -> None:

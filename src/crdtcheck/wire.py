@@ -28,11 +28,15 @@ MAX_FRAME = 1 << 24  # nothing in this protocol gets near 16 MiB
 
 _HEADER = struct.Struct(">I")
 
+# Sorted keys, no whitespace, UTF-8 text.  Built once: ``json.dumps``
+# with options builds a new encoder on every call.
+canonical_json = json.JSONEncoder(
+    sort_keys=True, separators=(",", ":"), ensure_ascii=False
+).encode
+
 
 def encode_frame(obj: dict) -> bytes:
-    body = json.dumps(
-        obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False
-    ).encode("utf-8")
+    body = canonical_json(obj).encode("utf-8")
     if len(body) > MAX_FRAME:
         raise ProtocolViolation(f"frame of {len(body)} bytes exceeds the maximum")
     return _HEADER.pack(len(body)) + body

@@ -243,6 +243,8 @@ def test_failure_reporting_is_capped():
 BAD_FANOUTS = {
     "dest-missing": lambda syncs: [{"to": s["dest"], "msg": s["msg"]} for s in syncs],
     "dest-not-int": lambda syncs: [{**s, "dest": [s["dest"]]} for s in syncs],
+    # JSON true is 1 to isinstance(x, int), and to the pending pool's keys
+    "dest-bool": lambda syncs: [{**s, "dest": bool(s["dest"])} for s in syncs],
     "msg-missing": lambda syncs: [{"dest": s["dest"]} for s in syncs],
     "dot-missing": lambda syncs: [
         {**s, "msg": {**s["msg"], "op": {}}} for s in syncs
@@ -401,6 +403,47 @@ def test_stress_is_seed_deterministic():
     a = stress("rpq", 2, seed=11, rounds=5, ops_per_round=10)
     b = stress("rpq", 2, seed=11, rounds=5, ops_per_round=10)
     assert a.as_json() == b.as_json()
+
+
+# (data type, seed, server flag, rounds, ops per round, sha256 of the
+# report's sorted-key JSON).  Stress reports are a regression oracle: a
+# clean report pins its counts, and a session a flag breaks pins where
+# the seeded draws lead (round, replica, op count, byte offset).  The
+# last entry is the benchmark's stress session.
+STRESS_DIGESTS = [
+    ("rpq", 1, None, 20, 40, "e506cda2c21144d99d1cf161b1b3402c531cc15b2c389153ed2a81387b875969"),
+    ("rpq", 1, "bug1-readd-accept", 20, 40, "e506cda2c21144d99d1cf161b1b3402c531cc15b2c389153ed2a81387b875969"),
+    ("rpq", 1, "bug2-assume-causal", 20, 40, "cdff930e4fe35ed3beb83e87089e9c5f616273c64cc587c8eb822a72a0feb8e3"),
+    ("rpq", 1, "bug4-dummy-position", 20, 40, "e506cda2c21144d99d1cf161b1b3402c531cc15b2c389153ed2a81387b875969"),
+    ("rpq", 1, "bug7-idgen-order", 20, 40, "e506cda2c21144d99d1cf161b1b3402c531cc15b2c389153ed2a81387b875969"),
+    ("rpq", 2, None, 20, 40, "ef17c29d906545f972bd9b7420b55a4f138034524607d0734de73c98ced16bb5"),
+    ("rpq", 2, "bug1-readd-accept", 20, 40, "ef17c29d906545f972bd9b7420b55a4f138034524607d0734de73c98ced16bb5"),
+    ("rpq", 2, "bug2-assume-causal", 20, 40, "819124dca8a02eb6f4f13e9026342aad884572eea6a8eebebd24ac81cc052fa9"),
+    ("rpq", 2, "bug4-dummy-position", 20, 40, "ef17c29d906545f972bd9b7420b55a4f138034524607d0734de73c98ced16bb5"),
+    ("rpq", 2, "bug7-idgen-order", 20, 40, "ef17c29d906545f972bd9b7420b55a4f138034524607d0734de73c98ced16bb5"),
+    ("list", 1, None, 20, 40, "e506cda2c21144d99d1cf161b1b3402c531cc15b2c389153ed2a81387b875969"),
+    ("list", 1, "bug1-readd-accept", 20, 40, "62bceedc1395f49f0e2e90d02ed4ca9ec00cd14b90d503a0d33083fbe404beef"),
+    ("list", 1, "bug2-assume-causal", 20, 40, "579afb330a5bd396357a492a00f9d4f0d4ce567e0cb347ddc896a19b74f6f816"),
+    ("list", 1, "bug4-dummy-position", 20, 40, "bbcd109266b3d654066653295983bbeb9e722df0cc6013df191a44ca3b7eb335"),
+    ("list", 1, "bug7-idgen-order", 20, 40, "6753cf2379160e2dfa532e48c4e6689f2e172cc78e267021c03ae4b809b61bce"),
+    ("list", 2, None, 20, 40, "ef17c29d906545f972bd9b7420b55a4f138034524607d0734de73c98ced16bb5"),
+    ("list", 2, "bug1-readd-accept", 20, 40, "69db4689e89d87d0df5f12be6934535cd226f5731caf2bc3bbd5353ffe262424"),
+    ("list", 2, "bug2-assume-causal", 20, 40, "200bec269ae71e35019a0a57f510118d6b271c21105376c2e86355617b6851d3"),
+    ("list", 2, "bug4-dummy-position", 20, 40, "69db4689e89d87d0df5f12be6934535cd226f5731caf2bc3bbd5353ffe262424"),
+    ("list", 2, "bug7-idgen-order", 20, 40, "8afad7b764e6c0daaa43b994fd14405ead5ed31f5b6a7765c8f7dd6f09b29313"),
+    ("list", 1, None, 40, 50, "454c103d1b5e0d20997bd492308a24da381e01f2d037544b9b90ee026c094535"),
+]
+
+
+@pytest.mark.parametrize(
+    "data_type, seed, flag, rounds, ops, digest", STRESS_DIGESTS,
+    ids=[f"{t}-s{s}-{f or 'flagless'}-{r}x{o}" for t, s, f, r, o, _ in STRESS_DIGESTS],
+)
+def test_stress_report_bytes_are_pinned(data_type, seed, flag, rounds, ops, digest):
+    report = stress(data_type, 3, seed=seed, rounds=rounds, ops_per_round=ops,
+                    bug_flags=(flag,) if flag else ())
+    blob = json.dumps(report.as_json(), sort_keys=True).encode("utf-8")
+    assert hashlib.sha256(blob).hexdigest() == digest
 
 
 def test_loopback_endpoint_surfaces_errors_as_frames():

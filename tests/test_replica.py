@@ -8,6 +8,7 @@ removal.  Concurrent adds/updates lose.
 
 from __future__ import annotations
 
+import json
 import random
 from collections import Counter
 from dataclasses import fields
@@ -376,23 +377,27 @@ def test_strict_replica_buffers_the_same_scenario():
 # -- views derived once per record set ------------------------------------
 
 
-def random_history(data_type: str, seed: int, length: int):
+def random_history(data_type: str, seed: int, length: int, names=None):
     """The states of one replica after each of ``length`` random valid
-    requests, reading ``views()`` after every one."""
+    requests, reading ``views()`` after every one.  The priority queue
+    picks its element from ``names``; the i-th list insert is named
+    ``names[i % len(names)]`` followed by ``i``."""
     rng = random.Random(seed)
     rep = fresh_replica(data_type, 0)
+    names = names or ("ab" if data_type == "rpq" else "e")
     for i in range(length):
         views = rep.views()
         if data_type == "rpq":
             kind = rng.choice(["add", "increase", "remove"])
-            r = req(kind, rng.choice("ab"), None if kind == "remove" else rng.randrange(-9, 10))
+            r = req(kind, rng.choice(names), None if kind == "remove" else rng.randrange(-9, 10))
         else:
             kind = rng.choice(["insert", "update", "remove", "readd"] if views else ["insert"])
             arg = rng.randrange(100) if kind in ("insert", "update") else None
             if kind == "insert":
                 existent = [e for e, v in sorted(views.items())
                             if v.existence is Existence.EXISTENT]
-                r = req("insert", f"e{i}", arg, rng.choice([None, *existent]))
+                r = req("insert", f"{names[i % len(names)]}{i}", arg,
+                        rng.choice([None, *existent]))
             else:
                 r = req(kind, rng.choice(sorted(views)), arg)
         rep, _ = rep.issue(r)
@@ -426,5 +431,28 @@ def test_cached_view_is_not_carried_by_replace(data_type, derive):
         for ops in rep.elems.values():
             fresh = type(ops)(**{f.name: getattr(ops, f.name) for f in fields(ops) if f.init})
             assert ops.view() == derive(fresh)
+            assert ops.view().wire() == derive(fresh).wire()
             kinds[ops.view().existence] += 1
     assert len(kinds) >= 2  # both live and removed elements were checked
+
+
+# Ids that JSON escapes (quote, backslash, control character) or writes
+# as non-ASCII UTF-8.
+ESCAPED_NAMES = ('a"b', "c\\d", "é", "\x00", "😀")
+
+
+def one_shot_normalize(rep) -> bytes:
+    """The whole document through one ``json.dumps``: the reference the
+    per-element rendering of ``normalize`` must match byte for byte."""
+    elements = {e: v.as_wire() for e, v in rep.views().items()}
+    doc = {"ctx": rep.applied.as_wire(), "elements": elements, "type": rep.data_type}
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+
+
+@pytest.mark.parametrize("data_type", ["rpq", "list"])
+@pytest.mark.parametrize("names", [None, ESCAPED_NAMES], ids=["plain", "escaped"])
+def test_normalize_matches_one_shot_rendering(data_type, names):
+    for rep in random_history(data_type, seed=5, length=120, names=names):
+        assert rep.normalize() == one_shot_normalize(rep)
+    if names:
+        assert all(any(n in e for e in rep.elems) for n in ESCAPED_NAMES)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import random
 import socket
 import threading
@@ -17,10 +18,17 @@ from crdtcheck.explorer import (
     ExplorationConfig,
     enumerate_traces,
 )
-from crdtcheck.harness import LoopbackEndpoint, SocketEndpoint
+from crdtcheck.harness import LoopbackEndpoint, SocketEndpoint, stress
 from crdtcheck.operations import OperationRequest
 from crdtcheck.replica import fresh_replica
-from crdtcheck.server import ReplicaServer, serve_connection
+from crdtcheck.server import (
+    BUG_FLAGS,
+    ReplicaServer,
+    _Ctx,
+    _gen_pos,
+    _ListElem,
+    serve_connection,
+)
 from crdtcheck.wire import MAX_FRAME, FrameSocket, decode_frame, encode_frame
 
 
@@ -392,6 +400,80 @@ def test_bug7_server_misorders_its_position_index():
     assert clean[0] == clean[1]
     broken = run(buggy)
     assert broken != clean
+
+
+# -- rendering cache and position index -------------------------------------------
+
+
+class CacheChecked:
+    """Loopback endpoint that, after every frame, checks the server's
+    canonical state against a copy that renders every member afresh."""
+
+    def __init__(self, server: ReplicaServer):
+        self.server = server
+        self._inner = LoopbackEndpoint(server)
+        self.frames = 0
+
+    def send(self, obj: dict) -> dict:
+        reply = self._inner.send(obj)
+        cold = copy.copy(self.server)
+        cold.members = {}
+        assert self.server.canonical_state() == cold.canonical_state()
+        self.frames += 1
+        return reply
+
+
+@pytest.mark.parametrize("data_type", ["rpq", "list"])
+@pytest.mark.parametrize("flag", [None, *BUG_FLAGS])
+def test_cached_members_match_a_cold_rendering(data_type, flag):
+    flags = (flag,) if flag else ()
+    frames = 0
+    for seed in range(1, 6):
+        endpoints = [CacheChecked(ReplicaServer(data_type, i, 3, flags)) for i in range(3)]
+        stress(data_type, 3, seed=seed, rounds=6, ops_per_round=20,
+               bug_flags=flags, endpoints=endpoints)
+        frames += sum(ep.frames for ep in endpoints)
+    assert frames > 400  # a flag stops each session at its first divergence
+
+
+def linear_scan_position(server: ReplicaServer, anchor, counter: int):
+    """``_generate_position`` as a scan of every existent index entry: the
+    reference for the bisect lookup."""
+    ordered = [
+        (key, pos) for key, pos, elem in server.by_pos
+        if server._list_existent(server.elems[elem])
+    ]
+    if anchor is None:
+        left = None
+        right = ordered[0][1] if ordered else None
+    else:
+        left = server.elems[anchor].pos
+        left_key = server._index_key(left)
+        right = None
+        for key, pos in ordered:
+            if key > left_key:
+                right = pos
+                break
+    return _gen_pos(left, right, server.replica, counter)
+
+
+@pytest.mark.parametrize("flags", [(), ("bug7-idgen-order",)])
+def test_position_lookup_matches_the_linear_scan(flags):
+    rng = random.Random(4)
+    for _ in range(60):
+        server = ReplicaServer("list", 0, 3, flags)
+        for k in range(rng.randrange(1, 25)):
+            # few digits, replicas and counters, so prefixes and whole
+            # positions repeat
+            pos = tuple((rng.randrange(1, 4), rng.randrange(3), rng.randrange(1, 3))
+                        for _ in range(rng.randrange(1, 3)))
+            elem = f"e{k}"
+            server._index_insert(pos, elem)
+            server.elems[elem] = _ListElem((1, k + 1), pos, 0, _Ctx())
+            server.elems[elem].ins.alive = rng.random() < 0.5
+        for anchor in [None, *server.elems]:
+            assert (server._generate_position(anchor, 9)
+                    == linear_scan_position(server, anchor, 9))
 
 
 # -- socket transport -------------------------------------------------------------
