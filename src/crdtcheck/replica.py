@@ -44,7 +44,6 @@ cause.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from json.encoder import encode_basestring
@@ -53,6 +52,7 @@ from .dots import CausalContext, Dot
 from .errors import DuplicateDelivery, UnknownElement
 from .operations import LIST, RPQ, Operation, OperationRequest, SyncMessage, canonical_digest
 from .positions import Position, generate_between, position_wire
+from .wire import canonical_json
 
 BUG_READD_ACCEPT = "bug1-readd-accept"
 BUG_ASSUME_CAUSAL = "bug2-assume-causal"
@@ -61,12 +61,6 @@ BUG_ASSUME_CAUSAL = "bug2-assume-causal"
 # they never collide with origin-generated position stamps; the stamp is
 # also what marks a fabricated element in the canonical key.
 _BUG_NONCE_FLOOR = 1_000_000
-
-# Sorted keys, no whitespace, UTF-8 text: the canonical form ``normalize``
-# assembles from per-element pieces.
-_canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False
-).encode
 
 
 class Existence(Enum):
@@ -156,7 +150,7 @@ class RpqView:
     def wire(self) -> str:
         """``as_wire()`` as canonical JSON, rendered once per view."""
         if self._wire is None:
-            object.__setattr__(self, "_wire", _canonical_json(self.as_wire()))
+            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
         return self._wire
 
 
@@ -177,7 +171,7 @@ class ListView:
     def wire(self) -> str:
         """``as_wire()`` as canonical JSON, rendered once per view."""
         if self._wire is None:
-            object.__setattr__(self, "_wire", _canonical_json(self.as_wire()))
+            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
         return self._wire
 
 
@@ -433,7 +427,7 @@ class ReplicaState:
             encode_basestring(e) + ":" + v.wire() for e, v in sorted(self.views().items())
         )
         return "".join((
-            '{"ctx":', _canonical_json(self.applied.as_wire()),
+            '{"ctx":', canonical_json(self.applied.as_wire()),
             ',"elements":{', elements, '},"type":', encode_basestring(self.data_type), "}",
         )).encode("utf-8")
 
