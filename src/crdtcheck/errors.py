@@ -60,5 +60,10 @@ class ProtocolViolation(CrdtCheckError):
     it cannot handle, or the harness got a malformed reply."""
 
 
+class MalformedFrame(ProtocolViolation):
+    """A whole frame arrived but its body is not a JSON object.  The
+    frame has been read to its end, so the stream is still in step."""
+
+
 class UnknownFlag(CrdtCheckError):
     """A bug-injection flag is not in the catalog."""

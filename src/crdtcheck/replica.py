@@ -180,13 +180,37 @@ def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:
     return all(ctx.contains(r.dot) for r in rems)
 
 
+def _survivor_test(rems: tuple[Rec, ...]):
+    """``_survives(ctx, rems)`` as a test of ``ctx`` alone, which looks
+    at each origin's highest remove rather than at every remove.
+
+    A context whose frontier covers each origin's highest remove counter
+    contains every remove.  One that lacks some origin's highest remove
+    dot altogether misses that remove.  Only a highest remove dot held
+    past a gap, in ``extra``, leaves the lower ones to check one by one.
+    """
+    tops: dict[int, int] = {}
+    for r in rems:
+        if r.dot.counter > tops.get(r.dot.replica, 0):
+            tops[r.dot.replica] = r.dot.counter
+
+    def survives(ctx: CausalContext) -> bool:
+        for replica, top in tops.items():
+            if ctx.seen.get(replica, 0) < top:
+                if Dot(top, replica) not in ctx.extra:
+                    return False
+                return _survives(ctx, rems)
+        return True
+
+    return survives
+
+
 def rpq_view(ops: RpqOps) -> RpqView:
-    alive = [a for a in ops.adds if _survives(a.ctx, ops.rems)]
+    survives = _survivor_test(ops.rems)
+    alive = [a for a in ops.adds if survives(a.ctx)]
     if alive:
         win = max(alive, key=lambda a: a.dot)
-        total = win.val + sum(
-            i.val for i in ops.incs if _survives(i.ctx, ops.rems)
-        )
+        total = win.val + sum(i.val for i in ops.incs if survives(i.ctx))
         return RpqView(Existence.EXISTENT, total, win.dot)
     if ops.adds:
         last = max(ops.adds, key=lambda a: a.dot)
@@ -285,8 +309,9 @@ class ReplicaState:
     def _position_after(self, anchor: str | None, dot: Dot) -> Position:
         """Generate a position between the anchor and its visible successor."""
         left = self.elems[anchor].pos if anchor is not None else None
-        right = next(
-            (p for p in self.existent_positions() if left is None or p > left), None
+        right = min(
+            (v.pos for v in self.existent().values() if left is None or v.pos > left),
+            default=None,
         )
         return generate_between(left, right, self.replica, dot.counter)
 

@@ -16,8 +16,9 @@ is rendered afresh on every call.  An insert finds its right neighbour
 by bisecting the index past the anchor, then stepping to the first
 existent entry.
 The conformance harness drives both implementations through identical
-schedules and compares canonical bytes; sharing nothing but the wire
-format is what makes that comparison worth running.
+schedules and compares canonical bytes; sharing nothing with the model
+but the ``wire`` module, the protocol's framing and JSON encoder, is
+what makes that comparison worth running.
 
 A server instance is single-threaded and lockstep: every incoming frame
 produces exactly one reply frame.  Client operations answer with an Ack
@@ -46,10 +47,16 @@ Bug flags (transcription mistakes kept reproducible on purpose):
 
 from __future__ import annotations
 
-import json
 from bisect import bisect_right, insort
 
-from .errors import DuplicateDelivery, ProtocolViolation, UnknownFlag
+from .errors import (
+    CrdtCheckError,
+    DuplicateDelivery,
+    MalformedFrame,
+    ProtocolViolation,
+    UnknownFlag,
+)
+from .wire import FrameSocket, canonical_json
 
 RPQ = "rpq"
 LIST = "list"
@@ -76,9 +83,6 @@ BUG_DESCRIPTIONS = {
     ),
 }
 BUG_FLAGS = tuple(BUG_DESCRIPTIONS)
-
-# Sorted keys, no whitespace; built once rather than per ``json.dumps`` call.
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode
 
 _RPQ_KINDS = ("add", "increase", "remove")
 _LIST_KINDS = ("insert", "update", "remove", "readd")
@@ -236,6 +240,7 @@ class ReplicaServer:
                     f"{flag!r} is not in the bug catalog {list(BUG_FLAGS)}"
                 )
         self.data_type = data_type
+        self._state_tail = '},"type":' + canonical_json(data_type) + "}"
         self.replica = replica
         self.n = n
         self.applied = _Ctx()
@@ -547,12 +552,12 @@ class ReplicaServer:
             member = self.members.get(elem)
             if member is None:
                 # '{"id":{...}}' less its outer braces
-                member = _encode({elem: self._element_doc(self.elems[elem])})[1:-1]
+                member = canonical_json({elem: self._element_doc(self.elems[elem])})[1:-1]
                 self.members[elem] = member
             members.append(member)
         return "".join((
-            '{"ctx":', _encode(self.applied.wire()), ',"elements":{', ",".join(members),
-            '},"type":', _encode(self.data_type), "}",
+            '{"ctx":', canonical_json(self.applied.wire()), ',"elements":{', ",".join(members),
+            self._state_tail,
         ))
 
     def _element_doc(self, e) -> dict:
@@ -579,13 +584,15 @@ def serve_connection(server: ReplicaServer, sock) -> None:
     """Run one lockstep session over a connected socket until Shutdown
     or end-of-stream.  Errors answer with an Error frame; the session
     continues, leaving the driver to decide what to do with a broken
-    replica."""
-    from .errors import CrdtCheckError
-    from .wire import FrameSocket
-
+    replica.  A frame whose body is not a JSON object is read to its end
+    before it is refused, so it gets an Error reply too."""
     fs = FrameSocket(sock)
     while True:
-        obj = fs.recv()
+        try:
+            obj = fs.recv()
+        except MalformedFrame as exc:
+            fs.send({"error": str(exc), "type": "Error"})
+            continue
         if obj is None:
             return
         try:

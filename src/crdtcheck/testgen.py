@@ -32,6 +32,7 @@ from .explorer import (
     event_from_wire,
     event_wire,
 )
+from .wire import compact_json
 
 CORPUS_VERSION = 1
 
@@ -45,8 +46,7 @@ class TestCase:
 
 
 def _schedule_digest(sched_wire: list) -> str:
-    blob = json.dumps(sched_wire, separators=(",", ":"), ensure_ascii=False)
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    return hashlib.sha256(compact_json(sched_wire).encode("utf-8")).hexdigest()
 
 
 def case_from_trace(fingerprint: str, trace: TraceRecord) -> TestCase:
@@ -67,7 +67,7 @@ def case_line(tc: TestCase) -> str:
         "sched": [event_wire(ev) for ev in tc.schedule],
         "oracle": list(tc.oracle),
     }
-    return json.dumps(doc, separators=(",", ":"), ensure_ascii=False)
+    return compact_json(doc)
 
 
 def generate_corpus(
@@ -111,8 +111,10 @@ def parse_case_line(lineno: int, line: str) -> TestCase:
     """Parse one corpus line; raises ``MalformedCase`` naming the bad field."""
     try:
         obj = json.loads(line)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON, or an integer too long to parse
         raise MalformedCase(lineno, "json", str(exc)) from None
+    except RecursionError:
+        raise MalformedCase(lineno, "json", "nests too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedCase(lineno, "json", "not an object")
     if obj.get("v") != CORPUS_VERSION:

@@ -15,24 +15,51 @@ Frames:
 The server answers every frame with exactly one reply (Shutdown gets a
 final Ack before the connection closes), so a driver can run the
 protocol in lockstep without tagging requests.
+
+``canonical_json`` (sorted keys) and ``compact_json`` (insertion order)
+render frames, canonical states and corpus lines without whitespace or
+ASCII escapes.  Each is built once on the C encoder, which ``json.dumps``
+with options rebuilds on every call, and skips the circular-reference
+check, because every input is a tree built for the one rendering.
+Without the C accelerator each is ``JSONEncoder.encode``: the same bytes.
 """
 
 from __future__ import annotations
 
 import json
 import struct
+from json.encoder import c_make_encoder, encode_basestring
 
-from .errors import ProtocolViolation
+from .errors import MalformedFrame, ProtocolViolation
 
 MAX_FRAME = 1 << 24  # nothing in this protocol gets near 16 MiB
 
 _HEADER = struct.Struct(">I")
 
-# Sorted keys, no whitespace, UTF-8 text.  Built once: ``json.dumps``
-# with options builds a new encoder on every call.
-canonical_json = json.JSONEncoder(
-    sort_keys=True, separators=(",", ":"), ensure_ascii=False
-).encode
+
+def _encoder(sort_keys: bool):
+    """``JSONEncoder(sort_keys=sort_keys, separators=(",", ":"),
+    ensure_ascii=False).encode``, built once."""
+    if c_make_encoder is None:
+        return json.JSONEncoder(
+            sort_keys=sort_keys, separators=(",", ":"), ensure_ascii=False
+        ).encode
+    chunks = c_make_encoder(
+        None,  # markers: no circular-reference check
+        json.JSONEncoder().default,  # raises TypeError for a set, bytes, ...
+        encode_basestring, None, ":", ",", sort_keys, False, True,
+    )
+
+    def encode(obj) -> str:
+        return "".join(chunks(obj, 0))
+
+    return encode
+
+
+canonical_json = _encoder(sort_keys=True)
+compact_json = _encoder(sort_keys=False)
+
+_scan_once = json.JSONDecoder().scan_once
 
 
 def encode_frame(obj: dict) -> bytes:
@@ -54,14 +81,30 @@ def decode_frame(data: bytes) -> dict:
     return _parse_body(data[_HEADER.size:])
 
 
-def _parse_body(body: bytes) -> dict:
+def _parse_body(body) -> dict:
+    """The JSON object a frame body (any bytes-like object) holds.  A lone
+    JSON value, as every encoded frame is, is scanned without the wrapper
+    of ``json.loads``, which gives anything else its verdict and message."""
     try:
-        obj = json.loads(body.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise ProtocolViolation(f"frame body is not JSON: {exc}") from None
+        text = str(body, "utf-8")
+        try:
+            obj, end = _scan_once(text, 0)
+        except StopIteration:
+            end = -1
+        if end != len(text):
+            obj = json.loads(text)
+    except ValueError as exc:  # bad UTF-8 or JSON, or an integer too long to parse
+        raise MalformedFrame(f"frame body is not JSON: {exc}") from None
+    except RecursionError:
+        raise MalformedFrame("frame body nests too deeply") from None
     if not isinstance(obj, dict):
-        raise ProtocolViolation("frame body must be a JSON object")
+        raise MalformedFrame("frame body must be a JSON object")
     return obj
+
+
+def _holds_one_frame(chunk: bytes) -> bool:
+    size = _HEADER.size
+    return len(chunk) >= size and _HEADER.unpack_from(chunk)[0] == len(chunk) - size
 
 
 class FrameSocket:
@@ -75,23 +118,31 @@ class FrameSocket:
         self._sock.sendall(encode_frame(obj))
 
     def recv(self) -> dict | None:
-        """Next frame, or None on clean end-of-stream."""
+        """Next frame, or None on clean end-of-stream.
+
+        In lockstep a chunk usually holds exactly one whole frame, which
+        is parsed where it lies.  The buffer collects only what arrives
+        otherwise: a frame in pieces, or several frames in one chunk.
+        """
+        buf = self._buf
         while True:
-            if len(self._buf) >= _HEADER.size:
-                (length,) = _HEADER.unpack_from(self._buf)
+            if len(buf) >= _HEADER.size:
+                (length,) = _HEADER.unpack_from(buf)
                 if length > MAX_FRAME:
                     raise ProtocolViolation(f"incoming frame of {length} bytes")
                 end = _HEADER.size + length
-                if len(self._buf) >= end:
-                    body = self._buf[_HEADER.size:end]
-                    del self._buf[:end]  # in place: no copy of the rest
+                if len(buf) >= end:
+                    body = buf[_HEADER.size:end]
+                    del buf[:end]  # in place: no copy of the rest
                     return _parse_body(body)
             chunk = self._sock.recv(65536)
             if not chunk:
-                if self._buf:
+                if buf:
                     raise ProtocolViolation("connection closed mid-frame")
                 return None
-            self._buf += chunk
+            if not buf and _holds_one_frame(chunk):
+                return _parse_body(memoryview(chunk)[_HEADER.size:])
+            buf += chunk
 
     def close(self) -> None:
         self._sock.close()

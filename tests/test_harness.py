@@ -7,6 +7,7 @@ import io
 import json
 import socket
 import struct
+import threading
 
 import pytest
 
@@ -309,6 +310,22 @@ def non_object_frame(frame: dict):
         far.close()
 
 
+def deep_frame(frame: dict):
+    """A real SocketEndpoint whose peer answers with a frame nested far
+    past the recursion limit."""
+    body = b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+    near, far = socket.socketpair()
+    # more than a socket buffer may hold: send while the endpoint reads
+    sender = threading.Thread(target=far.sendall, args=(struct.pack(">I", len(body)) + body,))
+    sender.start()
+    try:
+        return SocketEndpoint(FrameSocket(near)).send(frame)
+    finally:
+        sender.join()
+        near.close()
+        far.close()
+
+
 def closed_peer(frame: dict):
     """A real SocketEndpoint whose peer has closed its end."""
     near, far = socket.socketpair()
@@ -330,6 +347,7 @@ BAD_REPLIES = {
     "wrong-type": ("Sync", lambda frame: {"state": "", "type": "InspectReply"}, None),
     "socket-non-object-frame": ("ClientOp", non_object_frame, None),
     "socket-peer-closed": ("ClientOp", closed_peer, None),
+    "socket-deep-frame": ("Inspect", deep_frame, None),
     "error": ("Sync", lambda frame: {"error": "boom", "type": "Error"}, "boom"),
 }
 

@@ -23,8 +23,12 @@ from crdtcheck.replica import (
     BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
     Existence,
+    Rec,
+    RpqOps,
+    RpqView,
     fresh_replica,
 )
+from conftest import context_from_dots
 
 
 def req(kind, elem, arg=None, anchor=None):
@@ -456,3 +460,70 @@ def test_normalize_matches_one_shot_rendering(data_type, names):
         assert rep.normalize() == one_shot_normalize(rep)
     if names:
         assert all(any(n in e for e in rep.elems) for n in ESCAPED_NAMES)
+
+
+# -- remove-win survival by each origin's highest remove ----------------------
+
+
+def all_removes_view(ops: RpqOps) -> RpqView:
+    """``rpq_view`` with every record checked against every remove: the
+    definition the per-origin test must agree with."""
+    def survives(rec):
+        return all(rec.ctx.contains(r.dot) for r in ops.rems)
+
+    alive = [a for a in ops.adds if survives(a)]
+    if alive:
+        win = max(alive, key=lambda a: a.dot)
+        return RpqView(Existence.EXISTENT,
+                       win.val + sum(i.val for i in ops.incs if survives(i)), win.dot)
+    if ops.adds:
+        return RpqView(Existence.ONCE_EXISTENT, None, max(ops.adds, key=lambda a: a.dot).dot)
+    return RpqView(Existence.NON_EXISTENT, None, None)
+
+
+def random_rpq_ops(rng: random.Random) -> RpqOps:
+    """Records with distinct dots from 3 origins, each with a context of
+    random dots: most contexts have gaps, so dots sit in ``extra``."""
+    grid = [Dot(c, r) for r in range(3) for c in range(1, 7)]
+    dots = rng.sample(grid, rng.randrange(1, 12))
+    density = rng.choice([0.3, 0.7, 0.95])
+
+    def rec(dot, val):
+        seen = [d for d in grid if d != dot and rng.random() < density]
+        return Rec(dot, val, context_from_dots(seen))
+
+    recs = [(rng.choice(["adds", "incs", "rems"]), d) for d in dots]
+    return RpqOps(**{
+        kind: tuple(rec(d, None if kind == "rems" else rng.randrange(-9, 10))
+                    for k, d in recs if k == kind)
+        for kind in ("adds", "incs", "rems")
+    })
+
+
+def highest_remove_case(ctx, rems) -> str:
+    tops = {}
+    for r in rems:
+        tops[r.dot.replica] = max(tops.get(r.dot.replica, 0), r.dot.counter)
+    cases = {"covered" if ctx.seen.get(o, 0) >= top
+             else "in-extra" if Dot(top, o) in ctx.extra else "missing"
+             for o, top in tops.items()}
+    return "in-extra" if "in-extra" in cases else "missing" if "missing" in cases else "covered"
+
+
+def test_survival_by_highest_remove_matches_all_removes():
+    rng = random.Random(17)
+    cases = Counter()
+    for _ in range(1000):
+        ops = random_rpq_ops(rng)
+        survives = replica._survivor_test(ops.rems)
+        for rec in ops.adds + ops.incs:
+            assert survives(rec.ctx) == all(rec.ctx.contains(r.dot) for r in ops.rems)
+            cases[highest_remove_case(rec.ctx, ops.rems), survives(rec.ctx)] += 1
+        assert replica.rpq_view(ops) == all_removes_view(ops)
+    for rep in random_history("rpq", seed=8, length=300, names="abc"):
+        for ops in rep.elems.values():
+            assert ops.view() == all_removes_view(ops)
+    # every branch, and a highest remove in ``extra`` both with and
+    # without a lower remove the context lacks
+    assert {("covered", True), ("missing", False), ("in-extra", True),
+            ("in-extra", False)} <= set(cases)

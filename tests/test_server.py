@@ -102,6 +102,24 @@ def test_frame_socket_reassembles_byte_drips_and_splits_batches():
     assert fs.recv() is None
 
 
+def test_frame_socket_parses_whole_chunks_and_buffers_the_rest():
+    frames = [{"type": "Inspect"}, {"n": "é" * 50}, {"n": [2]}, {"n": None}, {"type": "Shutdown"}]
+    a, b, c, d, e = map(encode_frame, frames)
+    # whole frame; a frame in two pieces whose tail carries the next one;
+    # whole frames again once the buffer is empty
+    fs = FrameSocket(ScriptedSocket([a, b[:5], b[5:] + c, d, e]))
+    assert [fs.recv() for _ in frames] == frames
+    assert fs.recv() is None and not fs._buf
+
+
+def test_oversized_incoming_frame_is_refused_without_reading_it():
+    fs = FrameSocket(ScriptedSocket([(MAX_FRAME + 1).to_bytes(4, "big") + b"{}"]))
+    with pytest.raises(ProtocolViolation, match="incoming frame"):
+        fs.recv()
+    with pytest.raises(ProtocolViolation, match="incoming frame"):
+        fs.recv()  # the stream stays refused
+
+
 def test_eof_inside_a_frame_is_a_protocol_violation():
     left, right = socket.socketpair()
     try:
@@ -495,6 +513,31 @@ def test_serve_connection_over_a_real_socket():
         assert reply["type"] == "Error" and "Gossip" in reply["error"]
         reply = ep.send({"type": "Inspect"})
         assert reply["type"] == "InspectReply"
+        ep.close()  # sends Shutdown
+    finally:
+        t.join(timeout=5)
+        assert not t.is_alive()
+
+
+# A body nested far past the recursion limit, far below MAX_FRAME.
+DEEP_BODY = b'{"a":' + b"[" * 100_000 + b"]" * 100_000 + b"}"
+
+
+def test_serve_connection_refuses_a_deep_frame_and_carries_on():
+    srv_sock, cli_sock = socket.socketpair()
+    cli_sock.settimeout(5)  # a server that died would never answer
+    server = ReplicaServer("list", 0, 2)
+    t = threading.Thread(target=serve_connection, args=(server, srv_sock))
+    t.start()
+    try:
+        ep = SocketEndpoint(FrameSocket(cli_sock))
+        assert ep.send(client_frame("insert", "e1", 10))["accepted"]
+        before = ep.send({"type": "Inspect"})
+        cli_sock.sendall(len(DEEP_BODY).to_bytes(4, "big") + DEEP_BODY)
+        reply = FrameSocket(cli_sock).recv()
+        assert reply["type"] == "Error" and "nests too deeply" in reply["error"]
+        assert ep.send({"type": "Inspect"}) == before
+        assert ep.send(client_frame("update", "e1", 20))["accepted"]
         ep.close()  # sends Shutdown
     finally:
         t.join(timeout=5)

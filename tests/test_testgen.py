@@ -120,6 +120,17 @@ def test_unparseable_json_is_rejected_with_the_line_number():
     assert exc.value.field == "json"
 
 
+@pytest.mark.parametrize("line", [
+    '{"v":' + "[" * 100_000 + "]" * 100_000 + "}",  # nests past the recursion limit
+    '{"v":' + "1" * 5000 + "}",  # too many digits for int()
+], ids=["deep", "long-int"])
+def test_unparseable_values_are_malformed_cases(line):
+    with pytest.raises(MalformedCase) as exc:
+        parse_case_line(4, line)
+    assert exc.value.lineno == 4
+    assert exc.value.field == "json"
+
+
 @pytest.mark.parametrize(
     "field,value",
     [
