@@ -62,13 +62,13 @@ class CausalContext:
             return self
         replica, top = dot.replica, dot.counter
         if top != self.seen.get(replica, 0) + 1:
-            return CausalContext(self.seen, self.extra | {dot})
+            return _context(self.seen, self.extra | {dot})
         # The dot extends its origin's frontier: absorb the run it closes.
         run = set()
         while (nxt := Dot(top + 1, replica)) in self.extra:
             run.add(nxt)
             top += 1
-        return CausalContext({**self.seen, replica: top}, self.extra - run)
+        return _context({**self.seen, replica: top}, self.extra - run if run else self.extra)
 
     def iter_dots(self) -> Iterator[Dot]:
         for replica, top in self.seen.items():
@@ -100,6 +100,17 @@ class CausalContext:
 
     def __repr__(self) -> str:
         return f"CausalContext(seen={self.seen!r}, extra={set(self.extra)!r})"
+
+
+def _context(seen: dict[int, int], extra: frozenset[Dot]) -> CausalContext:
+    """A context that takes ``seen`` as is, without the constructor's
+    copy: contexts never mutate it, so ``add`` may share it or hand over
+    the one dict it built."""
+    ctx = CausalContext.__new__(CausalContext)
+    ctx.seen = seen
+    ctx.extra = extra
+    ctx._canon = None
+    return ctx
 
 
 EMPTY_CONTEXT = CausalContext()

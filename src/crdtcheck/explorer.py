@@ -50,8 +50,22 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   message id), the list position check per replica id and the terminal
   ``normalize`` per replica id.
 - Only a new distinct state is digested, by ``state_digest`` of the
-  ``GlobalState`` its ids stand for, so ``preds``, violations and
-  counterexamples are keyed as without the store.
+  ``GlobalState`` its ids stand for, so violations are keyed as without
+  the store.  The digest is kept only when a violation is recorded; a
+  stuck state, which needs a pinned op space, recomputes its own.
+- A level entry holds the state's path count, the event that first
+  discovered it and a link to its parent's entry.  A counterexample is
+  read back along those links, so it is the breadth-first shortest one.
+  A terminal or broken state keeps only its path count.  What stays
+  alive is the store, the level being expanded, the level being built
+  and the entries on the first-discovery paths to them: an entry that is
+  no live entry's parent is garbage once its level has been expanded.
+- A replica the store interns has its ``applied`` context swapped for
+  the equal object the store already holds
+  (``ReplicaState.share_applied``, keyed on ``canonical()``), so the
+  store keeps one context object per value, not one per replica state:
+  hash-consing, as in Filliâtre and Conchon, *Type-safe modular
+  hash-consing*, 2006.
 - ``_successors`` is the one definition of the enabled events over a
   store: the breadth-first search passes its ``_IdStore``; ``step``,
   ``replay_schedule`` and ``enumerate_traces`` pass none and call
@@ -80,6 +94,7 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+from .dots import CausalContext
 from .errors import BadConfig, BudgetExceeded, NotEnabled
 from .operations import (
     LIST,
@@ -423,6 +438,8 @@ class _IdStore:
         self._violations: dict[int, list[tuple[str, str]]] = {}
         self._rendered: dict[int, bytes] = {}
         self._renderings: dict[bytes, bytes] = {}
+        # one applied context per value, shared by the stored replicas
+        self._contexts: dict[tuple, CausalContext] = {}
         # move memos, keyed on ids; a replica id fixes its index
         self._issued: dict[tuple[int, int], list] = {}  # (replica, slot)
         self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
@@ -443,6 +460,7 @@ class _IdStore:
         rid = self._replica_ids.get(key)
         if rid is None:
             rid = self._replica_ids[key] = len(self.replicas)
+            rep.share_applied(self._contexts)
             self.replicas.append(rep)
             vs = replica_violations(self.cfg, index, rep)
             if vs:
@@ -684,17 +702,17 @@ class ExplorationReport:
 
 class _ViolationLog:
     """Violations in discovery order, one per (invariant, state digest),
-    at most ``VIOLATION_CAP`` of them.  ``schedule_to`` maps a digest to
-    the events that reached the state; it runs only for a violation that
-    gets recorded."""
+    at most ``VIOLATION_CAP`` of them.  ``schedule_of`` maps the search's
+    handle on a state (``at``) to the events that reached the state; it
+    runs only for a violation that gets recorded."""
 
-    def __init__(self, schedule_to: Callable[[bytes], tuple]):
+    def __init__(self, schedule_of: Callable[[object], tuple]):
         self.found: list[Violation] = []
         self.capped = False
         self._shapes: set = set()
-        self._schedule_to = schedule_to
+        self._schedule_of = schedule_of
 
-    def note(self, name: str, detail: str, key: bytes) -> None:
+    def note(self, name: str, detail: str, key: bytes, at: object = None) -> None:
         shape = (name, key)
         if shape in self._shapes:
             return
@@ -702,13 +720,14 @@ class _ViolationLog:
             self.capped = True
             return
         self._shapes.add(shape)
-        self.found.append(Violation(name, self._schedule_to(key), detail))
+        self.found.append(Violation(name, self._schedule_of(at), detail))
 
-    def record(self, vs: list[tuple[str, str]], key: bytes | None) -> bool:
-        """Note every (name, detail) in ``vs`` for the state digesting to
-        ``key`` (None only when ``vs`` is empty); True if there are any."""
+    def record(self, vs: list[tuple[str, str]], key: bytes | None, at: object = None) -> bool:
+        """Note every (name, detail) in ``vs`` for the state ``at`` that
+        digests to ``key`` (None only when ``vs`` is empty); True if there
+        are any."""
         for name, detail in vs:
-            self.note(name, detail, key)
+            self.note(name, detail, key, at)
         return bool(vs)
 
     def check(self, cfg: ExplorationConfig, gs: GlobalState, oracle: tuple | None) -> bool:
@@ -747,7 +766,7 @@ def enumerate_traces(
     budget_hit = False
     oracle_ms: dict | None = {} if collect_oracles else None
     path: list = []
-    log = _ViolationLog(lambda _key: tuple(path))
+    log = _ViolationLog(lambda _at: tuple(path))
 
     def walk(gs: GlobalState) -> None:
         nonlocal visited, leaves, budget_hit
@@ -831,20 +850,16 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     """
     t0 = time.monotonic()
     store = _IdStore(cfg)
-    root = store.root()
-    root_key = state_digest(store.resolve(root))
-    preds: dict[bytes, tuple | None] = {root_key: None}
 
-    def schedule_to(key: bytes) -> tuple:
+    def schedule_of(entry: list) -> tuple:
+        """The events along the parent links of a level entry."""
         events = []
-        entry = preds[key]
-        while entry is not None:
-            ev, parent = entry
-            events.append(ev)
-            entry = preds[parent]
+        while entry[1] is not None:
+            events.append(entry[1])
+            entry = entry[2]
         return tuple(reversed(events))
 
-    log = _ViolationLog(schedule_to)
+    log = _ViolationLog(schedule_of)
     visited = 1
     distinct = 1
     # (level entry, oracle or None) per terminal state, in discovery order
@@ -853,36 +868,45 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     def search() -> bool:
         """Expand level by level; False if the state cap stops it."""
         nonlocal visited, distinct
-        # ids -> [digest (None if terminal or broken: not expanded), path count]
-        frontier = {root: [None if log.record(store.violations(root), root_key) else root_key, 1]}
+        # ids -> level entry: [path count, event of the first discovery,
+        # the parent's entry], down to the root's [1, None, None].  A
+        # terminal or broken state is never expanded and gets just
+        # [path count] once its violations are recorded.
+        root = store.root()
+        entry = [1, None, None]
+        if log.record(store.violations(root), state_digest(store.resolve(root)), entry):
+            entry = [1]
+        frontier = {root: entry}
         while frontier:
             level: dict[tuple, list] = {}
-            for ids, (key, paths) in frontier.items():
-                if key is None:
+            for ids, entry in frontier.items():
+                if len(entry) == 1:
                     continue
+                paths = entry[0]
                 succs = _successors(cfg, ids, store)
                 if not succs:
-                    log.note("stuck", "no enabled events before the run completed", key)
+                    log.note("stuck", "no enabled events before the run completed",
+                             state_digest(store.resolve(ids)), entry)
                     continue
                 for ev, succ in succs:
                     visited += 1
-                    entry = level.get(succ)
-                    if entry is not None:
-                        entry[1] += paths
+                    child = level.get(succ)
+                    if child is not None:
+                        child[0] += paths
                         continue
                     distinct += 1
                     gs = store.resolve(succ)
-                    skey = state_digest(gs)
-                    preds[skey] = (ev, key)
+                    child = [paths, ev, entry]
                     vs = store.violations(succ)
                     terminal = store.is_terminal(succ)
                     if terminal:
                         oracle = store.render(succ)
                         vs = vs + terminal_violations(gs, oracle)
-                    broken = log.record(vs, skey)
-                    entry = level[succ] = [None if terminal or broken else skey, paths]
+                    if log.record(vs, state_digest(gs), child) or terminal:
+                        child = [paths]
+                    level[succ] = child
                     if terminal:
-                        terminals.append((entry, oracle if collect_oracles else None))
+                        terminals.append((child, oracle if collect_oracles else None))
                     if cfg.state_cap is not None and distinct > cfg.state_cap:
                         return False
             frontier = level
@@ -892,13 +916,13 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     oracle_ms = None
     if collect_oracles:
         oracle_ms = {}
-        for (_, paths), oracle in terminals:
+        for (paths,), oracle in terminals:
             oracle_ms[oracle] = oracle_ms.get(oracle, 0) + paths
     return ExplorationReport(
         fingerprint=config_fingerprint(cfg),
         states_visited=visited,
         distinct_states=distinct,
-        terminal_traces=sum(paths for (_, paths), _ in terminals),
+        terminal_traces=sum(paths for (paths,), _ in terminals),
         violations=tuple(log.found),
         violations_capped=log.capped,
         exhaustive=exhaustive,

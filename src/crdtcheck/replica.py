@@ -245,6 +245,14 @@ class ReplicaState:
     # Cached ``digest()``; ``replace`` resets it instead of copying it.
     _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
+    def share_applied(self, contexts: dict) -> None:
+        """Rebind ``applied`` to the equal context in ``contexts``, which
+        maps ``canonical()`` to one context object per value, adding it if
+        it is new.  States that share one such dict share their context
+        objects; the state's value, digest and bytes do not change."""
+        ctx = contexts.setdefault(self.applied.canonical(), self.applied)
+        object.__setattr__(self, "applied", ctx)
+
     def has_delivered(self, dot: Dot) -> bool:
         """A dot was delivered here iff it is applied or buffered."""
         return self.applied.contains(dot) or dot in self.pending

@@ -8,11 +8,11 @@ inside the test itself — never values copied from a previous run of the
 code under test.
 
 The genuinely long checks — the 5**10 single-replica sweep and the
-three-replica reach check — only run when CRDTCHECK_ACCEPT_LONG is set;
-everything else stays in the default suite.  The reach check's
+reach checks (n=3 q=4, rpq n=2 q=5) — only run when CRDTCHECK_ACCEPT_LONG
+is set; everything else stays in the default suite.  The reach checks'
 distinct-state and visited counts are regression pins of this
 implementation (the non-deduplicating walk cannot cross-check them at
-that size); its priority-queue schedule count is a closed form.
+that size); their priority-queue schedule counts are closed forms.
 """
 
 from __future__ import annotations
@@ -115,23 +115,25 @@ def test_criterion_2_standard_sweep_is_violation_free():
 # forest of N nodes has N! / prod(subtree sizes) of them; C3..C0 root
 # subtrees of 3, 6, 9 and 12 events.
 _RPQ_N3Q4_SCHEDULES = 5**4 * math.factorial(12) // (3 * 6 * 9 * 12)
+# The same count for n=2 q=5: C4..C0 root subtrees of 2, 4, 6, 8 and 10
+# events.
+_RPQ_N2Q5_SCHEDULES = 5**5 * math.factorial(10) // (2 * 4 * 6 * 8 * 10)
 
 
 @pytest.mark.skipif(
     not os.environ.get("CRDTCHECK_ACCEPT_LONG"),
-    reason="two searches of 30-50 s each; set CRDTCHECK_ACCEPT_LONG=1 to run",
+    reason="three searches of 30-50 s each; set CRDTCHECK_ACCEPT_LONG=1 to run",
 )
 @pytest.mark.parametrize(
-    "data_type, distinct, visited, schedules",
+    "data_type, n, q, distinct, visited, schedules",
     [
-        ("rpq", 1_242_621, 4_054_226, _RPQ_N3Q4_SCHEDULES),
-        ("list", 883_881, 2_535_611, 58_616_992),
+        ("rpq", 3, 4, 1_242_621, 4_054_226, _RPQ_N3Q4_SCHEDULES),
+        ("list", 3, 4, 883_881, 2_535_611, 58_616_992),
+        ("rpq", 2, 5, 947_411, 1_803_561, _RPQ_N2Q5_SCHEDULES),
     ],
 )
-def test_criterion_2_long_reach_three_replicas_four_slots(
-    data_type, distinct, visited, schedules
-):
-    rep = explore(cfg(data_type=data_type, n=3, q=4))
+def test_criterion_2_long_reach(data_type, n, q, distinct, visited, schedules):
+    rep = explore(cfg(data_type=data_type, n=n, q=q))
     got = (rep.distinct_states, rep.states_visited, rep.terminal_traces)
     # ru_maxrss is in KiB on Linux: the peak of this whole test process
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -140,7 +142,7 @@ def test_criterion_2_long_reach_three_replicas_four_slots(
         and got == (distinct, visited, schedules) and peak_mib < 1024
     )
     report(
-        f"2L {data_type} n=3 q=4 reach",
+        f"2L {data_type} n={n} q={q} reach",
         ok,
         f"{got} (want {(distinct, visited, schedules)}), "
         f"{len(rep.violations)} violation(s), peak RSS {peak_mib:.0f} MiB "

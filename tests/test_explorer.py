@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import tracemalloc
 from copy import deepcopy
 from dataclasses import replace
 
@@ -260,6 +261,38 @@ def test_each_distinct_state_and_move_is_computed_once(monkeypatch):
     report = explore(cfg_of(n=3, q=3))
     assert (report.distinct_states, report.states_visited) == (27_621, 71_726)
     assert calls == {"state_digest": 27_621, "_successors": 26_621, "issue": 380}
+
+
+def test_breadth_first_search_memory_stays_bounded():
+    # rpq n=3 q=3 traced 13.45 MB at its peak while a digest-keyed map
+    # held the predecessor of every distinct state and every stored
+    # replica its own applied context; parent links and shared contexts
+    # bring it to about 7.4 MB.
+    tracemalloc.start()
+    try:
+        report = explore(cfg_of(n=3, q=3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report.distinct_states == 27_621
+    assert peak < 10_000_000, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_stored_replicas_share_one_applied_context_per_value(monkeypatch):
+    stores = []
+
+    class Recording(explorer._IdStore):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            stores.append(self)
+
+    monkeypatch.setattr(explorer, "_IdStore", Recording)
+    report = explore(cfg_of(data_type="list", n=2, q=3))
+    assert report.terminal_traces == 908
+    [store] = stores
+    contexts = [rep.applied for rep in store.replicas]
+    values = {ctx.canonical() for ctx in contexts}
+    assert len({id(ctx) for ctx in contexts}) == len(values) < len(contexts)
 
 
 def test_cached_digest_is_not_copied_by_replace():
@@ -617,6 +650,26 @@ def test_pinned_single_candidates_walk_one_client_path():
     # one request per slot leaves only the three delivery interleavings
     assert report.terminal_traces == 3
     assert report.violations == ()
+
+
+def test_stuck_states_are_reported_by_both_walks():
+    # Replica 1 never sees "zz", so its slot offers no request: once
+    # either insert of e1 has reached it, nothing is enabled.  Each of the
+    # two stuck states is its own violation.
+    pinned = (
+        (OperationRequest("insert", "e1", 10), OperationRequest("insert", "e1", 20)),
+        (OperationRequest("update", "zz", 10),),
+    )
+    cfg = cfg_of(data_type="list", n=2, q=2, pinned_ops=pinned)
+    deduped = explore(cfg)
+    brute = enumerate_traces(cfg, check=True)
+    for report in (deduped, brute):
+        assert [(v.invariant, len(v.schedule)) for v in report.violations] == [("stuck", 2)] * 2
+        for v in report.violations:
+            gs = replay_schedule(cfg, v.schedule)
+            assert not is_terminal(cfg, gs) and not enabled_events(cfg, gs)
+    assert {v.schedule for v in deduped.violations} == {v.schedule for v in brute.violations}
+    assert len({v.schedule for v in deduped.violations}) == 2
 
 
 def test_pinned_ops_fingerprint_differs_from_standard():
