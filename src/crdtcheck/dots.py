@@ -44,13 +44,15 @@ class CausalContext:
 
     ``seen`` maps replica index to the highest counter such that every
     counter up to it is in the set; ``extra`` holds dots past a gap.
-    All mutators return a new context.
+    All mutators return a new context.  The constructor keeps ``seen``
+    without copying it, so contexts may share one dict: no one may
+    change it afterwards.
     """
 
     __slots__ = ("seen", "extra", "_canon")
 
     def __init__(self, seen: dict[int, int] | None = None, extra: frozenset[Dot] = frozenset()):
-        self.seen: dict[int, int] = dict(seen) if seen else {}
+        self.seen: dict[int, int] = {} if seen is None else seen
         self.extra: frozenset[Dot] = extra
         self._canon: tuple | None = None
 
@@ -62,13 +64,13 @@ class CausalContext:
             return self
         replica, top = dot.replica, dot.counter
         if top != self.seen.get(replica, 0) + 1:
-            return _context(self.seen, self.extra | {dot})
+            return CausalContext(self.seen, self.extra | {dot})
         # The dot extends its origin's frontier: absorb the run it closes.
         run = set()
         while (nxt := Dot(top + 1, replica)) in self.extra:
             run.add(nxt)
             top += 1
-        return _context({**self.seen, replica: top}, self.extra - run if run else self.extra)
+        return CausalContext({**self.seen, replica: top}, self.extra - run if run else self.extra)
 
     def iter_dots(self) -> Iterator[Dot]:
         for replica, top in self.seen.items():
@@ -100,17 +102,6 @@ class CausalContext:
 
     def __repr__(self) -> str:
         return f"CausalContext(seen={self.seen!r}, extra={set(self.extra)!r})"
-
-
-def _context(seen: dict[int, int], extra: frozenset[Dot]) -> CausalContext:
-    """A context that takes ``seen`` as is, without the constructor's
-    copy: contexts never mutate it, so ``add`` may share it or hand over
-    the one dict it built."""
-    ctx = CausalContext.__new__(CausalContext)
-    ctx.seen = seen
-    ctx.extra = extra
-    ctx._canon = None
-    return ctx
 
 
 EMPTY_CONTEXT = CausalContext()
