@@ -47,8 +47,11 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
 - Every component move is memoized on ids and runs once: the client
   requests and ``issue`` per (replica id, slot), ``deliver`` per
   (replica id, message id), a channel's add or remove per (channel id,
-  message id), the list position check per replica id and the terminal
-  ``normalize`` per replica id.
+  message id) and the list position check per replica id.
+- A terminal state is rendered by ``GlobalState.render``, with no memo
+  on replica ids: in a run without bug flags a terminal replica state
+  has applied every op and so fixes every op choice, so no two terminal
+  states share one.
 - Only a new distinct state is digested, by ``state_digest`` of the
   ``GlobalState`` its ids stand for, so violations are keyed as without
   the store.  The digest is kept only when a violation is recorded; a
@@ -310,7 +313,7 @@ def initial_state(cfg: ExplorationConfig) -> GlobalState:
 
 
 def is_terminal(cfg: ExplorationConfig, gs: GlobalState) -> bool:
-    return gs.next_slot >= cfg.q and all(not ch for ch in gs.channels)
+    return gs.next_slot >= cfg.q and not any(gs.channels)
 
 
 def candidate_requests(
@@ -432,12 +435,8 @@ class _IdStore:
         self._replica_ids: dict[tuple[int, bytes], int] = {}
         self._message_ids: dict[bytes, int] = {}
         self._channel_ids: dict[frozenset[SyncMessage], int] = {}
-        # per replica id: its position-check violations, if any, and
-        # its rendering once it is in a terminal state; equal renderings
-        # share one bytes object
+        # per replica id: its position-check violations, if any
         self._violations: dict[int, list[tuple[str, str]]] = {}
-        self._rendered: dict[int, bytes] = {}
-        self._renderings: dict[bytes, bytes] = {}
         # one applied context per value, shared by the stored replicas
         self._contexts: dict[tuple, CausalContext] = {}
         # move memos, keyed on ids; a replica id fixes its index
@@ -445,7 +444,6 @@ class _IdStore:
         self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
         self._toggled: dict[tuple[int, int], int] = {}  # (channel, message)
         self._deliveries: dict[tuple[int, int], list] = {}  # (dest, channel)
-        self._channel(frozenset())  # id 0, which ``is_terminal`` relies on
 
     def root(self) -> tuple:
         gs = initial_state(self.cfg)
@@ -547,24 +545,10 @@ class _IdStore:
             ids[0],
         )
 
-    def is_terminal(self, ids: tuple) -> bool:
-        return ids[0] >= self.cfg.q and not any(ids[self.cfg.n + 1:])
-
     def violations(self, ids: tuple) -> list[tuple[str, str]]:
         """``state_violations`` of the state, from the check each replica
         id got when it was interned."""
         return [v for r in ids[1:self.cfg.n + 1] for v in self._violations.get(r, ())]
-
-    def render(self, ids: tuple) -> tuple[bytes, ...]:
-        """``GlobalState.render`` of the state, one ``normalize`` per replica id."""
-        out = []
-        for r in ids[1:self.cfg.n + 1]:
-            got = self._rendered.get(r)
-            if got is None:
-                got = self.replicas[r].normalize()
-                got = self._rendered[r] = self._renderings.setdefault(got, got)
-            out.append(got)
-        return tuple(out)
 
 
 def _successors(cfg: ExplorationConfig, gs, store=None) -> list[tuple]:
@@ -615,7 +599,7 @@ def replica_violations(
     """The per-state invariants of the replica at ``index``."""
     out = []
     if cfg.data_type == LIST:
-        poss = rep.existent_positions()
+        poss = [v.pos for v in rep.existent().values()]
         if len(set(poss)) != len(poss):
             out.append(("position-unique", f"colliding positions at replica {index}"))
         if any(not 0 <= digit < BASE for p in poss for digit, _, _ in p):
@@ -898,9 +882,9 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                     gs = store.resolve(succ)
                     child = [paths, ev, entry]
                     vs = store.violations(succ)
-                    terminal = store.is_terminal(succ)
+                    terminal = is_terminal(cfg, gs)
                     if terminal:
-                        oracle = store.render(succ)
+                        oracle = gs.render()
                         vs = vs + terminal_violations(gs, oracle)
                     if log.record(vs, state_digest(gs), child) or terminal:
                         child = [paths]

@@ -55,11 +55,10 @@ def generate_between(
         raise ValueError(f"bounds not ordered: {left!r} >= {right!r}")
 
     path: list[Triple] = []
-    on_left = left is not None
     on_right = right is not None
     i = 0
     while True:
-        l_trip = left[i] if on_left and left is not None and i < len(left) else None
+        l_trip = left[i] if left is not None and i < len(left) else None
         if on_right:
             assert right is not None and i < len(right), "right bound exhausted mid-walk"
             r_trip = right[i]

@@ -336,10 +336,13 @@ class ReplicaState:
         dot = msg.op.dot
         if self.has_delivered(dot):
             raise DuplicateDelivery(f"dot {dot} delivered twice at replica {self.replica}")
-        if BUG_ASSUME_CAUSAL in self.bug_flags:
-            return self._apply_now_or_mangle(msg)
         if self._deps_met(msg.op):
             state = self._apply(msg)
+        elif BUG_ASSUME_CAUSAL in self.bug_flags:
+            # The operation is "processed" — its dot counts as handled —
+            # but its effect is dropped.  This is exactly the misbehaviour
+            # a causal-delivery assumption hides.
+            state = replace(self, applied=self.applied.add(dot))
         elif BUG_READD_ACCEPT in self.bug_flags and msg.op.kind == "readd":
             state = self._bug_materialize_readd(msg)
         else:
@@ -356,15 +359,6 @@ class ReplicaState:
             elems=self._effect(msg.op, msg.ctx),
         )
 
-    def _apply_now_or_mangle(self, msg: SyncMessage) -> "ReplicaState":
-        """bug2: no buffer, missing deps lose the op."""
-        if self._deps_met(msg.op):
-            return self._apply(msg)
-        # The operation is "processed" — its dot counts as handled — but
-        # its effect is dropped.  This is exactly the misbehaviour a
-        # causal-delivery assumption hides.
-        return replace(self, applied=self.applied.add(msg.op.dot))
-
     def _bug_materialize_readd(self, msg: SyncMessage) -> "ReplicaState":
         """bug1: accept a re-add whose insert never arrived.
 
@@ -372,29 +366,25 @@ class ReplicaState:
         position; the real insert is ignored when it shows up.
         """
         nonce = self.bug_nonce + 1
-        existing = self.existent_positions()
-        pos = generate_between(existing[-1] if existing else None, None,
-                               self.replica, _BUG_NONCE_FLOOR + nonce)
+        last = max((v.pos for v in self.existent().values()), default=None)
+        pos = generate_between(last, None, self.replica, _BUG_NONCE_FLOOR + nonce)
         elems = dict(self.elems)
         elems[msg.op.elem] = ListOps(Rec(msg.op.dot, 0, msg.ctx), pos)
         return replace(self, applied=self.applied.add(msg.op.dot),
                        elems=elems, bug_nonce=nonce)
 
     def _flush(self) -> "ReplicaState":
-        """Drain every buffered operation whose dependencies are now met."""
+        """Apply the first buffered operation, in dot order, whose
+        dependencies are met, and repeat until none is."""
         state = self
-        progress = True
-        while progress and state.pending:
-            progress = False
-            for dot in sorted(state.pending):
-                msg = state.pending[dot]
-                if state._deps_met(msg.op):
-                    pending = dict(state.pending)
-                    del pending[dot]
-                    state = replace(state._apply(msg), pending=pending)
-                    progress = True
-                    break
-        return state
+        while True:
+            ready = next(
+                (d for d in sorted(state.pending) if state._deps_met(state.pending[d].op)), None
+            )
+            if ready is None:
+                return state
+            pending = dict(state.pending)
+            state = replace(state._apply(pending.pop(ready)), pending=pending)
 
     # -- effects -----------------------------------------------------
 
@@ -434,10 +424,6 @@ class ReplicaState:
     def existent(self) -> dict:
         """The views of the existent elements, by id."""
         return {e: v for e, v in self.views().items() if v.existence is Existence.EXISTENT}
-
-    def existent_positions(self) -> list[Position]:
-        """The positions of this list replica's existent elements, sorted."""
-        return sorted(v.pos for v in self.existent().values())
 
     def query(self):
         """Reader-facing value: rpq — the max-value existent element

@@ -10,11 +10,10 @@ position-sorted element index, and its own position generator.
 and keeps it in ``members`` until that element changes.  Every change
 to an element drops its entry first: ``_apply`` (the only path that
 adds records or flips liveness flags, for client ops, deliveries and
-buffer flushes alike) and the bug paths that create an element,
-``_materialize_ghost`` and ``_materialize_dummy``.  The causal context
-is rendered afresh on every call.  An insert finds its right neighbour
-by bisecting the index past the anchor, then stepping to the first
-existent entry.
+buffer flushes alike) and ``_fabricate``, through which the bug paths
+create an element.  The causal context is rendered afresh on every
+call.  An insert finds its right neighbour by bisecting the index past
+the anchor, then stepping to the first existent entry.
 The conformance harness drives both implementations through identical
 schedules and compares canonical bytes; sharing nothing with the model
 but the ``wire`` module, the protocol's framing and JSON encoder, is
@@ -358,16 +357,12 @@ class ReplicaServer:
             raise DuplicateDelivery(
                 f"dot {dot} delivered twice at replica {self.replica}"
             )
-        if self.bug2:
-            if self._deps_applied(op):
-                self._apply(op, ctx)
-            else:
-                # Assume-causal handling: the dot is consumed, the
-                # effect is gone.
-                self.applied.add(*dot)
-            return {"accepted": True, "syncs": [], "type": "Ack"}
         if self._deps_applied(op):
             self._apply(op, ctx)
+        elif self.bug2:
+            # Assume-causal handling: the dot is consumed, the effect is
+            # gone.
+            self.applied.add(*dot)
         elif self.bug1 and op["kind"] == "readd":
             self._materialize_ghost(op, ctx)
         elif (
@@ -395,14 +390,7 @@ class ReplicaServer:
             # Own dots are only ever issued here; one arriving from a
             # peer would collide with the next own dot.
             raise ProtocolViolation(f"replica {self.replica} was sent its own dot {dot}")
-        kind = op.get("kind")
-        kinds = _RPQ_KINDS if self.data_type == RPQ else _LIST_KINDS
-        if kind not in kinds:
-            raise ProtocolViolation(f"kind {kind!r} not valid for {self.data_type}")
-        if not isinstance(op.get("id"), str):
-            raise ProtocolViolation("operation id must be a string")
-        if kind in ("add", "increase", "insert", "update") and not _int(op.get("arg")):
-            raise ProtocolViolation(f"{kind} requires an integer arg")
+        kind = self._check_request_shape(op)[0]
         deps = op.get("deps", [])
         if not isinstance(deps, list) or not all(_ints(d, 2) for d in deps):
             raise ProtocolViolation("operation deps must be [replica, counter] pairs")
@@ -500,21 +488,20 @@ class ReplicaServer:
                 break
         pos = _gen_pos(last, None, self.replica,
                        _GHOST_COUNTER_FLOOR + self.ghost_count)
-        dot = (op["dot"][0], op["dot"][1])
-        self.applied.add(*dot)
-        self._index_insert(pos, op["id"])
-        self.members.pop(op["id"], None)
-        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
+        self.applied.add(*op["dot"])
+        self._fabricate(op, pos, ctx)
 
     def _materialize_dummy(self, op: dict, ctx: _Ctx) -> None:
         """bug4: fabricate a placeholder instead of buffering."""
-        if op["id"] in self.elems:
-            return
-        pos = ((BASE, 0, 0),)
-        dot = (op["dot"][0], op["dot"][1])
+        if op["id"] not in self.elems:
+            self._fabricate(op, ((BASE, 0, 0),), ctx)
+
+    def _fabricate(self, op: dict, pos, ctx: _Ctx) -> None:
+        """Create the element ``op`` names at ``pos``, with attribute 0
+        and ``op``'s dot in place of its insert's."""
         self._index_insert(pos, op["id"])
         self.members.pop(op["id"], None)
-        self.elems[op["id"]] = _ListElem(dot, pos, 0, ctx)
+        self.elems[op["id"]] = _ListElem((op["dot"][0], op["dot"][1]), pos, 0, ctx)
 
     # -- position index ----------------------------------------------------
 

@@ -225,6 +225,9 @@ MALFORMED = [
     # dots from replicas outside 0..n-1
     ("rpq", peer_sync("rpq", op={"dot": [7, 1]})),
     ("list", peer_sync("list", op={"dot": [-1, 1]})),
+    # the op fields a Sync carries are checked as a ClientOp's request is
+    ("rpq", peer_sync("rpq", op={"id": ""})),
+    ("list", peer_sync("list", op={"anchor": 5})),
 ]
 
 
@@ -384,6 +387,25 @@ def test_bug2_server_drops_early_arrivals():
     assert '"existence":"existent"' in state
     assert '"existence":"once-existent"' in origin.canonical_state()
     assert state != origin.canonical_state()
+
+
+def test_assume_causal_drops_an_early_readd_before_readd_accept_sees_it():
+    # With both model flags, bug2 decides first: a re-add that arrives
+    # before its insert is consumed and lost, not turned into a ghost.
+    flags = frozenset(["bug1-readd-accept", "bug2-assume-causal"])
+    r0 = fresh_replica("list", 0)
+    r0, _ = r0.issue(OperationRequest("insert", "e1", 10))
+    r0, readd_msg = r0.issue(OperationRequest("readd", "e1"))
+    model = fresh_replica("list", 1, flags).deliver(readd_msg)
+    assert model.applied.contains(readd_msg.op.dot)
+    assert model.pending == {} and model.elems == {}
+
+    _, (_, _, readd) = scenario_insert_remove_readd()
+    srv = ReplicaServer("list", 1, 2, sorted(flags))
+    srv.handle_frame({"msg": readd, "type": "Sync"})
+    assert srv.applied.has(*readd["op"]["dot"])
+    assert srv.pending == {} and srv.elems == {}
+    assert '"e1"' not in srv.canonical_state()
 
 
 def test_bug4_server_invents_dummy_positions():
