@@ -21,7 +21,6 @@ from .errors import (
 from .explorer import (
     CHANNEL_ARBITRARY,
     CHANNELS,
-    MAX_REPLICAS,
     MODEL_BUG_FLAGS,
     ExplorationConfig,
     explore,
@@ -41,7 +40,7 @@ class _Parser(argparse.ArgumentParser):
         raise SystemExit(1)
 
 
-def _add_model_flags(sub, *, bugs_help: str) -> None:
+def _add_model_flags(sub, *, bugs_help: str, search: bool = True) -> None:
     sub.add_argument("--type", required=True, choices=(RPQ, LIST),
                      dest="data_type", help="replicated data type")
     sub.add_argument("-n", type=int, default=1, help="replica count (1..3)")
@@ -51,8 +50,9 @@ def _add_model_flags(sub, *, bugs_help: str) -> None:
                      help="delivery discipline explored")
     sub.add_argument("--bug", action="append", default=[],
                      metavar="FLAG", help=bugs_help)
-    sub.add_argument("--state-cap", type=int, default=None,
-                     help="abort after this many distinct states")
+    if search:  # replay runs no search, so a state cap would change nothing
+        sub.add_argument("--state-cap", type=int, default=None,
+                         help="abort after this many distinct states")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,7 +81,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("replay", help="replay a corpus against replica "
                         "servers and compare canonical bytes")
     _add_model_flags(p, bugs_help="server-side bug flag to inject "
-                     "(repeatable): " + ", ".join(BUG_FLAGS))
+                     "(repeatable): " + ", ".join(BUG_FLAGS), search=False)
     p.add_argument("corpus", help="corpus file, or - for stdin")
     p.add_argument("--model-bug", action="append", default=[],
                    metavar="FLAG", help="model-level flag the corpus was "
@@ -119,19 +119,19 @@ def _emit(out_path: str | None, doc) -> None:
         sys.stdout.write(blob)
 
 
-def _config(args, model_bugs) -> ExplorationConfig:
+def _config(args, model_bugs, state_cap=None) -> ExplorationConfig:
     return ExplorationConfig(
         data_type=args.data_type,
         n=args.n,
         q=args.q,
         channel=args.channel,
         bug_flags=frozenset(model_bugs),
-        state_cap=args.state_cap,
+        state_cap=state_cap,
     )
 
 
 def _cmd_explore(args) -> int:
-    cfg = _config(args, args.bug)
+    cfg = _config(args, args.bug, args.state_cap)
     try:
         report = explore(cfg)
     except BudgetExceeded as exc:
@@ -150,7 +150,7 @@ def _cmd_explore(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    cfg = _config(args, args.bug)
+    cfg = _config(args, args.bug, args.state_cap)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
             count = generate_corpus(cfg, fh, limit=args.limit)
@@ -185,10 +185,6 @@ def _cmd_replay(args) -> int:
 
 
 def _cmd_stress(args) -> int:
-    if not 1 <= args.n <= MAX_REPLICAS:
-        raise BadConfig(f"replica count must be 1..{MAX_REPLICAS}, got {args.n}")
-    if args.rounds < 1 or args.ops < 1:
-        raise BadConfig("rounds and ops must be positive")
     report = stress(
         args.data_type,
         args.n,

@@ -146,11 +146,13 @@ _RPQ_POOL = tuple(sorted(
 
 @dataclass(frozen=True)
 class ExplorationConfig:
-    """Everything that pins down one search, minus resource budgets.
+    """Everything that pins down one search, plus its resource budget.
 
     ``pinned_ops`` replaces the generated op space with an explicit
     per-slot tuple of candidate requests (still filtered for validity at
-    the target replica); None means the standard space.
+    the target replica); None means the standard space.  ``state_cap``
+    stops a search after that many states; ``config_fingerprint`` leaves
+    it out.
     """
 
     data_type: str

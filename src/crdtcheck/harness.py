@@ -4,9 +4,9 @@ compare their canonical bytes against the model-produced oracle.
 Replay mode walks a corpus line by line.  Each case gets a fresh set of
 server instances (reset by reconstruction — no reset protocol to get
 wrong), the schedule's client events are sent as ClientOp frames, the
-returned sync messages wait in a pending pool until the schedule's
-deliver events hand them over, and a final Inspect per replica is
-byte-compared against the case's oracle strings.
+returned sync messages wait, keyed by (destination, origin, counter),
+until the schedule's deliver events hand them over, and a final Inspect
+per replica is byte-compared against the case's oracle strings.
 
 Verdicts per case:
 
@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
-from .errors import CrdtCheckError, ProtocolViolation, ScheduleUnsatisfiable
+from .errors import BadConfig, CrdtCheckError, ProtocolViolation, ScheduleUnsatisfiable
 from .explorer import (
     ClientEvent,
     ExplorationConfig,
@@ -104,31 +104,6 @@ def loopback_factory(cfg: ExplorationConfig, bug_flags=()) -> Callable[[], list]
     return make
 
 
-class PendingPool:
-    """Sync messages produced but not yet delivered, keyed by
-    (destination, origin, counter)."""
-
-    def __init__(self):
-        self._msgs: dict[tuple[int, int, int], dict] = {}
-
-    def put(self, dest: int, msg: dict) -> None:
-        origin = msg["origin"]
-        counter = msg["op"]["dot"][1]
-        self._msgs[(dest, origin, counter)] = msg
-
-    def take(self, dest: int, origin: int, counter: int) -> dict:
-        msg = self._msgs.pop((dest, origin, counter), None)
-        if msg is None:
-            raise ScheduleUnsatisfiable(
-                f"no in-flight message from replica {origin} dot counter "
-                f"{counter} for replica {dest}"
-            )
-        return msg
-
-    def __len__(self) -> int:
-        return len(self._msgs)
-
-
 @dataclass
 class CaseResult:
     case_id: str
@@ -185,21 +160,24 @@ class ReplaySummary:
         }
 
 
-def _sync_fanout(reply: dict) -> list[tuple[int, dict]]:
-    """The ``(dest, msg)`` pairs of an accepted ClientOp reply.
+def _sync_fanout(reply: dict) -> dict[tuple[int, int, int], dict]:
+    """The messages of an accepted ClientOp reply, keyed ``(dest,
+    origin, counter)`` as a delivery event names them.
 
     Raises ``ProtocolViolation`` unless ``syncs`` is an array whose every
     entry has an integer ``dest`` and a ``msg`` object whose ``origin``
-    and ``op.dot`` can key the pending pool.
+    and ``op.dot`` are integers, and no two entries share a key.
     """
     syncs = reply.get("syncs", [])
+    fanout = {}
     try:
-        fanout = [(sync["dest"], sync["msg"]) for sync in syncs]
-        ok = all(
-            type(dest) is int and type(msg["origin"]) is int
-            and [type(x) for x in msg["op"]["dot"]] == [int, int]
-            for dest, msg in fanout
-        )
+        for sync in syncs:
+            msg = sync["msg"]
+            key = (sync["dest"], msg["origin"], *msg["op"]["dot"])
+            if [type(x) for x in key] != [int] * 4:
+                break
+            fanout[key[0], key[1], key[3]] = msg
+        ok = len(fanout) == len(syncs)
     except (KeyError, TypeError):
         ok = False
     if not ok:
@@ -254,7 +232,7 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
             tc.case_id, REJECTED,
             detail=f"oracle covers {len(tc.oracle)} replicas, configuration has {n}",
         )
-    pool = PendingPool()
+    in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
     replica = None  # the replica a failure is blamed on
     try:
         for ev in tc.schedule:
@@ -274,10 +252,14 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
                         tc.case_id, REPLICA_ERROR, replica=replica,
                         detail=f"scheduled client op was rejected: {ev.req.as_wire()}",
                     )
-                for dest, msg in _sync_fanout(reply):
-                    pool.put(dest, msg)
+                in_flight.update(_sync_fanout(reply))
             else:
-                msg = pool.take(ev.dest, ev.origin, ev.counter)
+                msg = in_flight.pop((ev.dest, ev.origin, ev.counter), None)
+                if msg is None:
+                    raise ScheduleUnsatisfiable(
+                        f"no in-flight message from replica {ev.origin} dot counter "
+                        f"{ev.counter} for replica {ev.dest}"
+                    )
                 _exchange(endpoints[replica], {"msg": msg, "type": "Sync"}, "Ack")
         for replica in range(n):
             got = _exchange(
@@ -401,13 +383,15 @@ def stress(
     request must produce byte-identical sync messages on both sides,
     rejections must agree, and after each round drains the network the
     canonical bytes must match replica by replica.  Stops at the first
-    failure.
+    failure.  Raises ``BadConfig`` for an unknown data type, a replica
+    count outside 1..3, or fewer than one round or op per round.
     """
+    if rounds < 1 or ops_per_round < 1:
+        raise BadConfig("rounds and ops per round must be positive")
+    # The config checks the data type and n; q only has to be at least n.
+    cfg = ExplorationConfig(data_type=data_type, n=n, q=n)
     rng = random.Random(seed)
-    eps = endpoints or [
-        LoopbackEndpoint(ReplicaServer(data_type, i, n, tuple(bug_flags)))
-        for i in range(n)
-    ]
+    eps = endpoints or loopback_factory(cfg, tuple(bug_flags))()
     models = [fresh_replica(data_type, i) for i in range(n)]
     report = StressReport(seed=seed, rounds=rounds)
     # in-flight: list of (dest, wire message, model SyncMessage)
@@ -449,14 +433,14 @@ def stress(
                 models[target], model_msg = models[target].issue(req)
                 model_wire = canonical_json(model_msg.as_wire())
                 fanout = _sync_fanout(reply)
-                dests = [dest for dest, _ in fanout]
+                dests = [dest for dest, _, _ in fanout]
                 expected_dests = sorted(d for d in range(n) if d != target)
                 if sorted(dests) != expected_dests:
                     raise _Mismatch(
                         "issue-divergence",
                         f"sync fan-out went to {dests}, expected {expected_dests}",
                     )
-                for dest, wire_msg in fanout:
+                for (dest, _, _), wire_msg in fanout.items():
                     offset = _diff_at(canonical_json(wire_msg), model_wire)
                     if offset is not None:
                         raise _Mismatch(

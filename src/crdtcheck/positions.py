@@ -55,12 +55,11 @@ def generate_between(
         raise ValueError(f"bounds not ordered: {left!r} >= {right!r}")
 
     path: list[Triple] = []
-    on_right = right is not None
     i = 0
     while True:
         l_trip = left[i] if left is not None and i < len(left) else None
-        if on_right:
-            assert right is not None and i < len(right), "right bound exhausted mid-walk"
+        if right is not None:
+            assert i < len(right), "right bound exhausted mid-walk"
             r_trip = right[i]
             hi = r_trip[0]
         else:
@@ -77,14 +76,14 @@ def generate_between(
         if l_trip is not None:
             # Descend along the left bound.  Once the copied triple sits
             # strictly below the right bound, the right constraint is met
-            # for good.
+            # for good and the bound is dropped.
             path.append(l_trip)
-            if on_right and l_trip != r_trip:
-                on_right = False
+            if l_trip != r_trip:
+                right = None
         elif hi == 1:
             # Only digit 0 fits; emit a padding triple and finish below.
             path.append((0, replica, counter))
-            on_right = False
+            right = None
         else:
             # hi == 0: the right bound runs through a padding triple.
             # Copy it; padding triples are never final, so the walk

@@ -290,13 +290,8 @@ class ReplicaState:
             snapshot = snapshot.add(buffered)
         # Own dots are applied on issue, so they fill the frontier from 1.
         dot = Dot(self.applied.seen.get(self.replica, 0) + 1, self.replica)
-        op = self._stamp(req, dot)
-        state = replace(
-            self,
-            applied=self.applied.add(dot),
-            elems=self._effect(op, snapshot),
-        )
-        return state, SyncMessage(origin=self.replica, op=op, ctx=snapshot)
+        msg = SyncMessage(origin=self.replica, op=self._stamp(req, dot), ctx=snapshot)
+        return self._apply(msg), msg
 
     def _stamp(self, req: OperationRequest, dot: Dot) -> Operation:
         deps: frozenset[Dot] = frozenset()

@@ -23,7 +23,7 @@ import json
 from dataclasses import dataclass
 from typing import IO, Iterator
 
-from .errors import BudgetExceeded, MalformedCase
+from .errors import BadConfig, BudgetExceeded, MalformedCase
 from .explorer import (
     ExplorationConfig,
     TraceRecord,
@@ -78,10 +78,12 @@ def generate_corpus(
 ) -> int:
     """Write every terminal schedule of ``cfg`` as one corpus line.
 
-    Returns the number of cases written.  Raises ``BudgetExceeded``
-    when the configuration's state cap stops the walk early — a partial
-    corpus is not a corpus.
+    Returns the number of cases written.  Raises ``BadConfig`` for a
+    negative ``limit`` and ``BudgetExceeded`` when the configuration's
+    state cap stops the walk early — a partial corpus is not a corpus.
     """
+    if limit is not None and limit < 0:
+        raise BadConfig(f"case limit must not be negative, got {limit}")
     fingerprint = config_fingerprint(cfg)
     count = 0
 

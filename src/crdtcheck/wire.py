@@ -69,18 +69,6 @@ def encode_frame(obj: dict) -> bytes:
     return _HEADER.pack(len(body)) + body
 
 
-def decode_frame(data: bytes) -> dict:
-    """Decode one complete frame (header plus body, nothing extra)."""
-    if len(data) < _HEADER.size:
-        raise ProtocolViolation("truncated frame header")
-    (length,) = _HEADER.unpack_from(data)
-    if len(data) != _HEADER.size + length:
-        raise ProtocolViolation(
-            f"frame length {length} does not match payload of {len(data) - _HEADER.size}"
-        )
-    return _parse_body(data[_HEADER.size:])
-
-
 def _parse_body(body) -> dict:
     """The JSON object a frame body (any bytes-like object) holds.  A lone
     JSON value, as every encoded frame is, is scanned without the wrapper

@@ -44,3 +44,13 @@ def schedule_has_causal_inversion(cfg: ExplorationConfig, schedule) -> bool:
     except NotEnabled:
         return True
     return False
+
+
+class ScriptedSocket:
+    """Stands in for a socket: each ``recv`` returns the next chunk."""
+
+    def __init__(self, chunks):
+        self.chunks = list(chunks)
+
+    def recv(self, _size):
+        return self.chunks.pop(0) if self.chunks else b""

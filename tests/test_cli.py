@@ -135,6 +135,15 @@ def test_gen_limit(capsys, tmp_path):
     assert len(target.read_text().splitlines()) == 5
 
 
+def test_gen_refuses_a_negative_limit(capsys, tmp_path):
+    code, _, err = run(
+        capsys, "gen", "--type", "rpq", "-n", "1", "-q", "3",
+        "--out", str(tmp_path / "none.jsonl"), "--limit", "-3",
+    )
+    assert code == 1
+    assert "limit" in err
+
+
 # -- replay ----------------------------------------------------------------------
 
 
@@ -204,6 +213,16 @@ def test_replay_malformed_corpus_exits_one(capsys, tmp_path):
     assert "line 1" in err
 
 
+def test_replay_takes_no_state_cap(capsys, small_corpus):
+    # replay runs no search, so a state cap would change nothing
+    code, _, err = run(
+        capsys, "replay", "--type", "list", "-n", "2", "-q", "3",
+        str(small_corpus), "--state-cap", "5",
+    )
+    assert code == 1
+    assert "--state-cap" in err
+
+
 def test_replay_missing_file_exits_one(capsys, tmp_path):
     code, _, err = run(
         capsys, "replay", "--type", "rpq", "-n", "2", "-q", "2",
@@ -232,6 +251,14 @@ def test_stress_with_defect_exits_two(capsys):
     )
     assert code == 2
     assert json.loads(out)["failure"] is not None
+
+
+@pytest.mark.parametrize("args", [["-n", "0"], ["-n", "4"], ["--rounds", "0"], ["--ops", "0"]])
+def test_stress_bad_configuration_exits_one(capsys, args):
+    code, out, err = run(capsys, "stress", "--type", "rpq", "--seed", "1", *args)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("crdtcheck: ")
 
 
 def test_bugs_catalog_lists_all_four(capsys):

@@ -166,6 +166,36 @@ PINNED_LIST_N3 = (
 )
 
 
+def assert_walks_agree(cfg: ExplorationConfig):
+    """Both walks find the same terminal schedules and oracles, and the
+    same violating states with the same shortest counterexample per
+    invariant; returns the breadth-first report.  The depth-first walk
+    issues and delivers with ReplicaState directly; the breadth-first
+    search goes through its id store and move memos."""
+    brute = enumerate_traces(cfg, check=True, collect_oracles=True)
+    deduped = _explore_bfs(cfg, collect_oracles=True)
+    assert deduped.terminal_traces == brute.terminal_traces
+    assert deduped.oracle_multiset == brute.oracle_multiset
+    assert deduped.distinct_states <= brute.states_visited
+
+    def violated(report) -> set:
+        return {
+            (v.invariant, state_digest(replay_schedule(cfg, v.schedule)))
+            for v in report.violations
+        }
+
+    def shortest(report) -> dict:
+        out = {}
+        for v in report.violations:
+            out[v.invariant] = min(out.get(v.invariant, len(v.schedule)), len(v.schedule))
+        return out
+
+    assert not brute.violations_capped and not deduped.violations_capped
+    assert violated(deduped) == violated(brute)
+    assert shortest(deduped) == shortest(brute)
+    return deduped
+
+
 @pytest.mark.parametrize(
     "kw",
     [
@@ -190,23 +220,7 @@ PINNED_LIST_N3 = (
     ],
 )
 def test_dedup_never_loses_or_invents_traces(kw):
-    # The depth-first walk issues and delivers with ReplicaState directly;
-    # the breadth-first search goes through its id store and move memos.
-    cfg = cfg_of(**kw)
-    brute = enumerate_traces(cfg, check=True, collect_oracles=True)
-    deduped = _explore_bfs(cfg, collect_oracles=True)
-    assert deduped.terminal_traces == brute.terminal_traces
-    assert deduped.oracle_multiset == brute.oracle_multiset
-    assert deduped.distinct_states <= brute.states_visited
-
-    def violated(report) -> set:
-        return {
-            (v.invariant, state_digest(replay_schedule(cfg, v.schedule)))
-            for v in report.violations
-        }
-
-    assert not brute.violations_capped and not deduped.violations_capped
-    assert violated(deduped) == violated(brute)
+    deduped = assert_walks_agree(cfg_of(**kw))
     # every flag breaks something, except bug2 on a causal channel
     broken = bool(kw.get("bug_flags")) and kw.get("channel") != "causal"
     assert bool(deduped.violations) == broken
@@ -520,6 +534,61 @@ def test_out_of_range_digit_is_reported():
     )
     names = [name for name, _ in state_violations(cfg, bad_state)]
     assert names == ["position-range"]
+
+
+def flag_list_states(real):
+    """A test-only ``replica_violations`` that also flags replica 1 once
+    it shows two elements, and replica 0 once it holds two elements one
+    of which shows attr 20."""
+
+    def flagged(cfg, index, rep):
+        out = real(cfg, index, rep)
+        shown = rep.existent().values()
+        if index == 1 and len(shown) >= 2:
+            out.append(("position-unique", f"flagged at replica {index}"))
+        if index == 0 and len(rep.elems) >= 2 and any(v.attr == 20 for v in shown):
+            out.append(("position-range", f"flagged at replica {index}"))
+        return out
+
+    return flagged
+
+
+@pytest.mark.parametrize("kw", [
+    dict(data_type="list", n=2, q=2),
+    dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3),
+])
+def test_walks_agree_on_flagged_states(monkeypatch, kw):
+    # a flagged state that is not terminal prunes its subtree in both walks
+    cfg = cfg_of(**kw)
+    full = explore(cfg).terminal_traces
+    monkeypatch.setattr(explorer, "replica_violations",
+                        flag_list_states(explorer.replica_violations))
+    report = assert_walks_agree(cfg)
+    assert {v.invariant for v in report.violations} == {"position-unique", "position-range"}
+    assert 0 < report.terminal_traces < full
+
+
+def test_walks_agree_on_a_broken_root(monkeypatch):
+    monkeypatch.setattr(explorer, "replica_violations",
+                        lambda cfg, index, rep: [("position-range", f"replica {index}")])
+    cfg = cfg_of(data_type="list", n=2, q=2)
+    for report in (explore(cfg), enumerate_traces(cfg, check=True)):
+        assert (report.distinct_states, report.terminal_traces) == (1, 0)
+        assert [(v.invariant, v.schedule) for v in report.violations] == [
+            ("position-range", ())
+        ]
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n=2, q=3),
+    dict(data_type="list", n=2, q=3),
+])
+def test_walks_agree_when_the_buffer_never_drains(monkeypatch, kw):
+    # A test-only replica whose buffer never releases an op: an op that
+    # arrives before its dependency stays buffered at the end.
+    monkeypatch.setattr(ReplicaState, "_flush", lambda self: self)
+    report = assert_walks_agree(cfg_of(**kw))
+    assert {v.invariant for v in report.violations} == {"buffer-liveness", "convergence"}
 
 
 # -- defect hunting -----------------------------------------------------------

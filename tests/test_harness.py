@@ -1,4 +1,4 @@
-"""Replay verdicts, the pending-message pool, and the stress driver."""
+"""Replay verdicts, in-flight messages, and the stress driver."""
 
 from __future__ import annotations
 
@@ -11,9 +11,10 @@ import threading
 
 import pytest
 
-from crdtcheck.errors import MalformedCase, ScheduleUnsatisfiable
+from crdtcheck.errors import BadConfig, MalformedCase
 from crdtcheck.explorer import (
     ClientEvent,
+    DeliverEvent,
     ExplorationConfig,
     TraceRecord,
     config_fingerprint,
@@ -24,7 +25,6 @@ from crdtcheck.harness import (
     REJECTED,
     REPLICA_ERROR,
     LoopbackEndpoint,
-    PendingPool,
     SocketEndpoint,
     first_diff_offset,
     loopback_factory,
@@ -56,17 +56,6 @@ def test_first_diff_offset():
     # a strict prefix differs where the shorter side ends
     assert first_diff_offset(b"abc", b"abcd") == 3
     assert first_diff_offset(b"", b"x") == 0
-
-
-def test_pending_pool_is_exact_match_only():
-    pool = PendingPool()
-    msg = {"op": {"dot": [0, 1]}, "origin": 0}
-    pool.put(1, msg)
-    assert len(pool) == 1
-    assert pool.take(1, 0, 1) is msg
-    assert len(pool) == 0
-    with pytest.raises(ScheduleUnsatisfiable):
-        pool.take(1, 0, 1)
 
 
 # -- single-case verdicts ----------------------------------------------------
@@ -136,6 +125,32 @@ def test_unsatisfiable_delivery_is_a_replica_error():
     )
     result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg))
     assert result.status == REPLICA_ERROR
+
+
+@pytest.mark.parametrize("fault", ["never-sent", "already-delivered"])
+def test_delivery_without_an_in_flight_message_is_a_replica_error(fault):
+    # in-flight messages match exactly on (dest, origin, counter), once
+    cfg = rpq_cfg()
+    tc = first_case(cfg)
+    at, ev = next(
+        (i, ev) for i, ev in enumerate(tc.schedule) if isinstance(ev, DeliverEvent)
+    )
+    if fault == "never-sent":
+        ev = DeliverEvent(ev.dest, ev.origin, ev.counter + 10)
+        schedule = tc.schedule[:at] + (ev,)
+    else:
+        schedule = tc.schedule[:at + 1] + (ev,)
+    broken = type(tc)(
+        case_id=tc.case_id, fingerprint=tc.fingerprint,
+        schedule=schedule, oracle=tc.oracle,
+    )
+    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg))
+    assert result.status == REPLICA_ERROR
+    assert result.replica == ev.dest
+    assert result.detail == (
+        f"no in-flight message from replica {ev.origin} dot counter "
+        f"{ev.counter} for replica {ev.dest}"
+    )
 
 
 def test_rejected_scheduled_request_is_a_replica_error():
@@ -244,13 +259,15 @@ def test_failure_reporting_is_capped():
 BAD_FANOUTS = {
     "dest-missing": lambda syncs: [{"to": s["dest"], "msg": s["msg"]} for s in syncs],
     "dest-not-int": lambda syncs: [{**s, "dest": [s["dest"]]} for s in syncs],
-    # JSON true is 1 to isinstance(x, int), and to the pending pool's keys
+    # JSON true is 1 to isinstance(x, int), and as a key of the in-flight messages
     "dest-bool": lambda syncs: [{**s, "dest": bool(s["dest"])} for s in syncs],
     "msg-missing": lambda syncs: [{"dest": s["dest"]} for s in syncs],
     "dot-missing": lambda syncs: [
         {**s, "msg": {**s["msg"], "op": {}}} for s in syncs
     ],
     "not-an-array": lambda syncs: {"dest": 1},
+    # in-flight messages are keyed (dest, origin, counter): one per key
+    "dest-twice": lambda syncs: syncs + syncs[:1],
 }
 
 
@@ -296,6 +313,28 @@ def test_bad_fanout_is_a_replica_error_in_stress(name):
     assert "fan-out" in report.failure.detail
 
 
+# Each rewrites an honest ClientOp reply's "syncs" list of a 3-replica
+# session into a well-formed fan-out to the wrong destinations.
+WRONG_FANOUTS = {
+    "one-dropped": lambda syncs: syncs[:-1],
+    "to-itself": lambda syncs: [{**syncs[0], "dest": syncs[0]["msg"]["origin"]}, *syncs[1:]],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_FANOUTS))
+def test_fanout_to_the_wrong_replicas_is_an_issue_divergence(name):
+    endpoints = [
+        MangledFanout(ReplicaServer("rpq", i, 3), WRONG_FANOUTS[name])
+        for i in range(3)
+    ]
+    report = stress("rpq", 3, seed=3, rounds=2, ops_per_round=5,
+                    endpoints=endpoints)
+    assert report.failure is not None
+    assert report.failure.kind == "issue-divergence"
+    assert report.ops == 1
+    assert report.failure.detail.startswith("sync fan-out went to ")
+
+
 # -- malformed replies -----------------------------------------------------------
 
 
@@ -336,6 +375,24 @@ def closed_peer(frame: dict):
         near.close()
 
 
+def peer_closes_after_reading(frame: dict):
+    """A real SocketEndpoint whose peer reads the frame, then closes."""
+    near, far = socket.socketpair()
+
+    def peer():
+        FrameSocket(far).recv()
+        far.close()
+
+    reader = threading.Thread(target=peer)
+    reader.start()
+    try:
+        return SocketEndpoint(FrameSocket(near)).send(frame)
+    finally:
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        near.close()
+
+
 # name -> (frame type whose replies are replaced, replacement, detail or None)
 BAD_REPLIES = {
     "array": ("ClientOp", lambda frame: [], None),
@@ -347,6 +404,9 @@ BAD_REPLIES = {
     "wrong-type": ("Sync", lambda frame: {"state": "", "type": "InspectReply"}, None),
     "socket-non-object-frame": ("ClientOp", non_object_frame, None),
     "socket-peer-closed": ("ClientOp", closed_peer, None),
+    "socket-peer-closes-after-reading": (
+        "ClientOp", peer_closes_after_reading, "connection closed",
+    ),
     "socket-deep-frame": ("Inspect", deep_frame, None),
     "error": ("Sync", lambda frame: {"error": "boom", "type": "Error"}, "boom"),
 }
@@ -393,6 +453,20 @@ def test_bad_reply_is_a_replica_error_in_stress(name):
     assert detail is None or report.failure.detail == detail
 
 
+def test_server_refusing_what_the_model_accepts_is_a_rejection_mismatch():
+    # the model accepts every priority-queue request
+    refusal = {"accepted": False, "syncs": [], "type": "Ack"}
+    endpoints = [
+        BadReplies(ReplicaServer("rpq", i, 2), "ClientOp", lambda frame: refusal)
+        for i in range(2)
+    ]
+    report = stress("rpq", 2, seed=3, rounds=2, ops_per_round=5, endpoints=endpoints)
+    assert report.failure is not None
+    assert report.failure.kind == "rejection-mismatch"
+    assert report.failure.detail.endswith("; server rejected")
+    assert report.ops == 0
+
+
 # -- stress -----------------------------------------------------------------
 
 
@@ -415,6 +489,15 @@ def test_stress_catches_a_seeded_defect():
     assert report.failure.kind in (
         "issue-divergence", "inspect-divergence", "rejection-mismatch",
     )
+
+
+@pytest.mark.parametrize("data_type, n, rounds, ops", [
+    ("set", 2, 1, 1), ("rpq", 0, 1, 1), ("list", 4, 1, 1),
+    ("rpq", 2, 0, 1), ("list", 2, 1, 0),
+])
+def test_stress_refuses_a_bad_configuration(data_type, n, rounds, ops):
+    with pytest.raises(BadConfig):
+        stress(data_type, n, seed=1, rounds=rounds, ops_per_round=ops)
 
 
 def test_stress_is_seed_deterministic():

@@ -9,6 +9,7 @@ import threading
 
 import pytest
 
+from conftest import ScriptedSocket
 from crdtcheck.errors import (
     DuplicateDelivery,
     ProtocolViolation,
@@ -20,6 +21,7 @@ from crdtcheck.explorer import (
 )
 from crdtcheck.harness import LoopbackEndpoint, SocketEndpoint, stress
 from crdtcheck.operations import OperationRequest
+from crdtcheck.positions import generate_between
 from crdtcheck.replica import fresh_replica
 from crdtcheck.server import (
     BUG_FLAGS,
@@ -29,7 +31,7 @@ from crdtcheck.server import (
     _ListElem,
     serve_connection,
 )
-from crdtcheck.wire import MAX_FRAME, FrameSocket, decode_frame, encode_frame
+from crdtcheck.wire import MAX_FRAME, FrameSocket, encode_frame
 
 
 def req_wire(kind, elem, arg=None, anchor=None) -> dict:
@@ -45,7 +47,7 @@ def client_frame(kind, elem, arg=None, anchor=None) -> dict:
 
 def test_frame_round_trip():
     obj = {"type": "Inspect", "nested": {"a": [1, 2, {"b": None}]}}
-    assert decode_frame(encode_frame(obj)) == obj
+    assert FrameSocket(ScriptedSocket([encode_frame(obj)])).recv() == obj
 
 
 def test_frame_encoding_is_canonical():
@@ -79,16 +81,6 @@ def test_frame_socket_handles_split_and_coalesced_reads():
         t.join()
     finally:
         right.close()
-
-
-class ScriptedSocket:
-    """Stands in for a socket: each ``recv`` returns the next chunk."""
-
-    def __init__(self, chunks):
-        self.chunks = list(chunks)
-
-    def recv(self, _size):
-        return self.chunks.pop(0) if self.chunks else b""
 
 
 def test_frame_socket_reassembles_byte_drips_and_splits_batches():
@@ -158,16 +150,26 @@ def test_single_replica_setup_broadcasts_to_nobody():
     assert reply["accepted"] and reply["syncs"] == []
 
 
+# requests a list server with one element, e1, must refuse: the id is
+# in use, the update's id was never seen, the anchor was never seen
+REFUSED = [
+    ("insert", "e1", 20),
+    ("update", "zz", 20),
+    ("insert", "e3", 20, "zz"),
+]
+
+
 def test_rejected_request_changes_nothing():
-    srv = ReplicaServer("list", 0, 2)
-    srv.handle_frame(client_frame("insert", "e1", 10))
-    before = srv.canonical_state()
-    reply = srv.handle_frame(client_frame("insert", "e1", 20))  # id reuse
-    assert reply == {"accepted": False, "syncs": [], "type": "Ack"}
-    assert srv.canonical_state() == before
-    # the dot counter must not have burned an increment
-    reply = srv.handle_frame(client_frame("insert", "e2", 20))
-    assert reply["syncs"][0]["msg"]["op"]["dot"] == [0, 2]
+    for req in REFUSED:
+        srv = ReplicaServer("list", 0, 2)
+        srv.handle_frame(client_frame("insert", "e1", 10))
+        before = srv.canonical_state()
+        reply = srv.handle_frame(client_frame(*req))
+        assert reply == {"accepted": False, "syncs": [], "type": "Ack"}, req
+        assert srv.canonical_state() == before
+        # the dot counter must not have burned an increment
+        reply = srv.handle_frame(client_frame("insert", "e2", 20))
+        assert reply["syncs"][0]["msg"]["op"]["dot"] == [0, 2]
 
 
 def test_duplicate_sync_raises():
@@ -195,6 +197,11 @@ def peer_sync(data_type: str, op=None, ctx=None) -> dict:
     msg["op"].update(op or {})
     msg["ctx"].update(ctx or {})
     return {"msg": msg, "type": "Sync"}
+
+
+def without(frame: dict, field: str) -> dict:
+    """A Sync ``frame`` with ``field`` left out of its message."""
+    return {**frame, "msg": {k: v for k, v in frame["msg"].items() if k != field}}
 
 
 MALFORMED = [
@@ -228,6 +235,8 @@ MALFORMED = [
     # the op fields a Sync carries are checked as a ClientOp's request is
     ("rpq", peer_sync("rpq", op={"id": ""})),
     ("list", peer_sync("list", op={"anchor": 5})),
+    ("rpq", without(peer_sync("rpq"), "op")),
+    ("list", without(peer_sync("list"), "ctx")),
 ]
 
 
@@ -242,6 +251,22 @@ def test_malformed_frames_raise(data_type, frame):
     with pytest.raises(ProtocolViolation):
         srv.handle_frame(frame)
     assert srv.handle_frame({"type": "Inspect"}) == before
+
+
+@pytest.mark.parametrize("right", [
+    ((0, 2, 9), (32, 2, 9)),
+    ((0, 2, 9), (1, 2, 9)),
+    ((0, 2, 9), (0, 1, 3), (7, 1, 3)),
+], ids=["padding", "padding-then-tight", "padding-twice"])
+def test_head_insert_below_a_padded_position_matches_the_model(right):
+    # The only existent element's position starts with a padding triple
+    # (digit 0): a head insert must walk inside it to sort below it.
+    srv = ReplicaServer("list", 0, 2)
+    srv.handle_frame(peer_sync("list", op={"pos": [list(t) for t in right]}))
+    reply = srv.handle_frame(client_frame("insert", "e2", 10))
+    pos = tuple(map(tuple, reply["syncs"][0]["msg"]["op"]["pos"]))
+    assert pos == generate_between(None, right, 0, 1)
+    assert pos < right
 
 
 def foreign_update():

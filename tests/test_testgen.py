@@ -8,7 +8,7 @@ import json
 
 import pytest
 
-from crdtcheck.errors import BudgetExceeded, MalformedCase
+from crdtcheck.errors import BadConfig, BudgetExceeded, MalformedCase
 from crdtcheck.explorer import ExplorationConfig, config_fingerprint
 from crdtcheck.testgen import (
     CORPUS_VERSION,
@@ -78,6 +78,13 @@ def test_limit_truncates_deliberately():
     # a deliberate cut is still a parseable corpus
     for lineno, line in enumerate(lines, start=1):
         parse_case_line(lineno, line)
+
+
+def test_negative_limit_is_refused():
+    out = io.StringIO()
+    with pytest.raises(BadConfig):
+        generate_corpus(small_cfg(), out, limit=-3)
+    assert out.getvalue() == ""
 
 
 def test_state_cap_abort_is_not_a_corpus():
@@ -155,6 +162,24 @@ def test_edited_schedule_breaks_the_case_id():
     with pytest.raises(MalformedCase) as exc:
         parse_case_line(1, line)
     assert exc.value.field == "case"
+
+
+@pytest.mark.parametrize("event, detail", [
+    ([], "non-empty array"),
+    ("C", "non-empty array"),
+    (["C", 0, {"kind": "add"}], "needs"),
+    (["C", 0, {"kind": "add"}, 0, 0], "needs"),
+    (["C", "0", {"kind": "add"}, 0], "integers"),
+    (["C", 0, {"kind": "add"}, True], "integers"),
+    (["C", 0, ["add"], 0], "object"),
+])
+def test_each_client_event_check_names_sched(event, detail):
+    doc = json.loads(gen_lines()[0])
+    doc["sched"] = [event] + doc["sched"]
+    with pytest.raises(MalformedCase) as exc:
+        parse_case_line(5, json.dumps(doc, separators=(",", ":")))
+    assert (exc.value.lineno, exc.value.field) == (5, "sched")
+    assert "event 0: " in str(exc.value) and detail in str(exc.value)
 
 
 def test_malformed_schedule_entries_are_rejected():

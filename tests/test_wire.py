@@ -9,10 +9,11 @@ import struct
 
 import pytest
 
+from conftest import ScriptedSocket
 from crdtcheck import wire
 from crdtcheck.errors import MalformedFrame
 from crdtcheck.server import ReplicaServer
-from crdtcheck.wire import canonical_json, compact_json, decode_frame
+from crdtcheck.wire import FrameSocket, canonical_json, compact_json
 
 # Ids that JSON escapes (quote, backslash, control character) or writes
 # as non-ASCII UTF-8.
@@ -92,8 +93,13 @@ def test_fallback_encoders_give_the_same_bytes(python_encoder_wire):
 # -- parsing --------------------------------------------------------------------
 
 
-def frame_of(body: bytes) -> bytes:
-    return struct.pack(">I", len(body)) + body
+def read_frame(body: bytes, split: bool) -> dict:
+    """``body`` framed and read back by ``FrameSocket.recv``: parsed where
+    it lies when the frame arrives in one chunk, from the buffer when
+    ``split`` sends it in two."""
+    frame = struct.pack(">I", len(body)) + body
+    chunks = [frame[:5], frame[5:]] if split else [frame]
+    return FrameSocket(ScriptedSocket(chunks)).recv()
 
 
 # Bodies the shortcut past ``json.loads`` must take or refuse exactly as
@@ -110,15 +116,17 @@ def test_frame_bodies_parse_as_json_loads_does(body):
     try:
         want = json.loads(body.decode("utf-8"))
     except json.JSONDecodeError as exc:
-        with pytest.raises(MalformedFrame, match="not JSON") as got:
-            decode_frame(frame_of(body))
-        assert str(exc) in str(got.value)
+        for split in (False, True):
+            with pytest.raises(MalformedFrame, match="not JSON") as got:
+                read_frame(body, split)
+            assert str(exc) in str(got.value)
         return
-    if isinstance(want, dict):
-        assert decode_frame(frame_of(body)) == want
-    else:
-        with pytest.raises(MalformedFrame, match="JSON object"):
-            decode_frame(frame_of(body))
+    for split in (False, True):
+        if isinstance(want, dict):
+            assert read_frame(body, split) == want
+        else:
+            with pytest.raises(MalformedFrame, match="JSON object"):
+                read_frame(body, split)
 
 
 @pytest.mark.parametrize("body", [
@@ -128,5 +136,6 @@ def test_frame_bodies_parse_as_json_loads_does(body):
 ], ids=["deep", "long-int", "not-utf8"])
 def test_unparseable_bodies_are_malformed_frames(body):
     assert len(body) < wire.MAX_FRAME
-    with pytest.raises(MalformedFrame):
-        decode_frame(frame_of(body))
+    for split in (False, True):
+        with pytest.raises(MalformedFrame):
+            read_frame(body, split)
