@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .errors import (
@@ -151,11 +152,19 @@ def _cmd_explore(args) -> int:
 
 def _cmd_gen(args) -> int:
     cfg = _config(args, args.bug, args.state_cap)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            count = generate_corpus(cfg, fh, limit=args.limit)
-    else:
+    if not args.out:
         count = generate_corpus(cfg, sys.stdout, limit=args.limit)
+    else:
+        # Write beside the target and move it into place only on success,
+        # so a refused or capped run leaves an existing corpus untouched.
+        tmp = f"{args.out}.{os.getpid()}.tmp"
+        try:
+            with open(tmp, "w", encoding="utf-8") as fh:
+                count = generate_corpus(cfg, fh, limit=args.limit)
+            os.replace(tmp, args.out)
+        finally:
+            if os.path.exists(tmp):
+                os.remove(tmp)
     print(f"gen: wrote {count} case(s)", file=sys.stderr)
     return 0
 

@@ -66,6 +66,8 @@ class CausalContext:
         if top != self.seen.get(replica, 0) + 1:
             return CausalContext(self.seen, self.extra | {dot})
         # The dot extends its origin's frontier: absorb the run it closes.
+        if not self.extra:
+            return CausalContext({**self.seen, replica: top})
         run = set()
         while (nxt := Dot(top + 1, replica)) in self.extra:
             run.add(nxt)

@@ -93,7 +93,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -112,6 +111,7 @@ from .positions import BASE
 from .replica import (
     BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
+    Existence,
     ReplicaState,
     fresh_replica,
 )
@@ -340,7 +340,8 @@ def _list_pool(state: ReplicaState, slot: int) -> list[OperationRequest]:
     seen = sorted(state.elems)
     new_id = f"e{slot + 1}"
     pool = []
-    for anchor in [None, *state.existent()]:
+    existent = (e for e, o in state.elems.items() if o.view().existence is Existence.EXISTENT)
+    for anchor in [None, *existent]:
         for attr in LIST_ATTRS:
             pool.append(OperationRequest("insert", new_id, attr, anchor))
     for elem in seen:
@@ -601,7 +602,7 @@ def replica_violations(
     """The per-state invariants of the replica at ``index``."""
     out = []
     if cfg.data_type == LIST:
-        poss = [v.pos for v in rep.existent().values()]
+        poss = [o.pos for o in rep.elems.values() if o.view().existence is Existence.EXISTENT]
         if len(set(poss)) != len(poss):
             out.append(("position-unique", f"colliding positions at replica {index}"))
         if any(not 0 <= digit < BASE for p in poss for digit, _, _ in p):
@@ -670,7 +671,6 @@ class ExplorationReport:
     violations: tuple[Violation, ...]
     violations_capped: bool
     exhaustive: bool
-    wall_time_s: float
     oracle_multiset: dict | None = None  # filled only on request
 
     def as_json(self) -> dict:
@@ -682,7 +682,6 @@ class ExplorationReport:
             "terminal_traces": self.terminal_traces,
             "violations": [v.as_json() for v in self.violations],
             "violations_capped": self.violations_capped,
-            "wall_time_s": round(self.wall_time_s, 3),
         }
 
 
@@ -746,7 +745,6 @@ def enumerate_traces(
     stops early, with ``exhaustive`` false, once ``cfg.state_cap``
     nodes are visited.
     """
-    t0 = time.monotonic()
     visited = 1
     leaves = 0
     budget_hit = False
@@ -793,7 +791,6 @@ def enumerate_traces(
         violations=tuple(sorted(log.found, key=lambda v: len(v.schedule))),
         violations_capped=log.capped,
         exhaustive=not budget_hit,
-        wall_time_s=time.monotonic() - t0,
         oracle_multiset=oracle_ms,
     )
 
@@ -834,7 +831,6 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     ``exhaustive`` false, once more than ``cfg.state_cap`` distinct
     states are found.
     """
-    t0 = time.monotonic()
     store = _IdStore(cfg)
 
     def schedule_of(entry: list) -> tuple:
@@ -912,6 +908,5 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         violations=tuple(log.found),
         violations_capped=log.capped,
         exhaustive=exhaustive,
-        wall_time_s=time.monotonic() - t0,
         oracle_multiset=oracle_ms,
     )

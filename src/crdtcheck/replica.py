@@ -44,7 +44,7 @@ cause.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from json.encoder import encode_basestring
 
@@ -92,7 +92,7 @@ class RpqOps:
     adds: tuple[Rec, ...] = ()
     incs: tuple[Rec, ...] = ()
     rems: tuple[Rec, ...] = ()
-    # Cached ``view()``; ``replace`` resets it instead of copying it.
+    # Cached ``view()``; a newly constructed record set starts without one.
     _view: "RpqView | None" = field(default=None, init=False, compare=False, repr=False)
 
     def canonical(self) -> tuple:
@@ -112,7 +112,7 @@ class ListOps:
     upds: tuple[Rec, ...] = ()
     rems: tuple[Rec, ...] = ()
     readds: tuple[Rec, ...] = ()
-    # Cached ``view()``; ``replace`` resets it instead of copying it.
+    # Cached ``view()``; a newly constructed record set starts without one.
     _view: "ListView | None" = field(default=None, init=False, compare=False, repr=False)
 
     def canonical(self) -> tuple:
@@ -126,13 +126,13 @@ class ListOps:
         return self._view
 
 
-# The record tuple each operation kind extends; a list insert creates
-# the element's ``ListOps`` instead.
-_FIELD = {
-    RPQ: {"add": "adds", "increase": "incs", "remove": "rems"},
-    LIST: {"update": "upds", "remove": "rems", "readd": "readds"},
+# The record tuple each operation kind extends, by its index among the record
+# set's constructor arguments; a list insert creates the ``ListOps`` instead.
+_SLOT = {
+    RPQ: {"add": 0, "increase": 1, "remove": 2},
+    LIST: {"update": 2, "remove": 3, "readd": 4},
 }
-_VALUELESS = ("rems", "readds")
+_VALUELESS = ("remove", "readd")
 
 
 @dataclass(frozen=True, slots=True)
@@ -242,8 +242,14 @@ class ReplicaState:
     applied: CausalContext = field(default_factory=CausalContext)
     bug_flags: frozenset = frozenset()
     bug_nonce: int = 0
-    # Cached ``digest()``; ``replace`` resets it instead of copying it.
+    # Cached ``digest()``; each constructed successor starts without one.
     _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
+
+    def _successor(self, elems: dict, pending: dict, applied: CausalContext,
+                   bug_nonce: int) -> "ReplicaState":
+        """Every transition's result, built by one constructor call."""
+        return ReplicaState(self.data_type, self.replica, elems, pending, applied,
+                            self.bug_flags, bug_nonce)
 
     def share_applied(self, contexts: dict) -> None:
         """Rebind ``applied`` to the equal context in ``contexts``, which
@@ -291,7 +297,7 @@ class ReplicaState:
         # Own dots are applied on issue, so they fill the frontier from 1.
         dot = Dot(self.applied.seen.get(self.replica, 0) + 1, self.replica)
         msg = SyncMessage(origin=self.replica, op=self._stamp(req, dot), ctx=snapshot)
-        return self._apply(msg), msg
+        return self._apply(msg, self.pending), msg
 
     def _stamp(self, req: OperationRequest, dot: Dot) -> Operation:
         deps: frozenset[Dot] = frozenset()
@@ -313,7 +319,8 @@ class ReplicaState:
         """Generate a position between the anchor and its visible successor."""
         left = self.elems[anchor].pos if anchor is not None else None
         right = min(
-            (v.pos for v in self.existent().values() if left is None or v.pos > left),
+            (o.pos for o in self.elems.values()
+             if (left is None or o.pos > left) and o.view().existence is Existence.EXISTENT),
             default=None,
         )
         return generate_between(left, right, self.replica, dot.counter)
@@ -332,27 +339,27 @@ class ReplicaState:
         if self.has_delivered(dot):
             raise DuplicateDelivery(f"dot {dot} delivered twice at replica {self.replica}")
         if self._deps_met(msg.op):
-            state = self._apply(msg)
+            state = self._apply(msg, self.pending)
         elif BUG_ASSUME_CAUSAL in self.bug_flags:
             # The operation is "processed" — its dot counts as handled —
             # but its effect is dropped.  This is exactly the misbehaviour
             # a causal-delivery assumption hides.
-            state = replace(self, applied=self.applied.add(dot))
+            state = self._successor(self.elems, self.pending, self.applied.add(dot),
+                                    self.bug_nonce)
         elif BUG_READD_ACCEPT in self.bug_flags and msg.op.kind == "readd":
             state = self._bug_materialize_readd(msg)
         else:
-            state = replace(self, pending={**self.pending, dot: msg})
+            state = self._successor(self.elems, {**self.pending, dot: msg}, self.applied,
+                                    self.bug_nonce)
         return state._flush()
 
     def _deps_met(self, op: Operation) -> bool:
         return all(self.applied.contains(d) for d in op.deps)
 
-    def _apply(self, msg: SyncMessage) -> "ReplicaState":
-        return replace(
-            self,
-            applied=self.applied.add(msg.op.dot),
-            elems=self._effect(msg.op, msg.ctx),
-        )
+    def _apply(self, msg: SyncMessage, pending: dict) -> "ReplicaState":
+        """Apply ``msg``'s effect, leaving ``pending`` as the buffer."""
+        return self._successor(self._effect(msg.op, msg.ctx), pending,
+                               self.applied.add(msg.op.dot), self.bug_nonce)
 
     def _bug_materialize_readd(self, msg: SyncMessage) -> "ReplicaState":
         """bug1: accept a re-add whose insert never arrived.
@@ -361,25 +368,26 @@ class ReplicaState:
         position; the real insert is ignored when it shows up.
         """
         nonce = self.bug_nonce + 1
-        last = max((v.pos for v in self.existent().values()), default=None)
+        last = max((o.pos for o in self.elems.values()
+                    if o.view().existence is Existence.EXISTENT), default=None)
         pos = generate_between(last, None, self.replica, _BUG_NONCE_FLOOR + nonce)
         elems = dict(self.elems)
         elems[msg.op.elem] = ListOps(Rec(msg.op.dot, 0, msg.ctx), pos)
-        return replace(self, applied=self.applied.add(msg.op.dot),
-                       elems=elems, bug_nonce=nonce)
+        return self._successor(elems, self.pending, self.applied.add(msg.op.dot), nonce)
 
     def _flush(self) -> "ReplicaState":
         """Apply the first buffered operation, in dot order, whose
         dependencies are met, and repeat until none is."""
         state = self
-        while True:
+        while state.pending:
             ready = next(
                 (d for d in sorted(state.pending) if state._deps_met(state.pending[d].op)), None
             )
             if ready is None:
-                return state
+                break
             pending = dict(state.pending)
-            state = replace(state._apply(pending.pop(ready)), pending=pending)
+            state = state._apply(pending.pop(ready), pending)
+        return state
 
     # -- effects -----------------------------------------------------
 
@@ -393,14 +401,16 @@ class ReplicaState:
             if ops is None:
                 elems[op.elem] = ListOps(Rec(op.dot, op.arg, ctx), op.pos)
             return elems
-        name = _FIELD[self.data_type].get(op.kind)
-        if name is None:
+        slot = _SLOT[self.data_type].get(op.kind)
+        if slot is None:
             raise ValueError(f"bad kind {op.kind!r} for {self.data_type}")
-        if ops is None:
-            assert self.data_type == RPQ, "deps guarantee the insert applied first"
-            ops = RpqOps()
-        rec = Rec(op.dot, None if name in _VALUELESS else op.arg, ctx)
-        elems[op.elem] = replace(ops, **{name: getattr(ops, name) + (rec,)})
+        if self.data_type == RPQ:
+            parts = [ops.adds, ops.incs, ops.rems] if ops is not None else [(), (), ()]
+        else:
+            assert ops is not None, "deps guarantee the insert applied first"
+            parts = [ops.ins, ops.pos, ops.upds, ops.rems, ops.readds]
+        parts[slot] += (Rec(op.dot, None if op.kind in _VALUELESS else op.arg, ctx),)
+        elems[op.elem] = (RpqOps if self.data_type == RPQ else ListOps)(*parts)
         return elems
 
     # -- derived views -----------------------------------------------
@@ -418,7 +428,8 @@ class ReplicaState:
 
     def existent(self) -> dict:
         """The views of the existent elements, by id."""
-        return {e: v for e, v in self.views().items() if v.existence is Existence.EXISTENT}
+        return {e: o.view() for e, o in self.elems.items()
+                if o.view().existence is Existence.EXISTENT}
 
     def query(self):
         """Reader-facing value: rpq — the max-value existent element

@@ -66,6 +66,13 @@ def test_explore_budget_exhaustion_exits_three(capsys):
     assert doc["exhaustive"] is False
 
 
+def test_explore_report_is_byte_identical_across_runs(capsys):
+    argv = ["explore", "--type", "list", "-n", "2", "-q", "3"]
+    first, second = run(capsys, *argv), run(capsys, *argv)
+    assert first[0] == 0
+    assert first[1] == second[1]
+
+
 def test_explore_report_goes_to_file_when_asked(capsys, tmp_path):
     target = tmp_path / "report.json"
     code, out, _ = run(
@@ -142,6 +149,20 @@ def test_gen_refuses_a_negative_limit(capsys, tmp_path):
     )
     assert code == 1
     assert "limit" in err
+
+
+@pytest.mark.parametrize("argv, exit_code", [
+    (["--type", "list", "-n", "2", "-q", "3", "--state-cap", "200"], 3),
+    (["--type", "rpq", "-n", "1", "-q", "3", "--limit", "-3"], 1),
+], ids=["state-cap", "negative-limit"])
+def test_failed_gen_leaves_the_out_file_alone(capsys, tmp_path, argv, exit_code):
+    target = tmp_path / "corpus.jsonl"
+    target.write_bytes(b'{"earlier": "corpus"}\n')
+    code, out, _ = run(capsys, "gen", *argv, "--out", str(target))
+    assert code == exit_code
+    assert out == ""
+    assert target.read_bytes() == b'{"earlier": "corpus"}\n'
+    assert [p.name for p in tmp_path.iterdir()] == ["corpus.jsonl"]  # no temporary left
 
 
 # -- replay ----------------------------------------------------------------------

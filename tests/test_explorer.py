@@ -645,7 +645,6 @@ def test_violating_counterexamples_replay_to_the_violation():
 
 def report_digest(report) -> str:
     doc = report.as_json()
-    del doc["wall_time_s"]
     return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
 

@@ -440,6 +440,81 @@ def test_cached_view_is_not_carried_by_replace(data_type, derive):
     assert len(kinds) >= 2  # both live and removed elements were checked
 
 
+def random_network_history(data_type: str, seed: int, steps: int, bug_flags=frozenset()):
+    """Three replicas driven by ``steps`` random moves: a valid request at
+    a random replica, or the delivery of a random in-flight message, so
+    messages arrive out of order, get buffered and are flushed.  Yields
+    ``(before, msg, after)`` for each delivery and ``(None, None, after)``
+    for each issue.  Every state's digest and views are read as soon as
+    it is reached, so a successor that carried over a cache would keep a
+    stale one."""
+    rng = random.Random(seed)
+    reps = [fresh_replica(data_type, i, bug_flags) for i in range(3)]
+    for rep in reps:
+        rep.digest(), rep.views()
+    inflight = []  # (destination, message)
+    for i in range(steps):
+        if inflight and rng.random() < 0.6:
+            dest, msg = inflight.pop(rng.randrange(len(inflight)))
+            before = reps[dest]
+            reps[dest] = before.deliver(msg)
+        else:
+            dest, before, msg = rng.randrange(3), None, None
+            rep = reps[dest]
+            if data_type == "rpq":
+                kind = rng.choice(["add", "increase", "remove"])
+                r = req(kind, rng.choice("ab"), None if kind == "remove" else rng.randrange(9))
+            else:
+                kind = rng.choice(["insert", "insert", "update", "remove", "readd"])
+                if kind == "insert":
+                    r = req(kind, f"e{i}", rng.randrange(9),
+                            rng.choice([None, *sorted(rep.existent())]))
+                elif rep.elems:
+                    r = req(kind, rng.choice(sorted(rep.elems)),
+                            rng.randrange(9) if kind == "update" else None)
+                else:
+                    continue
+            reps[dest], sent = rep.issue(r)
+            inflight += [(d, sent) for d in range(3) if d != dest]
+        reps[dest].digest(), reps[dest].views()
+        yield before, msg, reps[dest]
+
+
+@pytest.mark.parametrize("data_type, flags, derive", [
+    ("rpq", (), replica.rpq_view),
+    ("list", (), replica.list_view),
+    ("list", (BUG_READD_ACCEPT,), replica.list_view),
+    ("rpq", (BUG_ASSUME_CAUSAL,), replica.rpq_view),
+    ("list", (BUG_ASSUME_CAUSAL,), replica.list_view),
+], ids=["rpq", "list", "list-bug1", "rpq-bug2", "list-bug2"])
+def test_delivered_states_carry_no_cached_digest_or_view(data_type, flags, derive):
+    # The deliver-side twin of the test above: applied, buffered,
+    # flushed, dropped and fabricated successors are all checked against
+    # fresh copies of themselves.
+    seen = Counter()
+    for seed in range(4):
+        for before, msg, rep in random_network_history(data_type, seed, 150, frozenset(flags)):
+            fresh = type(rep)(**{f.name: getattr(rep, f.name) for f in fields(rep) if f.init})
+            assert rep.digest() == fresh.digest()
+            for ops in rep.elems.values():
+                copy = type(ops)(**{f.name: getattr(ops, f.name) for f in fields(ops) if f.init})
+                assert ops.view() == derive(copy)
+                assert ops.view().wire() == derive(copy).wire()
+            if msg is None:
+                continue
+            seen["deliver"] += 1
+            seen["buffered"] += msg.op.dot in rep.pending
+            seen["flushed"] += len(rep.pending) < len(before.pending)
+            seen["unmet"] += not all(before.applied.contains(d) for d in msg.op.deps)
+            seen["fabricated"] += rep.bug_nonce > before.bug_nonce
+    assert seen["unmet"] > 10
+    if BUG_ASSUME_CAUSAL in flags:
+        assert seen["buffered"] == seen["flushed"] == 0
+    else:
+        assert seen["buffered"] > 10 and seen["flushed"] > 10
+    assert (seen["fabricated"] > 0) == (BUG_READD_ACCEPT in flags)
+
+
 # Ids that JSON escapes (quote, backslash, control character) or writes
 # as non-ASCII UTF-8.
 ESCAPED_NAMES = ('a"b', "c\\d", "é", "\x00", "😀")

@@ -563,6 +563,7 @@ def test_serve_connection_over_a_real_socket():
         ep.close()  # sends Shutdown
     finally:
         t.join(timeout=5)
+        srv_sock.close()
         assert not t.is_alive()
 
 
@@ -588,6 +589,7 @@ def test_serve_connection_refuses_a_deep_frame_and_carries_on():
         ep.close()  # sends Shutdown
     finally:
         t.join(timeout=5)
+        srv_sock.close()
         assert not t.is_alive()
 
 
@@ -611,3 +613,4 @@ def test_loopback_and_socket_endpoints_agree():
     finally:
         sock_ep.close()
         t.join(timeout=5)
+        srv_sock.close()
