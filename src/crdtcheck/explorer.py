@@ -42,8 +42,8 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
 - Each distinct (replica index, replica digest), sync message and
   channel gets a small int.  The index is part of the replica key
   because the digest omits it.  A state is the flat tuple
-  ``(slot, *replica ids, *channel ids)``, and each level is
-  deduplicated on that tuple.
+  ``(slot, *replica ids, *channel ids)``, the layout of ``GlobalState``
+  with ids for components, and each level is deduplicated on it.
 - Every component move is memoized on ids and runs once: the client
   requests and ``issue`` per (replica id, slot), ``deliver`` per
   (replica id, message id), a channel's add or remove per (channel id,
@@ -69,11 +69,17 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   store keeps one context object per value, not one per replica state:
   hash-consing, as in Filliâtre and Conchon, *Type-safe modular
   hash-consing*, 2006.
-- ``_successors`` is the one definition of the enabled events over a
-  store: the breadth-first search passes its ``_IdStore``; ``step``,
-  ``replay_schedule`` and ``enumerate_traces`` pass none and call
-  ``ReplicaState.issue``/``deliver`` directly, so the depth-first walk
-  stays an independent check of the store.
+- ``_successors`` is the only code that builds a successor state: it
+  decides which events are enabled and what each does to the flat
+  tuple (a client event moves its target replica and adds the message
+  to every other channel; a delivery moves one replica and removes the
+  message from its channel).  A store supplies only the component
+  moves: ``issued``, ``deliveries``, ``ready``, ``deliver`` and
+  ``toggle``.  The breadth-first search passes its ``_IdStore``;
+  ``step``, ``replay_schedule`` and ``enumerate_traces`` use
+  ``_Direct``, which calls ``ReplicaState.issue``/``deliver`` afresh
+  with no memo, so the depth-first walk stays an independent check of
+  the store.
 
 Checked invariants (reported by name):
 
@@ -95,6 +101,7 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
+from functools import partial
 
 from .dots import CausalContext
 from .errors import BadConfig, BudgetExceeded, NotEnabled
@@ -279,24 +286,44 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
 # -- global state -------------------------------------------------------
 
 
-@dataclass(frozen=True, slots=True)
-class GlobalState:
-    replicas: tuple[ReplicaState, ...]
-    channels: tuple[frozenset[SyncMessage], ...]  # indexed by destination
-    next_slot: int
+class GlobalState(tuple):
+    """A global state as the flat tuple ``(next_slot, *replicas,
+    *channels)``: n replica states, then n frozensets of sync messages,
+    channel d holding the messages in flight to replica d.  The
+    breadth-first search keeps plain int tuples of the same layout, with
+    store ids in place of the components.  The search's own per-state
+    code slices the tuple directly; the properties cost a call each."""
+
+    __slots__ = ()
+
+    def __new__(cls, replicas, channels, next_slot):
+        return tuple.__new__(cls, (next_slot, *replicas, *channels))
+
+    @property
+    def next_slot(self) -> int:
+        return self[0]
+
+    @property
+    def replicas(self) -> tuple[ReplicaState, ...]:
+        return self[1:len(self) // 2 + 1]
+
+    @property
+    def channels(self) -> tuple[frozenset[SyncMessage], ...]:
+        return self[len(self) // 2 + 1:]
 
     def canonical(self) -> tuple:
         """The slot, each replica's digest and each channel's sorted
         message digests: equal iff the canonical keys are equal."""
+        n = len(self) // 2
         return (
-            self.next_slot,
-            tuple(map(ReplicaState.digest, self.replicas)),
-            tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in self.channels),
+            self[0],
+            tuple(map(ReplicaState.digest, self[1:n + 1])),
+            tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in self[n + 1:]),
         )
 
     def render(self) -> tuple[bytes, ...]:
         """Each replica's canonical bytes: a terminal state's oracle."""
-        return tuple(r.normalize() for r in self.replicas)
+        return tuple(map(ReplicaState.normalize, self[1:len(self) // 2 + 1]))
 
 
 def state_digest(gs: GlobalState) -> bytes:
@@ -304,18 +331,12 @@ def state_digest(gs: GlobalState) -> bytes:
 
 
 def initial_state(cfg: ExplorationConfig) -> GlobalState:
-    return GlobalState(
-        replicas=tuple(
-            fresh_replica(cfg.data_type, i, cfg.bug_flags)
-            for i in range(cfg.n)
-        ),
-        channels=tuple(frozenset() for _ in range(cfg.n)),
-        next_slot=0,
-    )
+    replicas = [fresh_replica(cfg.data_type, i, cfg.bug_flags) for i in range(cfg.n)]
+    return GlobalState(replicas, [frozenset()] * cfg.n, 0)
 
 
 def is_terminal(cfg: ExplorationConfig, gs: GlobalState) -> bool:
-    return gs.next_slot >= cfg.q and not any(gs.channels)
+    return gs[0] >= cfg.q and not any(gs[cfg.n + 1:])
 
 
 def candidate_requests(
@@ -381,52 +402,34 @@ def _intern(ids: dict, items: list, key, item) -> int:
 
 
 class _Direct:
-    """Moves on plain ``GlobalState``s by ``ReplicaState.issue``/``deliver``,
-    computed afresh on every call: the store of ``step``,
-    ``replay_schedule`` and the depth-first walk, which shares no memo
-    with ``_IdStore``."""
+    """Component moves on the replica states and message sets themselves,
+    by ``ReplicaState.issue``/``deliver``, computed afresh on every call:
+    the store of ``step``, ``replay_schedule`` and the depth-first walk,
+    which shares no memo with ``_IdStore``."""
 
-    def slot(self, gs: GlobalState) -> int:
-        return gs.next_slot
-
-    def issued(self, cfg: ExplorationConfig, gs: GlobalState, slot: int, target: int) -> list:
-        rep = gs.replicas[target]
+    @staticmethod
+    def issued(cfg: ExplorationConfig, rep: ReplicaState, slot: int, target: int) -> list:
         return [
             (ClientEvent(slot, target, req), *rep.issue(req))
             for req in candidate_requests(cfg, rep, slot)
         ]
 
-    def after_issue(
-        self, gs: GlobalState, target: int, rep: ReplicaState, msg: SyncMessage
-    ) -> GlobalState:
-        replicas = list(gs.replicas)
-        replicas[target] = rep
-        channels = tuple(
-            ch if dest == target else ch | {msg} for dest, ch in enumerate(gs.channels)
-        )
-        return GlobalState(tuple(replicas), channels, gs.next_slot + 1)
+    deliveries = staticmethod(_in_order)
+    ready = staticmethod(_causally_ready)
 
-    def deliveries(self, gs: GlobalState, dest: int) -> list:
-        return _in_order(dest, gs.channels[dest])
+    @staticmethod
+    def deliver(dest: int, rep: ReplicaState, msg: SyncMessage) -> ReplicaState:
+        return rep.deliver(msg)
 
-    def ready(self, gs: GlobalState, dest: int, msg: SyncMessage) -> bool:
-        return _causally_ready(gs.replicas[dest], msg)
-
-    def after_deliver(self, gs: GlobalState, dest: int, msg: SyncMessage) -> GlobalState:
-        replicas = list(gs.replicas)
-        replicas[dest] = replicas[dest].deliver(msg)
-        channels = list(gs.channels)
-        channels[dest] = channels[dest] - {msg}
-        return GlobalState(tuple(replicas), tuple(channels), gs.next_slot)
-
-
-_DIRECT = _Direct()  # stateless: one instance serves every caller
+    @staticmethod
+    def toggle(channel: frozenset[SyncMessage], msg: SyncMessage) -> frozenset[SyncMessage]:
+        return channel ^ {msg}
 
 
 class _IdStore:
     """The integer handles and move memos of one breadth-first search
-    (see "State store" in the module docstring).  A state is the tuple
-    ``ids = (slot, *replica ids, *channel ids)``."""
+    (see "State store" in the module docstring): the same component
+    moves as ``_Direct``, on ids."""
 
     def __init__(self, cfg: ExplorationConfig):
         self.cfg = cfg
@@ -450,11 +453,8 @@ class _IdStore:
 
     def root(self) -> tuple:
         gs = initial_state(self.cfg)
-        return (
-            gs.next_slot,
-            *(self._replica(i, rep) for i, rep in enumerate(gs.replicas)),
-            *(self._channel(frozenset()) for _ in gs.channels),
-        )
+        return (gs[0], *map(self._replica, range(self.cfg.n), gs.replicas),
+                *map(self._channel, gs.channels))
 
     def _replica(self, index: int, rep: ReplicaState) -> int:
         key = (index, rep.digest())
@@ -474,23 +474,9 @@ class _IdStore:
     def _channel(self, msgs: frozenset[SyncMessage]) -> int:
         return _intern(self._channel_ids, self.channels, msgs, msgs)
 
-    def _toggle(self, cid: int, mid: int) -> int:
-        """The channel with the message added or removed.  A message only
-        joins a channel that lacks it and only leaves one that holds it,
-        so one memo serves both moves."""
-        key = (cid, mid)
-        got = self._toggled.get(key)
-        if got is None:
-            got = self._toggled[key] = self._channel(self.channels[cid] ^ {self.messages[mid]})
-        return got
-
     # -- the moves ``_successors`` asks for ---------------------------
 
-    def slot(self, ids: tuple) -> int:
-        return ids[0]
-
-    def issued(self, cfg: ExplorationConfig, ids: tuple, slot: int, target: int) -> list:
-        rid = ids[1 + target]
+    def issued(self, cfg: ExplorationConfig, rid: int, slot: int, target: int) -> list:
         got = self._issued.get((rid, slot))
         if got is None:
             rep = self.replicas[rid]
@@ -503,18 +489,7 @@ class _IdStore:
                 )
         return got
 
-    def after_issue(self, ids: tuple, target: int, rid: int, mid: int) -> tuple:
-        n = self.cfg.n
-        out = list(ids)
-        out[0] += 1
-        out[1 + target] = rid
-        for dest in range(n):
-            if dest != target:
-                out[1 + n + dest] = self._toggle(ids[1 + n + dest], mid)
-        return tuple(out)
-
-    def deliveries(self, ids: tuple, dest: int) -> list:
-        cid = ids[1 + self.cfg.n + dest]
+    def deliveries(self, dest: int, cid: int) -> list:
         got = self._deliveries.get((dest, cid))
         if got is None:
             got = self._deliveries[dest, cid] = [
@@ -522,31 +497,34 @@ class _IdStore:
             ]
         return got
 
-    def ready(self, ids: tuple, dest: int, mid: int) -> bool:
-        return _causally_ready(self.replicas[ids[1 + dest]], self.messages[mid])
+    def ready(self, rid: int, mid: int) -> bool:
+        return _causally_ready(self.replicas[rid], self.messages[mid])
 
-    def after_deliver(self, ids: tuple, dest: int, mid: int) -> tuple:
-        key = (ids[1 + dest], mid)
-        rid = self._delivered.get(key)
-        if rid is None:
-            rep = self.replicas[key[0]].deliver(self.messages[mid])
-            rid = self._delivered[key] = self._replica(dest, rep)
-        cslot = 1 + self.cfg.n + dest
-        out = list(ids)
-        out[1 + dest] = rid
-        out[cslot] = self._toggle(ids[cslot], mid)
-        return tuple(out)
+    def deliver(self, dest: int, rid: int, mid: int) -> int:
+        key = (rid, mid)
+        got = self._delivered.get(key)
+        if got is None:
+            rep = self.replicas[rid].deliver(self.messages[mid])
+            got = self._delivered[key] = self._replica(dest, rep)
+        return got
+
+    def toggle(self, cid: int, mid: int) -> int:
+        """The channel with the message added or removed.  A message only
+        joins a channel that lacks it and only leaves one that holds it,
+        so one memo serves both moves."""
+        key = (cid, mid)
+        got = self._toggled.get(key)
+        if got is None:
+            got = self._toggled[key] = self._channel(self.channels[cid] ^ {self.messages[mid]})
+        return got
 
     # -- what the search reads off a state ----------------------------
 
     def resolve(self, ids: tuple) -> GlobalState:
         """The ``GlobalState`` these ids stand for."""
         n = self.cfg.n
-        return GlobalState(
-            tuple(map(self.replicas.__getitem__, ids[1:n + 1])),
-            tuple(map(self.channels.__getitem__, ids[n + 1:])),
-            ids[0],
-        )
+        return tuple.__new__(GlobalState, (ids[0], *map(self.replicas.__getitem__, ids[1:n + 1]),
+                                           *map(self.channels.__getitem__, ids[n + 1:])))
 
     def violations(self, ids: tuple) -> list[tuple[str, str]]:
         """``state_violations`` of the state, from the check each replica
@@ -554,25 +532,38 @@ class _IdStore:
         return [v for r in ids[1:self.cfg.n + 1] for v in self._violations.get(r, ())]
 
 
-def _successors(cfg: ExplorationConfig, gs, store=None) -> list[tuple]:
+def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]:
     """(event, successor state) pairs, client events first, then the
     deliveries in (dest, origin, counter) order: the one definition of
-    which events are enabled.  ``store`` holds the states: None means
-    ``GlobalState``s moved by ``ReplicaState.issue``/``deliver``
-    directly; the breadth-first search passes its ``_IdStore``."""
-    if store is None:
-        store = _DIRECT
+    which events are enabled and of what each does to the global state.
+    ``store`` supplies the component moves: ``_Direct`` moves a
+    ``GlobalState``'s replicas and channels themselves; the breadth-first
+    search passes its ``_IdStore`` and an id tuple.  A successor has the
+    type of ``gs``."""
+    n = cfg.n
+    # tuple() builds an id tuple at a third of the cost of tuple.__new__
+    new = tuple if type(gs) is tuple else partial(tuple.__new__, type(gs))
     out = []
-    slot = store.slot(gs)
+    slot = gs[0]
     if slot < cfg.q:
-        target = slot % cfg.n
-        for ev, rep, msg in store.issued(cfg, gs, slot, target):
-            out.append((ev, store.after_issue(gs, target, rep, msg)))
+        target = slot % n
+        others = [1 + n + dest for dest in range(n) if dest != target]
+        for ev, rep, msg in store.issued(cfg, gs[1 + target], slot, target):
+            succ = list(gs)
+            succ[0] = slot + 1
+            succ[1 + target] = rep
+            for c in others:
+                succ[c] = store.toggle(gs[c], msg)
+            out.append((ev, new(succ)))
     causal = cfg.channel == CHANNEL_CAUSAL
-    for dest in range(cfg.n):
-        for ev, msg in store.deliveries(gs, dest):
-            if not causal or store.ready(gs, dest, msg):
-                out.append((ev, store.after_deliver(gs, dest, msg)))
+    for dest in range(n):
+        r, c = 1 + dest, 1 + n + dest
+        for ev, msg in store.deliveries(dest, gs[c]):
+            if not causal or store.ready(gs[r], msg):
+                succ = list(gs)
+                succ[r] = store.deliver(dest, gs[r], msg)
+                succ[c] = store.toggle(gs[c], msg)
+                out.append((ev, new(succ)))
     return out
 
 
@@ -612,7 +603,7 @@ def replica_violations(
 
 def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str, str]]:
     """Per-state invariants; returned as (name, detail) pairs."""
-    return [v for i, rep in enumerate(gs.replicas) for v in replica_violations(cfg, i, rep)]
+    return [v for i in range(cfg.n) for v in replica_violations(cfg, i, gs[1 + i])]
 
 
 def terminal_violations(gs: GlobalState, oracle: tuple[bytes, ...]) -> list[tuple[str, str]]:
@@ -628,7 +619,7 @@ def terminal_violations(gs: GlobalState, oracle: tuple[bytes, ...]) -> list[tupl
                 )
             )
             break
-    for i, rep in enumerate(gs.replicas):
+    for i, rep in enumerate(gs[1:len(oracle) + 1]):
         if rep.pending:
             out.append(
                 ("buffer-liveness", f"replica {i} still buffers {len(rep.pending)} op(s)")
@@ -686,42 +677,53 @@ class ExplorationReport:
 
 
 class _ViolationLog:
-    """Violations in discovery order, one per (invariant, state digest),
-    at most ``VIOLATION_CAP`` of them.  ``schedule_of`` maps the search's
-    handle on a state (``at``) to the events that reached the state; it
-    runs only for a violation that gets recorded."""
+    """Violations, one per (invariant, state digest), at most
+    ``VIOLATION_CAP`` of them, and the report of the walk that found
+    them.  ``schedule_of`` maps the walk's handle on a state
+    (``at``) to the events that reached the state; it runs only for a
+    violation that gets recorded."""
 
-    def __init__(self, schedule_of: Callable[[object], tuple]):
+    def __init__(self, cfg: ExplorationConfig, schedule_of: Callable[[object], tuple]):
+        self.cfg = cfg
         self.found: list[Violation] = []
         self.capped = False
         self._shapes: set = set()
         self._schedule_of = schedule_of
-
-    def note(self, name: str, detail: str, key: bytes, at: object = None) -> None:
-        shape = (name, key)
-        if shape in self._shapes:
-            return
-        if len(self.found) >= VIOLATION_CAP:
-            self.capped = True
-            return
-        self._shapes.add(shape)
-        self.found.append(Violation(name, self._schedule_of(at), detail))
 
     def record(self, vs: list[tuple[str, str]], key: bytes | None, at: object = None) -> bool:
         """Note every (name, detail) in ``vs`` for the state ``at`` that
         digests to ``key`` (None only when ``vs`` is empty); True if there
         are any."""
         for name, detail in vs:
-            self.note(name, detail, key, at)
+            shape = (name, key)
+            if shape in self._shapes:
+                continue
+            if len(self.found) >= VIOLATION_CAP:
+                self.capped = True
+                continue
+            self._shapes.add(shape)
+            self.found.append(Violation(name, self._schedule_of(at), detail))
         return bool(vs)
 
-    def check(self, cfg: ExplorationConfig, gs: GlobalState, oracle: tuple | None) -> bool:
-        """Record every invariant ``gs`` breaks; True if it breaks any.
-        ``oracle`` is ``gs.render()`` for a terminal state, else None."""
-        vs = state_violations(cfg, gs)
-        if oracle is not None:
-            vs += terminal_violations(gs, oracle)
-        return self.record(vs, state_digest(gs) if vs else None)
+    def stuck(self, gs: GlobalState, at: object = None) -> None:
+        """Record that ``gs``, not terminal, enables no event."""
+        self.record([("stuck", "no enabled events before the run completed")],
+                    state_digest(gs), at)
+
+    def report(self, visited: int, distinct: int, traces: int, exhaustive: bool,
+               oracle_ms: dict | None) -> ExplorationReport:
+        """The walk's report; violations shortest schedule first, in
+        discovery order among equals."""
+        return ExplorationReport(
+            fingerprint=config_fingerprint(self.cfg),
+            states_visited=visited,
+            distinct_states=distinct,
+            terminal_traces=traces,
+            violations=tuple(sorted(self.found, key=lambda v: len(v.schedule))),
+            violations_capped=self.capped,
+            exhaustive=exhaustive,
+            oracle_multiset=oracle_ms,
+        )
 
 
 # -- depth-first walk ----------------------------------------------------
@@ -742,22 +744,26 @@ def enumerate_traces(
     function of the configuration.  With ``check`` set, the same
     invariants as the deduplicating search run at every node, violating
     non-terminal nodes pruning their subtree the same way.  The walk
-    stops early, with ``exhaustive`` false, once ``cfg.state_cap``
-    nodes are visited.
+    stops early, with ``exhaustive`` false, before it would visit node
+    ``cfg.state_cap + 1``.
     """
     visited = 1
     leaves = 0
     budget_hit = False
     oracle_ms: dict | None = {} if collect_oracles else None
     path: list = []
-    log = _ViolationLog(lambda _at: tuple(path))
+    log = _ViolationLog(cfg, lambda _at: tuple(path))
 
     def walk(gs: GlobalState) -> None:
         nonlocal visited, leaves, budget_hit
         terminal = is_terminal(cfg, gs)
         oracle = gs.render() if terminal else None
-        if check and log.check(cfg, gs, oracle) and not terminal:
-            return  # prune below a broken state
+        if check:
+            vs = state_violations(cfg, gs)
+            if terminal:
+                vs += terminal_violations(gs, oracle)
+            if log.record(vs, state_digest(gs) if vs else None) and not terminal:
+                return  # prune below a broken state
         if terminal:
             leaves += 1
             if emit is not None:
@@ -768,11 +774,10 @@ def enumerate_traces(
         succs = _successors(cfg, gs)
         if not succs:
             if check:
-                log.note("stuck", "no enabled events before the run completed",
-                         state_digest(gs))
+                log.stuck(gs)
             return
         for ev, succ in succs:
-            if cfg.state_cap is not None and visited >= cfg.state_cap:
+            if visited == cfg.state_cap:
                 budget_hit = True
                 return
             visited += 1
@@ -783,16 +788,7 @@ def enumerate_traces(
                 return
 
     walk(initial_state(cfg))
-    return ExplorationReport(
-        fingerprint=config_fingerprint(cfg),
-        states_visited=visited,
-        distinct_states=visited,
-        terminal_traces=leaves,
-        violations=tuple(sorted(log.found, key=lambda v: len(v.schedule))),
-        violations_capped=log.capped,
-        exhaustive=not budget_hit,
-        oracle_multiset=oracle_ms,
-    )
+    return log.report(visited, visited, leaves, not budget_hit, oracle_ms)
 
 
 # -- deduplicating search -------------------------------------------------
@@ -828,8 +824,8 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     Every event consumes a slot or delivers a message, so all paths to a
     state have the same length: deduplicating within a level is complete,
     and every terminal state sits in the last level.  Stops early, with
-    ``exhaustive`` false, once more than ``cfg.state_cap`` distinct
-    states are found.
+    ``exhaustive`` false, before it would count distinct state
+    ``cfg.state_cap + 1``.
     """
     store = _IdStore(cfg)
 
@@ -841,7 +837,7 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
             entry = entry[2]
         return tuple(reversed(events))
 
-    log = _ViolationLog(schedule_of)
+    log = _ViolationLog(cfg, schedule_of)
     visited = 1
     distinct = 1
     # (level entry, oracle or None) per terminal state, in discovery order
@@ -867,12 +863,13 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                 paths = entry[0]
                 succs = _successors(cfg, ids, store)
                 if not succs:
-                    log.note("stuck", "no enabled events before the run completed",
-                             state_digest(store.resolve(ids)), entry)
+                    log.stuck(store.resolve(ids), entry)
                     continue
                 for ev, succ in succs:
-                    visited += 1
                     child = level.get(succ)
+                    if child is None and distinct == cfg.state_cap:
+                        return False
+                    visited += 1
                     if child is not None:
                         child[0] += paths
                         continue
@@ -889,8 +886,6 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                     level[succ] = child
                     if terminal:
                         terminals.append((child, oracle if collect_oracles else None))
-                    if cfg.state_cap is not None and distinct > cfg.state_cap:
-                        return False
             frontier = level
         return True
 
@@ -900,13 +895,5 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         oracle_ms = {}
         for (paths,), oracle in terminals:
             oracle_ms[oracle] = oracle_ms.get(oracle, 0) + paths
-    return ExplorationReport(
-        fingerprint=config_fingerprint(cfg),
-        states_visited=visited,
-        distinct_states=distinct,
-        terminal_traces=sum(paths for (paths,), _ in terminals),
-        violations=tuple(log.found),
-        violations_capped=log.capped,
-        exhaustive=exhaustive,
-        oracle_multiset=oracle_ms,
-    )
+    traces = sum(paths for (paths,), _ in terminals)
+    return log.report(visited, distinct, traces, exhaustive, oracle_ms)

@@ -46,7 +46,7 @@ from .explorer import (
 )
 from .operations import RPQ, OperationRequest
 from .replica import ReplicaState, fresh_replica
-from .server import ReplicaServer
+from .server import ReplicaServer, check_bug_flags
 from .testgen import TestCase, iter_corpus
 from .wire import canonical_json
 
@@ -95,6 +95,7 @@ class SocketEndpoint:
 
 
 def loopback_factory(cfg: ExplorationConfig, bug_flags=()) -> Callable[[], list]:
+    check_bug_flags(bug_flags)  # refuse an unknown flag before any case runs
     def make() -> list:
         return [
             LoopbackEndpoint(ReplicaServer(cfg.data_type, i, cfg.n, bug_flags))

@@ -135,44 +135,43 @@ _SLOT = {
 _VALUELESS = ("remove", "readd")
 
 
+class _View:
+    """A view's ``wire()``: ``as_wire()`` as canonical JSON, rendered once
+    and cached in the view's ``_wire`` field, so every state that shares
+    the view shares the rendering."""
+
+    __slots__ = ()
+
+    def wire(self) -> str:
+        if self._wire is None:
+            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
+        return self._wire
+
+
 @dataclass(frozen=True, slots=True)
-class RpqView:
+class RpqView(_View):
     existence: Existence
     value: int | None
     add_dot: Dot | None
-    # Cached ``wire()``; shared by every state that shares the view.
     _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_wire(self) -> dict:
         add_dot = self.add_dot.as_wire() if self.add_dot else None
         return {"add_dot": add_dot, "existence": self.existence.value, "value": self.value}
 
-    def wire(self) -> str:
-        """``as_wire()`` as canonical JSON, rendered once per view."""
-        if self._wire is None:
-            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
-        return self._wire
-
 
 @dataclass(frozen=True, slots=True)
-class ListView:
+class ListView(_View):
     existence: Existence
     attr: int
     pos: Position
     add_dot: Dot
-    # Cached ``wire()``; shared by every state that shares the view.
     _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
     def as_wire(self) -> dict:
         attr = self.attr if self.existence is Existence.EXISTENT else None
         return {"add_dot": self.add_dot.as_wire(), "attr": attr,
                 "existence": self.existence.value, "pos": position_wire(self.pos)}
-
-    def wire(self) -> str:
-        """``as_wire()`` as canonical JSON, rendered once per view."""
-        if self._wire is None:
-            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
-        return self._wire
 
 
 def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:

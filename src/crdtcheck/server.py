@@ -47,6 +47,7 @@ Bug flags (transcription mistakes kept reproducible on purpose):
 from __future__ import annotations
 
 from bisect import bisect_right, insort
+from contextlib import suppress
 
 from .errors import (
     CrdtCheckError,
@@ -82,6 +83,14 @@ BUG_DESCRIPTIONS = {
     ),
 }
 BUG_FLAGS = tuple(BUG_DESCRIPTIONS)
+
+
+def check_bug_flags(bug_flags) -> None:
+    """Raise ``UnknownFlag`` for the first flag outside the catalog."""
+    for flag in bug_flags:
+        if flag not in BUG_FLAGS:
+            raise UnknownFlag(f"{flag!r} is not in the bug catalog {list(BUG_FLAGS)}")
+
 
 _RPQ_KINDS = ("add", "increase", "remove")
 _LIST_KINDS = ("insert", "update", "remove", "readd")
@@ -233,11 +242,7 @@ class ReplicaServer:
     def __init__(self, data_type: str, replica: int, n: int, bug_flags=()):
         if data_type not in (RPQ, LIST):
             raise ProtocolViolation(f"unknown data type {data_type!r}")
-        for flag in bug_flags:
-            if flag not in BUG_FLAGS:
-                raise UnknownFlag(
-                    f"{flag!r} is not in the bug catalog {list(BUG_FLAGS)}"
-                )
+        check_bug_flags(bug_flags)
         self.data_type = data_type
         self._state_tail = '},"type":' + canonical_json(data_type) + "}"
         self.replica = replica
@@ -572,21 +577,28 @@ def serve_connection(server: ReplicaServer, sock) -> None:
     or end-of-stream.  Errors answer with an Error frame; the session
     continues, leaving the driver to decide what to do with a broken
     replica.  A frame whose body is not a JSON object is read to its end
-    before it is refused, so it gets an Error reply too."""
+    before it is refused, so it gets an Error reply too.  A stream out of
+    step (an oversized header, or a close mid-frame) ends the session,
+    with an Error reply if the peer still reads; a peer that goes away
+    before it reads a reply ends it quietly."""
     fs = FrameSocket(sock)
-    while True:
-        try:
-            obj = fs.recv()
-        except MalformedFrame as exc:
-            fs.send({"error": str(exc), "type": "Error"})
-            continue
-        if obj is None:
-            return
-        try:
-            reply = server.handle_frame(obj)
-        except CrdtCheckError as exc:
-            fs.send({"error": str(exc), "type": "Error"})
-            continue
-        fs.send(reply)
-        if obj.get("type") == "Shutdown":
-            return
+    with suppress(OSError):  # the peer went away: there is no one to answer
+        while True:
+            try:
+                obj = fs.recv()
+            except MalformedFrame as exc:
+                fs.send({"error": str(exc), "type": "Error"})
+                continue
+            except ProtocolViolation as exc:
+                fs.send({"error": str(exc), "type": "Error"})
+                return
+            if obj is None:
+                return
+            try:
+                reply = server.handle_frame(obj)
+            except CrdtCheckError as exc:
+                fs.send({"error": str(exc), "type": "Error"})
+                continue
+            fs.send(reply)
+            if obj.get("type") == "Shutdown":
+                return

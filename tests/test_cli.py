@@ -8,6 +8,7 @@ import json
 import pytest
 
 from crdtcheck.cli import main
+from crdtcheck.server import BUG_FLAGS
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -221,7 +222,9 @@ def test_replay_unknown_server_flag_exits_one(capsys, small_corpus):
         str(small_corpus), "--bug", "bug3-imaginary",
     )
     assert code == 1
-    assert "bug3-imaginary" in err
+    assert err == (
+        f"crdtcheck: 'bug3-imaginary' is not in the bug catalog {list(BUG_FLAGS)}\n"
+    )
 
 
 def test_replay_malformed_corpus_exits_one(capsys, tmp_path):

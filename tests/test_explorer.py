@@ -699,6 +699,16 @@ def test_state_cap_raises_in_deduplicating_mode_too():
     assert not exc.value.report.exhaustive
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_both_walks_stop_at_the_state_cap(n):
+    cfg = cfg_of(n=n, q=3, state_cap=100)
+    with pytest.raises(BudgetExceeded, match="exhausted after 100 distinct states") as exc:
+        explore(cfg)
+    for partial in (exc.value.report, enumerate_traces(cfg, check=True)):
+        assert not partial.exhaustive
+        assert partial.distinct_states == 100
+
+
 def test_generous_cap_changes_nothing():
     report = explore(cfg_of(q=2, state_cap=10_000))
     assert report.exhaustive

@@ -11,7 +11,7 @@ import threading
 
 import pytest
 
-from crdtcheck.errors import BadConfig, MalformedCase
+from crdtcheck.errors import BadConfig, MalformedCase, UnknownFlag
 from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
@@ -204,6 +204,12 @@ def test_boolean_replica_index_is_malformed(tag):
 
 
 # -- corpus-level replay -------------------------------------------------------
+
+
+def test_replay_refuses_an_unknown_flag_before_any_case():
+    # an empty corpus builds no server, so only the factory can refuse it
+    with pytest.raises(UnknownFlag, match="'nope' is not in the bug catalog"):
+        replay_corpus(rpq_cfg(), io.StringIO(""), bug_flags=["nope"])
 
 
 def test_flagless_replay_passes_everything():

@@ -593,6 +593,29 @@ def test_serve_connection_refuses_a_deep_frame_and_carries_on():
         assert not t.is_alive()
 
 
+def test_serve_connection_refuses_an_oversized_header_and_ends():
+    srv_sock, cli_sock = socket.socketpair()
+    with srv_sock, cli_sock:
+        cli_sock.settimeout(5)
+        cli_sock.sendall((MAX_FRAME + 1).to_bytes(4, "big") + b"{")
+        serve_connection(ReplicaServer("rpq", 0, 2), srv_sock)  # returns
+        reply = FrameSocket(cli_sock).recv()
+        assert reply["type"] == "Error" and str(MAX_FRAME + 1) in reply["error"]
+
+
+@pytest.mark.parametrize("sent", [
+    encode_frame({"type": "Inspect"})[:-3],
+    encode_frame({"type": "Inspect"}),
+    (3).to_bytes(4, "big") + b"[1]",
+], ids=["mid-frame", "before-the-reply", "before-the-refusal"])
+def test_serve_connection_ends_quietly_when_the_peer_closes(sent):
+    srv_sock, cli_sock = socket.socketpair()
+    with srv_sock:
+        cli_sock.sendall(sent)
+        cli_sock.close()
+        serve_connection(ReplicaServer("rpq", 0, 2), srv_sock)  # returns
+
+
 def test_loopback_and_socket_endpoints_agree():
     loop = LoopbackEndpoint(ReplicaServer("list", 0, 2))
     srv_sock, cli_sock = socket.socketpair()
