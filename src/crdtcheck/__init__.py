@@ -23,7 +23,6 @@ from .errors import (
     MalformedCase,
     NotEnabled,
     ProtocolViolation,
-    ScheduleUnsatisfiable,
     UnknownElement,
     UnknownFlag,
 )
@@ -61,7 +60,6 @@ __all__ = [
     "ReplaySummary",
     "ReplicaServer",
     "ReplicaState",
-    "ScheduleUnsatisfiable",
     "StressReport",
     "SyncMessage",
     "TestCase",

@@ -51,10 +51,6 @@ class MalformedCase(CrdtCheckError):
         super().__init__(msg)
 
 
-class ScheduleUnsatisfiable(CrdtCheckError):
-    """A replayed schedule asked to deliver a message nobody sent."""
-
-
 class ProtocolViolation(CrdtCheckError):
     """A frame breaks the lockstep protocol: a replica server got one
     it cannot handle, or the harness got a malformed reply."""

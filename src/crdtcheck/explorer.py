@@ -51,7 +51,8 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
 - A terminal state is rendered by ``GlobalState.render``, with no memo
   on replica ids: in a run without bug flags a terminal replica state
   has applied every op and so fixes every op choice, so no two terminal
-  states share one.
+  states share one.  A rendering is text, compared and stored as text;
+  only the harness encodes it, to report a difference's byte offset.
 - Only a new distinct state is digested, by ``state_digest`` of the
   ``GlobalState`` its ids stand for, so violations are keyed as without
   the store.  The digest is kept only when a violation is recorded; a
@@ -101,7 +102,6 @@ import hashlib
 import json
 from collections.abc import Callable
 from dataclasses import dataclass
-from functools import partial
 
 from .dots import CausalContext
 from .errors import BadConfig, BudgetExceeded, NotEnabled
@@ -173,6 +173,10 @@ class ExplorationConfig:
     def __post_init__(self):
         if self.data_type not in (RPQ, LIST):
             raise BadConfig(f"unknown data type {self.data_type!r}")
+        cap = 1 if self.state_cap is None else self.state_cap
+        for name, value in (("n", self.n), ("q", self.q), ("state_cap", cap)):
+            if type(value) is not int:  # not a bool: True would be n=1 under another fingerprint
+                raise BadConfig(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.n <= MAX_REPLICAS:
             raise BadConfig(f"replica count must be 1..{MAX_REPLICAS}, got {self.n}")
         if self.q < 1:
@@ -289,15 +293,13 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
 class GlobalState(tuple):
     """A global state as the flat tuple ``(next_slot, *replicas,
     *channels)``: n replica states, then n frozensets of sync messages,
-    channel d holding the messages in flight to replica d.  The
-    breadth-first search keeps plain int tuples of the same layout, with
-    store ids in place of the components.  The search's own per-state
-    code slices the tuple directly; the properties cost a call each."""
+    channel d holding the messages in flight to replica d.  It is built
+    from that tuple like any tuple, and the breadth-first search keeps
+    plain int tuples of the same layout, with store ids in place of the
+    components.  Per-state code slices the tuple directly; the
+    properties cost a call each."""
 
     __slots__ = ()
-
-    def __new__(cls, replicas, channels, next_slot):
-        return tuple.__new__(cls, (next_slot, *replicas, *channels))
 
     @property
     def next_slot(self) -> int:
@@ -321,8 +323,8 @@ class GlobalState(tuple):
             tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in self[n + 1:]),
         )
 
-    def render(self) -> tuple[bytes, ...]:
-        """Each replica's canonical bytes: a terminal state's oracle."""
+    def render(self) -> tuple[str, ...]:
+        """Each replica's canonical text: a terminal state's oracle."""
         return tuple(map(ReplicaState.normalize, self[1:len(self) // 2 + 1]))
 
 
@@ -332,7 +334,7 @@ def state_digest(gs: GlobalState) -> bytes:
 
 def initial_state(cfg: ExplorationConfig) -> GlobalState:
     replicas = [fresh_replica(cfg.data_type, i, cfg.bug_flags) for i in range(cfg.n)]
-    return GlobalState(replicas, [frozenset()] * cfg.n, 0)
+    return GlobalState((0, *replicas, *[frozenset()] * cfg.n))
 
 
 def is_terminal(cfg: ExplorationConfig, gs: GlobalState) -> bool:
@@ -523,8 +525,8 @@ class _IdStore:
     def resolve(self, ids: tuple) -> GlobalState:
         """The ``GlobalState`` these ids stand for."""
         n = self.cfg.n
-        return tuple.__new__(GlobalState, (ids[0], *map(self.replicas.__getitem__, ids[1:n + 1]),
-                                           *map(self.channels.__getitem__, ids[n + 1:])))
+        return GlobalState((ids[0], *map(self.replicas.__getitem__, ids[1:n + 1]),
+                            *map(self.channels.__getitem__, ids[n + 1:])))
 
     def violations(self, ids: tuple) -> list[tuple[str, str]]:
         """``state_violations`` of the state, from the check each replica
@@ -541,8 +543,6 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
     search passes its ``_IdStore`` and an id tuple.  A successor has the
     type of ``gs``."""
     n = cfg.n
-    # tuple() builds an id tuple at a third of the cost of tuple.__new__
-    new = tuple if type(gs) is tuple else partial(tuple.__new__, type(gs))
     out = []
     slot = gs[0]
     if slot < cfg.q:
@@ -554,7 +554,7 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
             succ[1 + target] = rep
             for c in others:
                 succ[c] = store.toggle(gs[c], msg)
-            out.append((ev, new(succ)))
+            out.append((ev, type(gs)(succ)))
     causal = cfg.channel == CHANNEL_CAUSAL
     for dest in range(n):
         r, c = 1 + dest, 1 + n + dest
@@ -563,7 +563,7 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
                 succ = list(gs)
                 succ[r] = store.deliver(dest, gs[r], msg)
                 succ[c] = store.toggle(gs[c], msg)
-                out.append((ev, new(succ)))
+                out.append((ev, type(gs)(succ)))
     return out
 
 
@@ -606,7 +606,7 @@ def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str,
     return [v for i in range(cfg.n) for v in replica_violations(cfg, i, gs[1 + i])]
 
 
-def terminal_violations(gs: GlobalState, oracle: tuple[bytes, ...]) -> list[tuple[str, str]]:
+def terminal_violations(gs: GlobalState, oracle: tuple[str, ...]) -> list[tuple[str, str]]:
     """Invariants that only make sense once every message was delivered;
     ``oracle`` is ``gs.render()``."""
     out = []
@@ -647,10 +647,10 @@ class Violation:
 
 @dataclass(frozen=True)
 class TraceRecord:
-    """One complete schedule plus the terminal canonical bytes per replica."""
+    """One complete schedule plus the terminal canonical text per replica."""
 
     schedule: tuple
-    oracle: tuple[bytes, ...]
+    oracle: tuple[str, ...]
 
 
 @dataclass

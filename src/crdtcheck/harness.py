@@ -38,7 +38,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
-from .errors import BadConfig, CrdtCheckError, ProtocolViolation, ScheduleUnsatisfiable
+from .errors import BadConfig, CrdtCheckError, ProtocolViolation
 from .explorer import (
     ClientEvent,
     ExplorationConfig,
@@ -186,16 +186,13 @@ def _sync_fanout(reply: dict) -> dict[tuple[int, int, int], dict]:
     return fanout
 
 
-def first_diff_offset(a: bytes, b: bytes) -> int:
-    for i, (x, y) in enumerate(zip(a, b)):
-        if x != y:
-            return i
-    return min(len(a), len(b))
-
-
 def _diff_at(got: str, want: str) -> int | None:
-    """None if equal, else the first offset where the UTF-8 bytes differ."""
-    return None if got == want else first_diff_offset(got.encode(), want.encode())
+    """None if the texts are equal, else the first offset where their
+    UTF-8 bytes differ: the one place a canonical state is encoded."""
+    if got == want:
+        return None
+    a, b = got.encode(), want.encode()
+    return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
 def _exchange(endpoint, frame: dict, want: str) -> dict:
@@ -257,9 +254,10 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
             else:
                 msg = in_flight.pop((ev.dest, ev.origin, ev.counter), None)
                 if msg is None:
-                    raise ScheduleUnsatisfiable(
-                        f"no in-flight message from replica {ev.origin} dot counter "
-                        f"{ev.counter} for replica {ev.dest}"
+                    return CaseResult(
+                        tc.case_id, REPLICA_ERROR, replica=replica,
+                        detail=f"no in-flight message from replica {ev.origin} dot counter "
+                        f"{ev.counter} for replica {ev.dest}",
                     )
                 _exchange(endpoints[replica], {"msg": msg, "type": "Sync"}, "Ack")
         for replica in range(n):
@@ -272,7 +270,7 @@ def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
                     tc.case_id, DIVERGED, replica=replica, diff_offset=offset,
                     detail=f"replica {replica} differs from the oracle at byte {offset}",
                 )
-    except (ProtocolViolation, ScheduleUnsatisfiable) as exc:
+    except ProtocolViolation as exc:
         return CaseResult(tc.case_id, REPLICA_ERROR, replica=replica, detail=str(exc))
     return CaseResult(tc.case_id, PASS)
 
@@ -459,7 +457,7 @@ def stress(
                 got = _exchange(
                     eps[replica], {"type": "Inspect"}, "InspectReply"
                 )["state"]
-                offset = _diff_at(got, models[replica].normalize().decode("utf-8"))
+                offset = _diff_at(got, models[replica].normalize())
                 if offset is not None:
                     raise _Mismatch(
                         "inspect-divergence",

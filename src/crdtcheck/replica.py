@@ -23,8 +23,8 @@ flushed transitively after every apply.
 
 - delivery-once: a dot is applied at most once per replica; handing the
   same sync message in twice raises ``DuplicateDelivery``.
-- strong convergence: equal applied dot sets imply byte-identical
-  ``normalize()`` output.
+- strong convergence: equal applied dot sets imply identical
+  ``normalize()`` text.
 - position stability: a list element's position is fixed by its
   original insert; re-add never reassigns it.
 - buffer liveness: once every broadcast message has been delivered, the
@@ -254,7 +254,7 @@ class ReplicaState:
         """Rebind ``applied`` to the equal context in ``contexts``, which
         maps ``canonical()`` to one context object per value, adding it if
         it is new.  States that share one such dict share their context
-        objects; the state's value, digest and bytes do not change."""
+        objects; the state's value, digest and canonical text do not change."""
         ctx = contexts.setdefault(self.applied.canonical(), self.applied)
         object.__setattr__(self, "applied", ctx)
 
@@ -439,8 +439,9 @@ class ReplicaState:
             return max(((e, v.value) for e, v in existent), key=lambda ev: ev[1], default=None)
         return [(e, v.attr) for e, v in sorted(existent, key=lambda ev: ev[1].pos)]
 
-    def normalize(self) -> bytes:
-        """Canonical form: sorted-key JSON, UTF-8, no whitespace.
+    def normalize(self) -> str:
+        """Canonical form: sorted-key JSON text, no whitespace or ASCII
+        escapes, as a server's Inspect reply carries it.
 
         Contains the per-element views plus the applied-dot context, and
         deliberately nothing else — not the pending buffer, not the
@@ -453,7 +454,7 @@ class ReplicaState:
         return "".join((
             '{"ctx":', canonical_json(self.applied.as_wire()),
             ',"elements":{', elements, '},"type":', encode_basestring(self.data_type), "}",
-        )).encode("utf-8")
+        ))
 
     # -- identity ----------------------------------------------------
 

@@ -574,31 +574,37 @@ class ReplicaServer:
 
 def serve_connection(server: ReplicaServer, sock) -> None:
     """Run one lockstep session over a connected socket until Shutdown
-    or end-of-stream.  Errors answer with an Error frame; the session
-    continues, leaving the driver to decide what to do with a broken
-    replica.  A frame whose body is not a JSON object is read to its end
-    before it is refused, so it gets an Error reply too.  A stream out of
-    step (an oversized header, or a close mid-frame) ends the session,
-    with an Error reply if the peer still reads; a peer that goes away
-    before it reads a reply ends it quietly."""
+    or end-of-stream.  An error, or a reply too large for a frame, is
+    answered with an Error frame and the session continues, leaving the
+    driver to decide what to do with a broken replica.  A frame whose
+    body is not a JSON object is read to its end before it is refused.
+    A stream out of step (an oversized header, or a close mid-frame)
+    ends the session, with an Error reply if the peer still reads; a
+    peer that goes away before it reads a reply ends it quietly."""
     fs = FrameSocket(sock)
+
+    def answer(reply: dict) -> None:
+        try:
+            fs.send(reply)
+        except ProtocolViolation as exc:  # refused before a byte was sent
+            fs.send({"error": str(exc), "type": "Error"})
+
     with suppress(OSError):  # the peer went away: there is no one to answer
         while True:
             try:
                 obj = fs.recv()
             except MalformedFrame as exc:
-                fs.send({"error": str(exc), "type": "Error"})
+                answer({"error": str(exc), "type": "Error"})
                 continue
             except ProtocolViolation as exc:
-                fs.send({"error": str(exc), "type": "Error"})
+                answer({"error": str(exc), "type": "Error"})
                 return
             if obj is None:
                 return
             try:
                 reply = server.handle_frame(obj)
             except CrdtCheckError as exc:
-                fs.send({"error": str(exc), "type": "Error"})
-                continue
-            fs.send(reply)
+                reply = {"error": str(exc), "type": "Error"}
+            answer(reply)
             if obj.get("type") == "Shutdown":
                 return

@@ -55,7 +55,7 @@ def case_from_trace(fingerprint: str, trace: TraceRecord) -> TestCase:
         case_id=_schedule_digest(wire),
         fingerprint=fingerprint,
         schedule=trace.schedule,
-        oracle=tuple(b.decode("utf-8") for b in trace.oracle),
+        oracle=trace.oracle,
     )
 
 

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import tracemalloc
-from copy import deepcopy
+from copy import copy as shallow_copy, deepcopy
 from dataclasses import replace
 
 import pytest
@@ -86,6 +87,15 @@ def test_bad_configs_are_rejected():
         cfg_of(bug_flags=frozenset(["bug2-optimistic"]))
     with pytest.raises(BadConfig):
         cfg_of(state_cap=0)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", True), ("n", 2.0), ("q", 2.5), ("q", "3"), ("q", False),
+    ("state_cap", True), ("state_cap", 10.0),
+])
+def test_config_counts_must_be_exact_integers(field, value):
+    with pytest.raises(BadConfig, match=f"{field} must be an integer"):
+        cfg_of(**{field: value})
 
 
 def test_server_only_defects_cannot_run_in_the_model():
@@ -479,15 +489,12 @@ def test_state_digest_ignores_object_sharing():
     def delivered_to_both(second: SyncMessage) -> GlobalState:
         r0, r1, r2 = gs.replicas
         return GlobalState(
-            (r0, r1.deliver(msg), r2.deliver(second)),
-            (frozenset(),) * 3,
-            gs.next_slot,
+            (gs.next_slot, r0, r1.deliver(msg), r2.deliver(second), *(frozenset(),) * 3)
         )
 
     def in_flight_to_both(second: SyncMessage) -> GlobalState:
         return GlobalState(
-            gs.replicas, (frozenset(), frozenset([msg]), frozenset([second])),
-            gs.next_slot,
+            (gs.next_slot, *gs.replicas, frozenset(), frozenset([msg]), frozenset([second]))
         )
 
     for build in (delivered_to_both, in_flight_to_both):
@@ -495,6 +502,30 @@ def test_state_digest_ignores_object_sharing():
         assert shared.canonical() == copied.canonical()
         assert state_digest(shared) == state_digest(copied)
     assert state_digest(in_flight_to_both(msg)) != state_digest(delivered_to_both(msg))
+
+
+@pytest.mark.parametrize("data_type", ["rpq", "list"])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_global_states_copy_and_pickle_like_tuples(data_type, n):
+    # the root, every state one event away, and each state along the
+    # path that always takes the last enabled event, down to a terminal
+    cfg = cfg_of(data_type=data_type, n=n, q=max(n, 2))
+    root = initial_state(cfg)
+    states = [root, *(succ for _, succ in explorer._successors(cfg, root))]
+    gs = root
+    while succs := explorer._successors(cfg, gs):
+        gs = succs[-1][1]
+        states.append(gs)
+    assert is_terminal(cfg, gs)
+    copiers = (shallow_copy, deepcopy, lambda g: pickle.loads(pickle.dumps(g)))
+    # every copy is taken before state_digest runs on the originals
+    copies = [[copier(gs) for gs in states] for copier in copiers]
+    for copied in copies:
+        for gs, twin in zip(states, copied):
+            assert type(twin) is GlobalState
+            assert twin == gs
+            assert state_digest(twin) == state_digest(gs)
+            assert twin.render() == gs.render()
 
 
 # -- invariant machinery -----------------------------------------------------
@@ -509,12 +540,7 @@ def test_position_collision_is_reported():
     # same position as e1
     forged["e2"] = replace(rep.elems["e2"], pos=rep.elems["e1"].pos)
 
-    bad_state = initial_state(cfg)
-    bad_state = type(bad_state)(
-        replicas=(replace(rep, elems=forged),),
-        channels=bad_state.channels,
-        next_slot=1,
-    )
+    bad_state = GlobalState((1, replace(rep, elems=forged), *initial_state(cfg).channels))
     names = [name for name, _ in state_violations(cfg, bad_state)]
     assert names == ["position-unique"]
 
@@ -526,12 +552,7 @@ def test_out_of_range_digit_is_reported():
     forged = dict(rep.elems)
     forged["e1"] = replace(rep.elems["e1"], pos=((64, 0, 1),))
 
-    bad_state = initial_state(cfg)
-    bad_state = type(bad_state)(
-        replicas=(replace(rep, elems=forged),),
-        channels=bad_state.channels,
-        next_slot=1,
-    )
+    bad_state = GlobalState((1, replace(rep, elems=forged), *initial_state(cfg).channels))
     names = [name for name, _ in state_violations(cfg, bad_state)]
     assert names == ["position-range"]
 

@@ -26,7 +26,7 @@ from crdtcheck.harness import (
     REPLICA_ERROR,
     LoopbackEndpoint,
     SocketEndpoint,
-    first_diff_offset,
+    _diff_at,
     loopback_factory,
     replay_case,
     replay_corpus,
@@ -50,12 +50,16 @@ def corpus_text(cfg) -> str:
     return out.getvalue()
 
 
-def test_first_diff_offset():
-    assert first_diff_offset(b"abc", b"abd") == 2
-    assert first_diff_offset(b"xbc", b"abc") == 0
+def test_diff_at():
+    assert _diff_at("abc", "abc") is None
+    assert _diff_at("", "") is None
+    assert _diff_at("abc", "abd") == 2
+    assert _diff_at("xbc", "abc") == 0
     # a strict prefix differs where the shorter side ends
-    assert first_diff_offset(b"abc", b"abcd") == 3
-    assert first_diff_offset(b"", b"x") == 0
+    assert _diff_at("abc", "abcd") == 3
+    assert _diff_at("", "x") == 0
+    # the offset counts UTF-8 bytes: "é" is two of them
+    assert _diff_at("é1", "é2") == 2
 
 
 # -- single-case verdicts ----------------------------------------------------
@@ -158,7 +162,7 @@ def test_rejected_scheduled_request_is_a_replica_error():
     dup = OperationRequest("insert", "e1", 10)
     trace = TraceRecord(
         schedule=(ClientEvent(0, 0, dup), ClientEvent(1, 0, dup)),
-        oracle=(b"{}",),
+        oracle=("{}",),
     )
     tc = case_from_trace(config_fingerprint(cfg), trace)
     result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg))

@@ -199,9 +199,9 @@ def test_normalize_bytes_are_pinned():
     r0 = fresh_replica("rpq", 0)
     r0, _ = r0.issue(req("add", "e", 10))
     assert r0.normalize() == (
-        b'{"ctx":{"extra":[],"seen":{"0":1}},'
-        b'"elements":{"e":{"add_dot":[0,1],"existence":"existent","value":10}},'
-        b'"type":"rpq"}'
+        '{"ctx":{"extra":[],"seen":{"0":1}},'
+        '"elements":{"e":{"add_dot":[0,1],"existence":"existent","value":10}},'
+        '"type":"rpq"}'
     )
 
 
@@ -520,12 +520,13 @@ def test_delivered_states_carry_no_cached_digest_or_view(data_type, flags, deriv
 ESCAPED_NAMES = ('a"b', "c\\d", "é", "\x00", "😀")
 
 
-def one_shot_normalize(rep) -> bytes:
+def one_shot_normalize(rep) -> str:
     """The whole document through one ``json.dumps``: the reference the
-    per-element rendering of ``normalize`` must match byte for byte."""
+    per-element rendering of ``normalize`` must match character for
+    character."""
     elements = {e: v.as_wire() for e, v in rep.views().items()}
     doc = {"ctx": rep.applied.as_wire(), "elements": elements, "type": rep.data_type}
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False).encode("utf-8")
+    return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
 @pytest.mark.parametrize("data_type", ["rpq", "list"])

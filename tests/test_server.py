@@ -315,7 +315,7 @@ def test_inspect_matches_the_model_normal_form():
         model, _ = model.issue(OperationRequest(kind, "e", arg))
     reply = srv.handle_frame({"type": "Inspect"})
     assert reply["type"] == "InspectReply"
-    assert reply["state"].encode("utf-8") == model.normalize()
+    assert reply["state"] == model.normalize()
 
 
 # -- parity with the model, random schedules ------------------------------------
@@ -356,7 +356,7 @@ def test_random_schedules_agree_with_the_model(data_type):
                 models[ev.dest] = models[ev.dest].deliver(model_pending.pop(key))
         for i in range(2):
             state = servers[i].handle_frame({"type": "Inspect"})["state"]
-            assert state.encode("utf-8") == models[i].normalize(), (
+            assert state == models[i].normalize(), (
                 f"replica {i} diverged on {schedule}"
             )
 
@@ -601,6 +601,32 @@ def test_serve_connection_refuses_an_oversized_header_and_ends():
         serve_connection(ReplicaServer("rpq", 0, 2), srv_sock)  # returns
         reply = FrameSocket(cli_sock).recv()
         assert reply["type"] == "Error" and str(MAX_FRAME + 1) in reply["error"]
+
+
+def test_serve_connection_answers_an_oversized_reply_with_an_error(monkeypatch):
+    limit = 200
+    monkeypatch.setattr("crdtcheck.wire.MAX_FRAME", limit)
+    srv_sock, cli_sock = socket.socketpair()
+    cli_sock.settimeout(5)  # a server that died would never answer
+    t = threading.Thread(
+        target=serve_connection, args=(ReplicaServer("rpq", 0, 1), srv_sock)
+    )
+    t.start()
+    try:
+        ep = SocketEndpoint(FrameSocket(cli_sock))
+        # a body of limit - 3 bytes, whose "unknown frame type" echo is longer
+        reply = ep.send({"type": "x" * (limit - 14)})
+        assert reply["type"] == "Error" and "exceeds the maximum" in reply["error"]
+        for elem in ("a" * 40, "b" * 40):
+            assert ep.send(client_frame("add", elem, 1))["accepted"]
+        reply = ep.send({"type": "Inspect"})  # a state of more than 200 bytes
+        assert reply["type"] == "Error" and "exceeds the maximum" in reply["error"]
+        assert ep.send(client_frame("remove", "a" * 40))["accepted"]
+        ep.close()  # sends Shutdown
+    finally:
+        t.join(timeout=5)
+        srv_sock.close()
+        assert not t.is_alive()
 
 
 @pytest.mark.parametrize("sent", [
