@@ -53,10 +53,13 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   has applied every op and so fixes every op choice, so no two terminal
   states share one.  A rendering is text, compared and stored as text;
   only the harness encodes it, to report a difference's byte offset.
-- Only a new distinct state is digested, by ``state_digest`` of the
-  ``GlobalState`` its ids stand for, so violations are keyed as without
-  the store.  The digest is kept only when a violation is recorded; a
-  stuck state, which needs a pinned op space, recomputes its own.
+- A new distinct state costs id work only.  It is terminal when its
+  ids say so (the root's empty channel is interned first, as channel id
+  0), and it is resolved to the ``GlobalState`` its ids stand for only if
+  it is terminal or violating.  Only a violating state is digested, by
+  ``state_digest`` of that ``GlobalState``, so violations are keyed as
+  without the store; a stuck state, which needs a pinned op space,
+  digests its own.
 - A level entry holds the state's path count, the event that first
   discovered it and a link to its parent's entry.  A counterexample is
   read back along those links, so it is the breadth-first shortest one.
@@ -187,25 +190,27 @@ class ExplorationConfig:
             )
         if self.channel not in CHANNELS:
             raise BadConfig(f"unknown channel mode {self.channel!r}")
-        bad = set(self.bug_flags) - MODEL_BUG_FLAGS
+        if not isinstance(self.bug_flags, frozenset):
+            raise BadConfig(f"bug_flags must be a frozenset of flag names, got {self.bug_flags!r}")
+        bad = self.bug_flags - MODEL_BUG_FLAGS
         if bad:
             raise BadConfig(
-                f"flags {sorted(bad)} do not alter the model; "
+                f"bug_flags {sorted(bad, key=str)} do not alter the model; "
                 f"model-level flags are {sorted(MODEL_BUG_FLAGS)}"
             )
         if self.pinned_ops is not None:
-            if len(self.pinned_ops) != self.q:
+            if not isinstance(self.pinned_ops, tuple) or len(self.pinned_ops) != self.q:
                 raise BadConfig(
-                    f"pinned op space has {len(self.pinned_ops)} slots, expected {self.q}"
+                    f"pinned_ops must be a tuple of {self.q} slots, got {self.pinned_ops!r}"
                 )
             kinds = RPQ_KINDS if self.data_type == RPQ else LIST_KINDS
             for i, pool in enumerate(self.pinned_ops):
-                if not pool:
-                    raise BadConfig(f"pinned slot {i} is empty")
+                if not isinstance(pool, tuple) or not pool:
+                    raise BadConfig(f"pinned_ops slot {i} must be a non-empty tuple, got {pool!r}")
                 for req in pool:
-                    if req.kind not in kinds:
+                    if not isinstance(req, OperationRequest) or req.kind not in kinds:
                         raise BadConfig(
-                            f"pinned slot {i}: kind {req.kind!r} not valid for {self.data_type}"
+                            f"pinned_ops slot {i}: {req!r} is not a {self.data_type} request"
                         )
         if self.state_cap is not None and self.state_cap < 1:
             raise BadConfig(f"state cap must be positive, got {self.state_cap}")
@@ -337,7 +342,7 @@ def initial_state(cfg: ExplorationConfig) -> GlobalState:
     return GlobalState((0, *replicas, *[frozenset()] * cfg.n))
 
 
-def is_terminal(cfg: ExplorationConfig, gs: GlobalState) -> bool:
+def is_terminal(cfg: ExplorationConfig, gs: tuple) -> bool:
     return gs[0] >= cfg.q and not any(gs[cfg.n + 1:])
 
 
@@ -874,14 +879,16 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                         child[0] += paths
                         continue
                     distinct += 1
-                    gs = store.resolve(succ)
                     child = [paths, ev, entry]
                     vs = store.violations(succ)
-                    terminal = is_terminal(cfg, gs)
+                    # on ids: the root's empty channel is interned first, as id 0
+                    terminal = is_terminal(cfg, succ)
+                    if terminal or vs:
+                        gs = store.resolve(succ)
                     if terminal:
                         oracle = gs.render()
                         vs = vs + terminal_violations(gs, oracle)
-                    if log.record(vs, state_digest(gs), child) or terminal:
+                    if log.record(vs, state_digest(gs) if vs else None, child) or terminal:
                         child = [paths]
                     level[succ] = child
                     if terminal:

@@ -265,10 +265,13 @@ def test_stored_states_keep_each_replica_at_its_index(monkeypatch):
 
 def test_each_distinct_state_and_move_is_computed_once(monkeypatch):
     # rpq n=3 q=3: 27,621 distinct states of which 1,000 are terminal,
-    # reached over 71,726 transitions.  The store digests each distinct
-    # state once, expands each non-terminal one once, and issues each
-    # request once per distinct (replica state, slot).
-    calls = {"state_digest": 0, "_successors": 0, "issue": 0}
+    # reached over 71,726 transitions.  The store expands each
+    # non-terminal state once and issues each request once per distinct
+    # (replica state, slot).  It resolves ids to a GlobalState only for
+    # the root and the terminal or violating states, and digests only the
+    # root and the violating states: none without flags, 204 with bug2.
+    calls = {}
+    stores = []
 
     def counting(owner, name):
         original = getattr(owner, name)
@@ -279,12 +282,28 @@ def test_each_distinct_state_and_move_is_computed_once(monkeypatch):
 
         monkeypatch.setattr(owner, name, counted)
 
+    class Recording(explorer._IdStore):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            stores.append(self)
+
     counting(explorer, "state_digest")
     counting(explorer, "_successors")
     counting(ReplicaState, "issue")
+    counting(explorer._IdStore, "resolve")
+    monkeypatch.setattr(explorer, "_IdStore", Recording)
+
+    calls.update(state_digest=0, _successors=0, issue=0, resolve=0)
     report = explore(cfg_of(n=3, q=3))
     assert (report.distinct_states, report.states_visited) == (27_621, 71_726)
-    assert calls == {"state_digest": 27_621, "_successors": 26_621, "issue": 380}
+    assert calls == {"state_digest": 1, "resolve": 1_001, "_successors": 26_621, "issue": 380}
+    # terminality is read off the ids: channel id 0 is the empty channel
+    assert stores[0].channels[0] == frozenset()
+
+    calls.update(state_digest=0, _successors=0, issue=0, resolve=0)
+    report = explore(cfg_of(n=3, q=3, bug_flags=BUG2))
+    assert (report.distinct_states, len(report.violations)) == (28_917, 100)
+    assert calls == {"state_digest": 205, "resolve": 1_217, "_successors": 27_701, "issue": 380}
 
 
 def test_breadth_first_search_memory_stays_bounded():
@@ -681,11 +700,19 @@ def report_digest(report) -> str:
          "1ffbfa5552266437bf008fb415a0ccfebd256fcda755ad6b183861cb0807af98"),
         (dict(data_type="list", bug_flags=BUG1),
          "f273eb03b457fa011025e114bd300627e3ca9cd56b00b8646f460b3326cd0093"),
+        (dict(n=3, bug_flags=BUG2),  # 100 violations, capped
+         "2a94451a2833061550679113f19d1c2f839d810ff1894916a033387b43f3d9e0"),
+        (dict(n=3, data_type="list", bug_flags=BUG1),  # 72 violations
+         "233ea81a7b4d4d4d8555f51e98973e727fba6d050a3a0087e8ebc6bab6618d95"),
+        (dict(n=3, data_type="list", channel="causal"),
+         "a28d22ccd99fc24eb6f4546578117e5972e45bdf0b7bbf3d058f5426159f59d2"),
+        (dict(n=3, data_type="list", bug_flags=BUG1 | BUG2),
+         "434ed1bf7b674db3ddb1a648dc17f8e7c07053f2464a2a01779e9cc5182d9996"),
     ],
 )
 def test_report_bytes_are_pinned(kw, digest):
     # Counts, violation lists and schedules are the regression oracle.
-    assert report_digest(explore(cfg_of(n=2, q=3, **kw))) == digest
+    assert report_digest(explore(cfg_of(**{"n": 2, "q": 3, **kw}))) == digest
 
 
 def test_violation_cap_keeps_discovery_order(monkeypatch):
@@ -788,3 +815,16 @@ def test_pinned_ops_validation():
         cfg_of(n=2, q=2, pinned_ops=(
             (OperationRequest("insert", "e", 10),),
             (OperationRequest("remove", "e"),)))
+
+
+@pytest.mark.parametrize("pinned", [((1,),), (1,), 1, [(OperationRequest("add", "e", 10),)]])
+def test_pinned_ops_of_the_wrong_type_are_refused_by_name(pinned):
+    with pytest.raises(BadConfig, match="pinned_ops"):
+        cfg_of(q=1, pinned_ops=pinned)
+
+
+@pytest.mark.parametrize("flags", ["bug1-readd-accept", ("bug1-readd-accept",), {"bug1-readd-accept"}])
+def test_bug_flags_must_be_a_frozenset(flags):
+    # a string is refused as itself, not as a list of its characters
+    with pytest.raises(BadConfig, match=r"bug_flags must be a frozenset of flag names, got "):
+        cfg_of(data_type="list", bug_flags=flags)
