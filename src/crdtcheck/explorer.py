@@ -1,8 +1,8 @@
 """Bounded exhaustive search over small replicated-system runs.
 
-A run is a sequence of *events* applied to a global state holding n
-replicas plus, per destination replica, the set of sync messages still
-in flight to it:
+A run is a sequence of *events* applied to a global state, the tuple
+``(next_slot, *replicas, *channels)``: n replica states, then per
+destination replica the frozenset of sync messages in flight to it:
 
 - ``ClientEvent(slot, target, req)`` — the next client request.  Request
   slots are consumed strictly in order; slot ``i`` always goes to
@@ -41,25 +41,25 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
 
 - Each distinct (replica index, replica digest), sync message and
   channel gets a small int.  The index is part of the replica key
-  because the digest omits it.  A state is the flat tuple
-  ``(slot, *replica ids, *channel ids)``, the layout of ``GlobalState``
-  with ids for components, and each level is deduplicated on it.
+  because the digest omits it.  A state is the global-state tuple with
+  ids for components, ``(slot, *replica ids, *channel ids)``, and each
+  level is deduplicated on it.
 - Every component move is memoized on ids and runs once: the client
   requests and ``issue`` per (replica id, slot), ``deliver`` per
   (replica id, message id), a channel's add or remove per (channel id,
   message id) and the list position check per replica id.
-- A terminal state is rendered by ``GlobalState.render``, with no memo
-  on replica ids: in a run without bug flags a terminal replica state
-  has applied every op and so fixes every op choice, so no two terminal
-  states share one.  A rendering is text, compared and stored as text;
-  only the harness encodes it, to report a difference's byte offset.
+- A terminal state is rendered by ``render``, with no memo on replica
+  ids: in a run without bug flags a terminal replica state has applied
+  every op and so fixes every op choice, so no two terminal states
+  share one.  A rendering is text, compared and stored as text; only
+  the harness encodes it, to report a difference's byte offset.
 - A new distinct state costs id work only.  It is terminal when its
   ids say so (the root's empty channel is interned first, as channel id
-  0), and it is resolved to the ``GlobalState`` its ids stand for only if
-  it is terminal or violating.  Only a violating state is digested, by
-  ``state_digest`` of that ``GlobalState``, so violations are keyed as
-  without the store; a stuck state, which needs a pinned op space,
-  digests its own.
+  0), and it is resolved to the component tuple its ids stand for only
+  if it is terminal or violating.  Only a violating state is digested,
+  by ``state_digest`` of that tuple, so violations are keyed as without
+  the store; a stuck state, which needs a pinned op space, digests its
+  own.
 - A level entry holds the state's path count, the event that first
   discovered it and a link to its parent's entry.  A counterexample is
   read back along those links, so it is the breadth-first shortest one.
@@ -281,7 +281,12 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
             raise ValueError("client event slot/target must be integers")
         if not isinstance(req, dict):
             raise ValueError("client event request must be an object")
-        return ClientEvent(slot, target, OperationRequest.from_wire(req))
+        kind, elem, arg, anchor = map(req.get, ("kind", "id", "arg", "anchor"))
+        if not isinstance(kind, str) or not isinstance(elem, str):
+            raise ValueError("client event request kind and id must be strings")
+        if not (arg is None or type(arg) is int) or not (anchor is None or isinstance(anchor, str)):
+            raise ValueError("client event request arg must be an int or null, anchor a str or null")
+        return ClientEvent(slot, target, OperationRequest(kind, elem, arg, anchor))
     if tag == "D":
         if len(item) != 4:
             raise ValueError("deliver event needs [\"D\", dest, origin, counter]")
@@ -295,51 +300,25 @@ def event_from_wire(item) -> ClientEvent | DeliverEvent:
 # -- global state -------------------------------------------------------
 
 
-class GlobalState(tuple):
-    """A global state as the flat tuple ``(next_slot, *replicas,
-    *channels)``: n replica states, then n frozensets of sync messages,
-    channel d holding the messages in flight to replica d.  It is built
-    from that tuple like any tuple, and the breadth-first search keeps
-    plain int tuples of the same layout, with store ids in place of the
-    components.  Per-state code slices the tuple directly; the
-    properties cost a call each."""
-
-    __slots__ = ()
-
-    @property
-    def next_slot(self) -> int:
-        return self[0]
-
-    @property
-    def replicas(self) -> tuple[ReplicaState, ...]:
-        return self[1:len(self) // 2 + 1]
-
-    @property
-    def channels(self) -> tuple[frozenset[SyncMessage], ...]:
-        return self[len(self) // 2 + 1:]
-
-    def canonical(self) -> tuple:
-        """The slot, each replica's digest and each channel's sorted
-        message digests: equal iff the canonical keys are equal."""
-        n = len(self) // 2
-        return (
-            self[0],
-            tuple(map(ReplicaState.digest, self[1:n + 1])),
-            tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in self[n + 1:]),
-        )
-
-    def render(self) -> tuple[str, ...]:
-        """Each replica's canonical text: a terminal state's oracle."""
-        return tuple(map(ReplicaState.normalize, self[1:len(self) // 2 + 1]))
+def render(gs: tuple) -> tuple[str, ...]:
+    """Each replica's canonical text: a terminal state's oracle."""
+    return tuple(map(ReplicaState.normalize, gs[1:len(gs) // 2 + 1]))
 
 
-def state_digest(gs: GlobalState) -> bytes:
-    return canonical_digest(gs.canonical())
+def state_digest(gs: tuple) -> bytes:
+    """Digest of the slot, each replica's digest and each channel's
+    sorted message digests: equal iff the canonical keys are equal."""
+    n = len(gs) // 2
+    return canonical_digest((
+        gs[0],
+        tuple(map(ReplicaState.digest, gs[1:n + 1])),
+        tuple(tuple(sorted(map(SyncMessage.digest, ch))) for ch in gs[n + 1:]),
+    ))
 
 
-def initial_state(cfg: ExplorationConfig) -> GlobalState:
+def initial_state(cfg: ExplorationConfig) -> tuple:
     replicas = [fresh_replica(cfg.data_type, i, cfg.bug_flags) for i in range(cfg.n)]
-    return GlobalState((0, *replicas, *[frozenset()] * cfg.n))
+    return (0, *replicas, *[frozenset()] * cfg.n)
 
 
 def is_terminal(cfg: ExplorationConfig, gs: tuple) -> bool:
@@ -460,8 +439,8 @@ class _IdStore:
 
     def root(self) -> tuple:
         gs = initial_state(self.cfg)
-        return (gs[0], *map(self._replica, range(self.cfg.n), gs.replicas),
-                *map(self._channel, gs.channels))
+        return (gs[0], *map(self._replica, range(self.cfg.n), gs[1:self.cfg.n + 1]),
+                *map(self._channel, gs[self.cfg.n + 1:]))
 
     def _replica(self, index: int, rep: ReplicaState) -> int:
         key = (index, rep.digest())
@@ -527,11 +506,11 @@ class _IdStore:
 
     # -- what the search reads off a state ----------------------------
 
-    def resolve(self, ids: tuple) -> GlobalState:
-        """The ``GlobalState`` these ids stand for."""
+    def resolve(self, ids: tuple) -> tuple:
+        """The global state these ids stand for."""
         n = self.cfg.n
-        return GlobalState((ids[0], *map(self.replicas.__getitem__, ids[1:n + 1]),
-                            *map(self.channels.__getitem__, ids[n + 1:])))
+        return (ids[0], *map(self.replicas.__getitem__, ids[1:n + 1]),
+                *map(self.channels.__getitem__, ids[n + 1:]))
 
     def violations(self, ids: tuple) -> list[tuple[str, str]]:
         """``state_violations`` of the state, from the check each replica
@@ -543,10 +522,10 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
     """(event, successor state) pairs, client events first, then the
     deliveries in (dest, origin, counter) order: the one definition of
     which events are enabled and of what each does to the global state.
-    ``store`` supplies the component moves: ``_Direct`` moves a
-    ``GlobalState``'s replicas and channels themselves; the breadth-first
-    search passes its ``_IdStore`` and an id tuple.  A successor has the
-    type of ``gs``."""
+    ``store`` supplies the component moves: ``_Direct`` moves the
+    replicas and channels of ``gs`` themselves; the breadth-first search
+    passes its ``_IdStore`` and an id tuple.  A successor is a plain
+    tuple of the same layout as ``gs``."""
     n = cfg.n
     out = []
     slot = gs[0]
@@ -559,7 +538,7 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
             succ[1 + target] = rep
             for c in others:
                 succ[c] = store.toggle(gs[c], msg)
-            out.append((ev, type(gs)(succ)))
+            out.append((ev, tuple(succ)))
     causal = cfg.channel == CHANNEL_CAUSAL
     for dest in range(n):
         r, c = 1 + dest, 1 + n + dest
@@ -568,11 +547,11 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
                 succ = list(gs)
                 succ[r] = store.deliver(dest, gs[r], msg)
                 succ[c] = store.toggle(gs[c], msg)
-                out.append((ev, type(gs)(succ)))
+                out.append((ev, tuple(succ)))
     return out
 
 
-def step(cfg: ExplorationConfig, gs: GlobalState, ev) -> GlobalState:
+def step(cfg: ExplorationConfig, gs: tuple, ev) -> tuple:
     """Validated single transition; raises ``NotEnabled`` unless ``ev``
     is one of the events ``_successors`` enables in ``gs``."""
     for enabled, succ in _successors(cfg, gs):
@@ -581,7 +560,7 @@ def step(cfg: ExplorationConfig, gs: GlobalState, ev) -> GlobalState:
     raise NotEnabled(f"event not enabled: {ev!r}")
 
 
-def replay_schedule(cfg: ExplorationConfig, schedule) -> GlobalState:
+def replay_schedule(cfg: ExplorationConfig, schedule) -> tuple:
     """Run an explicit event sequence through the validated transition."""
     gs = initial_state(cfg)
     for ev in schedule:
@@ -606,14 +585,14 @@ def replica_violations(
     return out
 
 
-def state_violations(cfg: ExplorationConfig, gs: GlobalState) -> list[tuple[str, str]]:
+def state_violations(cfg: ExplorationConfig, gs: tuple) -> list[tuple[str, str]]:
     """Per-state invariants; returned as (name, detail) pairs."""
     return [v for i in range(cfg.n) for v in replica_violations(cfg, i, gs[1 + i])]
 
 
-def terminal_violations(gs: GlobalState, oracle: tuple[str, ...]) -> list[tuple[str, str]]:
+def terminal_violations(gs: tuple, oracle: tuple[str, ...]) -> list[tuple[str, str]]:
     """Invariants that only make sense once every message was delivered;
-    ``oracle`` is ``gs.render()``."""
+    ``oracle`` is ``render(gs)``."""
     out = []
     for i in range(1, len(oracle)):
         if oracle[i] != oracle[0]:
@@ -710,7 +689,7 @@ class _ViolationLog:
             self.found.append(Violation(name, self._schedule_of(at), detail))
         return bool(vs)
 
-    def stuck(self, gs: GlobalState, at: object = None) -> None:
+    def stuck(self, gs: tuple, at: object = None) -> None:
         """Record that ``gs``, not terminal, enables no event."""
         self.record([("stuck", "no enabled events before the run completed")],
                     state_digest(gs), at)
@@ -759,10 +738,10 @@ def enumerate_traces(
     path: list = []
     log = _ViolationLog(cfg, lambda _at: tuple(path))
 
-    def walk(gs: GlobalState) -> None:
+    def walk(gs: tuple) -> None:
         nonlocal visited, leaves, budget_hit
         terminal = is_terminal(cfg, gs)
-        oracle = gs.render() if terminal else None
+        oracle = render(gs) if terminal else None
         if check:
             vs = state_violations(cfg, gs)
             if terminal:
@@ -886,7 +865,7 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                     if terminal or vs:
                         gs = store.resolve(succ)
                     if terminal:
-                        oracle = gs.render()
+                        oracle = render(gs)
                         vs = vs + terminal_violations(gs, oracle)
                     if log.record(vs, state_digest(gs) if vs else None, child) or terminal:
                         child = [paths]

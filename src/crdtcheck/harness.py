@@ -95,7 +95,7 @@ class SocketEndpoint:
 
 
 def loopback_factory(cfg: ExplorationConfig, bug_flags=()) -> Callable[[], list]:
-    check_bug_flags(bug_flags)  # refuse an unknown flag before any case runs
+    bug_flags = check_bug_flags(bug_flags)  # refuse an unknown flag before any case runs
     def make() -> list:
         return [
             LoopbackEndpoint(ReplicaServer(cfg.data_type, i, cfg.n, bug_flags))
@@ -284,7 +284,7 @@ def replay_corpus(
 ) -> ReplaySummary:
     """Replay every case in a JSONL stream; raises ``MalformedCase`` on
     unparseable lines."""
-    factory = endpoints_factory or loopback_factory(cfg, tuple(bug_flags))
+    factory = endpoints_factory or loopback_factory(cfg, bug_flags)
     expected_fp = config_fingerprint(cfg)
     summary = ReplaySummary()
     for tc in iter_corpus(stream):
@@ -383,14 +383,18 @@ def stress(
     rejections must agree, and after each round drains the network the
     canonical bytes must match replica by replica.  Stops at the first
     failure.  Raises ``BadConfig`` for an unknown data type, a replica
-    count outside 1..3, or fewer than one round or op per round.
+    count outside 1..3, a seed, round or op count that is not exactly
+    an ``int``, or fewer than one round or op per round.
     """
+    for name, value in (("seed", seed), ("rounds", rounds), ("ops_per_round", ops_per_round)):
+        if type(value) is not int:  # not a bool: True would run as 1
+            raise BadConfig(f"{name} must be an integer, got {value!r}")
     if rounds < 1 or ops_per_round < 1:
         raise BadConfig("rounds and ops per round must be positive")
     # The config checks the data type and n; q only has to be at least n.
     cfg = ExplorationConfig(data_type=data_type, n=n, q=n)
     rng = random.Random(seed)
-    eps = endpoints or loopback_factory(cfg, tuple(bug_flags))()
+    eps = endpoints or loopback_factory(cfg, bug_flags)()
     models = [fresh_replica(data_type, i) for i in range(n)]
     report = StressReport(seed=seed, rounds=rounds)
     # in-flight: list of (dest, wire message, model SyncMessage)

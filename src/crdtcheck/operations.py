@@ -48,15 +48,6 @@ class OperationRequest:
     def as_wire(self) -> dict:
         return {"anchor": self.anchor, "arg": self.arg, "id": self.elem, "kind": self.kind}
 
-    @staticmethod
-    def from_wire(obj: dict) -> "OperationRequest":
-        return OperationRequest(
-            kind=obj["kind"],
-            elem=obj["id"],
-            arg=obj.get("arg"),
-            anchor=obj.get("anchor"),
-        )
-
 
 @dataclass(frozen=True, slots=True)
 class Operation:

@@ -241,8 +241,6 @@ class ReplicaState:
     applied: CausalContext = field(default_factory=CausalContext)
     bug_flags: frozenset = frozenset()
     bug_nonce: int = 0
-    # Cached ``digest()``; each constructed successor starts without one.
-    _digest: bytes | None = field(default=None, init=False, compare=False, repr=False)
 
     def _successor(self, elems: dict, pending: dict, applied: CausalContext,
                    bug_nonce: int) -> "ReplicaState":
@@ -475,12 +473,9 @@ class ReplicaState:
         )
 
     def digest(self) -> bytes:
-        """16-byte digest of ``canonical_key()``, computed once per object.
-        Like the key it omits the replica index, so fresh replicas 0 and
-        1 digest the same."""
-        if self._digest is None:
-            object.__setattr__(self, "_digest", canonical_digest(self.canonical_key()))
-        return self._digest
+        """16-byte digest of ``canonical_key()``.  Like the key it omits
+        the replica index, so fresh replicas 0 and 1 digest the same."""
+        return canonical_digest(self.canonical_key())
 
 
 def fresh_replica(data_type: str, replica: int,

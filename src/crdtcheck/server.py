@@ -85,11 +85,17 @@ BUG_DESCRIPTIONS = {
 BUG_FLAGS = tuple(BUG_DESCRIPTIONS)
 
 
-def check_bug_flags(bug_flags) -> None:
-    """Raise ``UnknownFlag`` for the first flag outside the catalog."""
-    for flag in bug_flags:
+def check_bug_flags(bug_flags) -> tuple[str, ...]:
+    """The flags as a tuple.  Raise ``UnknownFlag`` for a bare string,
+    which would read as its characters, or for the first flag outside
+    the catalog."""
+    if isinstance(bug_flags, str):
+        raise UnknownFlag(f"bug flags must be a collection of names, got the string {bug_flags!r}")
+    flags = tuple(bug_flags)
+    for flag in flags:
         if flag not in BUG_FLAGS:
             raise UnknownFlag(f"{flag!r} is not in the bug catalog {list(BUG_FLAGS)}")
+    return flags
 
 
 _RPQ_KINDS = ("add", "increase", "remove")
@@ -242,7 +248,7 @@ class ReplicaServer:
     def __init__(self, data_type: str, replica: int, n: int, bug_flags=()):
         if data_type not in (RPQ, LIST):
             raise ProtocolViolation(f"unknown data type {data_type!r}")
-        check_bug_flags(bug_flags)
+        bug_flags = check_bug_flags(bug_flags)
         self.data_type = data_type
         self._state_tail = '},"type":' + canonical_json(data_type) + "}"
         self.replica = replica

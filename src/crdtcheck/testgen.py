@@ -79,9 +79,12 @@ def generate_corpus(
     """Write every terminal schedule of ``cfg`` as one corpus line.
 
     Returns the number of cases written.  Raises ``BadConfig`` for a
-    negative ``limit`` and ``BudgetExceeded`` when the configuration's
-    state cap stops the walk early — a partial corpus is not a corpus.
+    ``limit`` that is not None or a non-negative ``int`` and
+    ``BudgetExceeded`` when the configuration's state cap stops the walk
+    early — a partial corpus is not a corpus.
     """
+    if limit is not None and type(limit) is not int:  # not a bool, not 2.5
+        raise BadConfig(f"case limit must be an integer, got {limit!r}")
     if limit is not None and limit < 0:
         raise BadConfig(f"case limit must not be negative, got {limit}")
     fingerprint = config_fingerprint(cfg)
@@ -119,8 +122,9 @@ def parse_case_line(lineno: int, line: str) -> TestCase:
         raise MalformedCase(lineno, "json", "nests too deeply") from None
     if not isinstance(obj, dict):
         raise MalformedCase(lineno, "json", "not an object")
-    if obj.get("v") != CORPUS_VERSION:
-        raise MalformedCase(lineno, "v", f"unsupported version {obj.get('v')!r}")
+    version = obj.get("v")
+    if type(version) is not int or version != CORPUS_VERSION:  # not true, not 1.0
+        raise MalformedCase(lineno, "v", f"unsupported version {version!r}")
     case_id = obj.get("case")
     if not isinstance(case_id, str):
         raise MalformedCase(lineno, "case", "missing or not a string")
@@ -134,7 +138,7 @@ def parse_case_line(lineno: int, line: str) -> TestCase:
     for i, item in enumerate(sched_wire):
         try:
             events.append(event_from_wire(item))
-        except (ValueError, KeyError, TypeError) as exc:
+        except ValueError as exc:
             raise MalformedCase(lineno, "sched", f"event {i}: {exc}") from None
     oracle = obj.get("oracle")
     if (

@@ -14,7 +14,6 @@ from crdtcheck.errors import NotEnabled
 from crdtcheck.explorer import (
     CHANNEL_CAUSAL,
     ExplorationConfig,
-    GlobalState,
     _successors,
     replay_schedule,
 )
@@ -28,7 +27,7 @@ def context_from_dots(dots: Iterable[Dot]) -> CausalContext:
     return ctx
 
 
-def enabled_events(cfg: ExplorationConfig, gs: GlobalState) -> list:
+def enabled_events(cfg: ExplorationConfig, gs: tuple) -> list:
     """All events enabled in ``gs``, in deterministic sorted order."""
     return [ev for ev, _succ in _successors(cfg, gs)]
 

@@ -43,7 +43,6 @@ from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
     ExplorationConfig,
-    GlobalState,
     config_fingerprint,
     enumerate_traces,
     event_from_wire,
@@ -51,6 +50,7 @@ from crdtcheck.explorer import (
     explore,
     initial_state,
     is_terminal,
+    render,
     replay_schedule,
     state_digest,
     state_violations,
@@ -267,7 +267,7 @@ def test_each_distinct_state_and_move_is_computed_once(monkeypatch):
     # rpq n=3 q=3: 27,621 distinct states of which 1,000 are terminal,
     # reached over 71,726 transitions.  The store expands each
     # non-terminal state once and issues each request once per distinct
-    # (replica state, slot).  It resolves ids to a GlobalState only for
+    # (replica state, slot).  It resolves ids to components only for
     # the root and the terminal or violating states, and digests only the
     # root and the violating states: none without flags, 204 with bug2.
     calls = {}
@@ -416,10 +416,10 @@ def test_slots_round_robin_over_replicas():
 def test_client_event_fans_out_to_all_peers():
     cfg = cfg_of(n=3, q=3)
     gs = initial_state(cfg)
-    gs = step(cfg, gs, enabled_events(cfg, gs)[0])
-    assert len(gs.channels[0]) == 0  # origin keeps nothing in flight
-    assert len(gs.channels[1]) == 1
-    assert len(gs.channels[2]) == 1
+    channels = step(cfg, gs, enabled_events(cfg, gs)[0])[4:]
+    assert len(channels[0]) == 0  # origin keeps nothing in flight
+    assert len(channels[1]) == 1
+    assert len(channels[2]) == 1
 
 
 def test_step_rejects_events_that_are_not_enabled():
@@ -501,24 +501,19 @@ def test_state_digest_ignores_object_sharing():
     # from deep-copied parts, whose digest is computed afresh.
     cfg = cfg_of(n=3, q=3)
     gs = step(cfg, initial_state(cfg), enabled_events(cfg, initial_state(cfg))[0])
-    msg = next(iter(gs.channels[1]))
+    slot, r0, r1, r2 = gs[:4]
+    msg = next(iter(gs[5]))
     copy = SyncMessage(msg.origin, deepcopy(msg.op), deepcopy(msg.ctx))
     assert copy == msg and copy is not msg
 
-    def delivered_to_both(second: SyncMessage) -> GlobalState:
-        r0, r1, r2 = gs.replicas
-        return GlobalState(
-            (gs.next_slot, r0, r1.deliver(msg), r2.deliver(second), *(frozenset(),) * 3)
-        )
+    def delivered_to_both(second: SyncMessage) -> tuple:
+        return (slot, r0, r1.deliver(msg), r2.deliver(second), *(frozenset(),) * 3)
 
-    def in_flight_to_both(second: SyncMessage) -> GlobalState:
-        return GlobalState(
-            (gs.next_slot, *gs.replicas, frozenset(), frozenset([msg]), frozenset([second]))
-        )
+    def in_flight_to_both(second: SyncMessage) -> tuple:
+        return (slot, r0, r1, r2, frozenset(), frozenset([msg]), frozenset([second]))
 
     for build in (delivered_to_both, in_flight_to_both):
         shared, copied = build(msg), build(copy)
-        assert shared.canonical() == copied.canonical()
         assert state_digest(shared) == state_digest(copied)
     assert state_digest(in_flight_to_both(msg)) != state_digest(delivered_to_both(msg))
 
@@ -541,10 +536,10 @@ def test_global_states_copy_and_pickle_like_tuples(data_type, n):
     copies = [[copier(gs) for gs in states] for copier in copiers]
     for copied in copies:
         for gs, twin in zip(states, copied):
-            assert type(twin) is GlobalState
+            assert type(twin) is tuple
             assert twin == gs
             assert state_digest(twin) == state_digest(gs)
-            assert twin.render() == gs.render()
+            assert render(twin) == render(gs)
 
 
 # -- invariant machinery -----------------------------------------------------
@@ -559,7 +554,7 @@ def test_position_collision_is_reported():
     # same position as e1
     forged["e2"] = replace(rep.elems["e2"], pos=rep.elems["e1"].pos)
 
-    bad_state = GlobalState((1, replace(rep, elems=forged), *initial_state(cfg).channels))
+    bad_state = (1, replace(rep, elems=forged), *initial_state(cfg)[2:])
     names = [name for name, _ in state_violations(cfg, bad_state)]
     assert names == ["position-unique"]
 
@@ -571,7 +566,7 @@ def test_out_of_range_digit_is_reported():
     forged = dict(rep.elems)
     forged["e1"] = replace(rep.elems["e1"], pos=((64, 0, 1),))
 
-    bad_state = GlobalState((1, replace(rep, elems=forged), *initial_state(cfg).channels))
+    bad_state = (1, replace(rep, elems=forged), *initial_state(cfg)[2:])
     names = [name for name, _ in state_violations(cfg, bad_state)]
     assert names == ["position-range"]
 
@@ -677,7 +672,7 @@ def test_violating_counterexamples_replay_to_the_violation():
     v = min(report.violations, key=lambda x: len(x.schedule))
     gs = replay_schedule(cfg, v.schedule)
     assert is_terminal(cfg, gs)
-    assert gs.replicas[0].normalize() != gs.replicas[1].normalize()
+    assert gs[1].normalize() != gs[2].normalize()
 
 
 # -- report bytes -------------------------------------------------------------

@@ -216,6 +216,17 @@ def test_replay_refuses_an_unknown_flag_before_any_case():
         replay_corpus(rpq_cfg(), io.StringIO(""), bug_flags=["nope"])
 
 
+@pytest.mark.parametrize("entry", [
+    lambda flags: ReplicaServer("list", 0, 2, flags),
+    lambda flags: replay_corpus(rpq_cfg(), io.StringIO(""), bug_flags=flags),
+    lambda flags: stress("list", 2, seed=1, rounds=1, ops_per_round=1, bug_flags=flags),
+], ids=["server", "replay", "stress"])
+def test_a_bug_flag_string_is_refused_as_a_whole(entry):
+    # a string iterates as its characters, the first of which is 'b'
+    with pytest.raises(UnknownFlag, match="got the string 'bug1-readd-accept'"):
+        entry("bug1-readd-accept")
+
+
 def test_flagless_replay_passes_everything():
     cfg = rpq_cfg()
     summary = replay_corpus(cfg, io.StringIO(corpus_text(cfg)))
@@ -501,13 +512,19 @@ def test_stress_catches_a_seeded_defect():
     )
 
 
-@pytest.mark.parametrize("data_type, n, rounds, ops", [
-    ("set", 2, 1, 1), ("rpq", 0, 1, 1), ("list", 4, 1, 1),
-    ("rpq", 2, 0, 1), ("list", 2, 1, 0),
+@pytest.mark.parametrize("data_type, n, rounds, ops, seed", [
+    # these ids leave out the default seed
+    pytest.param("set", 2, 1, 1, 1, id="set-2-1-1"),
+    pytest.param("rpq", 0, 1, 1, 1, id="rpq-0-1-1"),
+    pytest.param("list", 4, 1, 1, 1, id="list-4-1-1"),
+    pytest.param("rpq", 2, 0, 1, 1, id="rpq-2-0-1"),
+    pytest.param("list", 2, 1, 0, 1, id="list-2-1-0"),
+    ("rpq", 2, 2.5, 1, 1), ("rpq", 2, 1, 1.5, 1), ("rpq", 2, True, 1, 1),
+    ("rpq", 2, 1, 1, None),
 ])
-def test_stress_refuses_a_bad_configuration(data_type, n, rounds, ops):
+def test_stress_refuses_a_bad_configuration(data_type, n, rounds, ops, seed):
     with pytest.raises(BadConfig):
-        stress(data_type, n, seed=1, rounds=rounds, ops_per_round=ops)
+        stress(data_type, n, seed=seed, rounds=rounds, ops_per_round=ops)
 
 
 def test_stress_is_seed_deterministic():

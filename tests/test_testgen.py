@@ -82,8 +82,9 @@ def test_limit_truncates_deliberately():
 
 def test_negative_limit_is_refused():
     out = io.StringIO()
-    with pytest.raises(BadConfig):
-        generate_corpus(small_cfg(), out, limit=-3)
+    for limit in (-3, True, 2.5):  # True would count as 1, and 2.5 stop after 3
+        with pytest.raises(BadConfig, match="limit"):
+            generate_corpus(small_cfg(), out, limit=limit)
     assert out.getvalue() == ""
 
 
@@ -142,6 +143,8 @@ def test_unparseable_values_are_malformed_cases(line):
     "field,value",
     [
         ("v", 99),
+        ("v", True),
+        ("v", 1.0),
         ("case", "not-a-hash"),
         ("cfg", 12),
         ("sched", "later"),
@@ -172,6 +175,12 @@ def test_edited_schedule_breaks_the_case_id():
     (["C", "0", {"kind": "add"}, 0], "integers"),
     (["C", 0, {"kind": "add"}, True], "integers"),
     (["C", 0, ["add"], 0], "object"),
+    (["C", 0, {"kind": "add", "id": ["x"], "arg": 10, "anchor": None}, 0], "strings"),
+    (["C", 0, {"kind": None, "id": "e", "arg": 10, "anchor": None}, 0], "strings"),
+    (["C", 0, {"kind": "add", "arg": 10}, 0], "strings"),
+    (["C", 0, {"kind": "add", "id": "e", "arg": True, "anchor": None}, 0], "arg"),
+    (["C", 0, {"kind": "add", "id": "e", "arg": "10", "anchor": None}, 0], "arg"),
+    (["C", 0, {"kind": "insert", "id": "e", "arg": 10, "anchor": 3}, 0], "anchor"),
 ])
 def test_each_client_event_check_names_sched(event, detail):
     doc = json.loads(gen_lines()[0])
