@@ -9,6 +9,7 @@ budget exceeded.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import sys
@@ -171,11 +172,9 @@ def _cmd_gen(args) -> int:
 
 def _cmd_replay(args) -> int:
     cfg = _config(args, args.model_bug)
-    if args.corpus == "-":
-        summary = replay_corpus(cfg, sys.stdin, bug_flags=tuple(args.bug))
-    else:
-        with open(args.corpus, "r", encoding="utf-8") as fh:
-            summary = replay_corpus(cfg, fh, bug_flags=tuple(args.bug))
+    with (contextlib.nullcontext(sys.stdin) if args.corpus == "-"
+          else open(args.corpus, "r", encoding="utf-8")) as fh:
+        summary = replay_corpus(cfg, fh, bug_flags=tuple(args.bug))
     _emit(args.out, summary.as_json())
     print(
         f"replay: {summary.cases} case(s): {summary.passed} pass, "

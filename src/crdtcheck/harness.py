@@ -18,9 +18,12 @@ Verdicts per case:
                      an error, sent a malformed reply or sync fan-out,
                      or the schedule asked to deliver a message that
                      was never produced.
-- ``rejected``       the case was generated for a different
-                     configuration (fingerprint mismatch) and was not
-                     run at all.
+- ``rejected``       not a run of this configuration, so no frame was
+                     sent: another configuration's fingerprint, an
+                     oracle for another replica count, a replica index
+                     (client target, delivery dest or origin) outside
+                     0..n-1, or client events that do not take slots
+                     0, 1, 2, ... in order, slot i at replica i mod n.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -215,31 +218,34 @@ def _exchange(endpoint, frame: dict, want: str) -> dict:
     return reply
 
 
+def _misfit(tc: TestCase, n: int, expected_fp: str) -> str | None:
+    """Why ``tc`` is not a run of this configuration, or None if it is."""
+    if tc.fingerprint != expected_fp:
+        return (f"case fingerprint {tc.fingerprint[:12]}… does not match "
+                f"this configuration ({expected_fp[:12]}…)")
+    if len(tc.oracle) != n:
+        return f"oracle covers {len(tc.oracle)} replicas, configuration has {n}"
+    for ev in tc.schedule:
+        for replica in (ev.target,) if isinstance(ev, ClientEvent) else (ev.dest, ev.origin):
+            if not 0 <= replica < n:
+                return f"schedule names replica {replica}, configuration has {n}"
+    for i, ev in enumerate(ev for ev in tc.schedule if isinstance(ev, ClientEvent)):
+        if (ev.slot, ev.target) != (i, i % n):
+            return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
+                    f"not slot {i} at replica {i % n}")
+    return None
+
+
 def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
     """Run one corpus case against freshly constructed endpoints."""
-    if tc.fingerprint != expected_fp:
-        return CaseResult(
-            tc.case_id,
-            REJECTED,
-            detail=f"case fingerprint {tc.fingerprint[:12]}… does not match "
-            f"this configuration ({expected_fp[:12]}…)",
-        )
     n = len(endpoints)
-    if len(tc.oracle) != n:
-        return CaseResult(
-            tc.case_id, REJECTED,
-            detail=f"oracle covers {len(tc.oracle)} replicas, configuration has {n}",
-        )
+    if (misfit := _misfit(tc, n, expected_fp)) is not None:
+        return CaseResult(tc.case_id, REJECTED, detail=misfit)
     in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
     replica = None  # the replica a failure is blamed on
     try:
         for ev in tc.schedule:
             replica = ev.target if isinstance(ev, ClientEvent) else ev.dest
-            if not 0 <= replica < n:
-                return CaseResult(
-                    tc.case_id, REPLICA_ERROR,
-                    detail=f"schedule names replica {replica}, configuration has {n}",
-                )
             if isinstance(ev, ClientEvent):
                 reply = _exchange(
                     endpoints[replica],

@@ -48,6 +48,7 @@ from __future__ import annotations
 
 from bisect import bisect_right, insort
 from contextlib import suppress
+from itertools import count
 
 from .errors import (
     CrdtCheckError,
@@ -152,14 +153,6 @@ class _Ctx:
             "seen": {str(r): c for r, c in sorted(self.seen.items())},
         }
 
-    @staticmethod
-    def from_wire(obj) -> "_Ctx":
-        """Decode a context that ``_check_sync_shape`` accepted."""
-        return _Ctx(
-            {int(r): int(c) for r, c in obj.get("seen", {}).items()},
-            {(int(r), int(c)) for r, c in obj.get("extra", [])},
-        )
-
 
 class _Rec:
     """One applied operation record: dot, payload, origin context, and a
@@ -216,7 +209,7 @@ def _kill(recs, dot) -> None:
             rec.alive = False
 
 
-def _gen_pos(left, right, replica, counter, depth=0):
+def _gen_pos(left, right, replica, counter):
     """Dense position strictly between two neighbors (either may be None).
 
     Same scheme as the origin-side generator this server is measured
@@ -226,20 +219,24 @@ def _gen_pos(left, right, replica, counter, depth=0):
     always produces something strictly larger.  No precondition is
     enforced — with a broken neighbor index (bug7) the inputs can be
     out of order, and the walk still terminates with *some* position.
+    A loop, not a recursion: a peer may send a position of any length.
     """
-    l_trip = left[depth] if left is not None and depth < len(left) else None
-    r_trip = right[depth] if right is not None and depth < len(right) else None
-    hi = r_trip[0] if r_trip is not None else BASE
-    lo = max(l_trip[0] + 1 if l_trip is not None else 0, 1)
-    if lo <= hi - 1:
-        return ((lo + hi - 1) // 2, replica, counter),
-    if l_trip is not None:
-        keep_right = right if r_trip is not None and l_trip == r_trip else None
-        return (l_trip,) + _gen_pos(left, keep_right, replica, counter, depth + 1)
-    if hi == 1:
-        return ((0, replica, counter),) + _gen_pos(None, None, replica, counter, depth + 1)
-    # hi == 0: the bound starts with a zero digit; copy its padding triple.
-    return (r_trip,) + _gen_pos(None, right, replica, counter, depth + 1)
+    out = []
+    for depth in count():
+        l_trip = left[depth] if left is not None and depth < len(left) else None
+        r_trip = right[depth] if right is not None and depth < len(right) else None
+        hi = r_trip[0] if r_trip is not None else BASE
+        lo = max(l_trip[0] + 1 if l_trip is not None else 0, 1)
+        if lo <= hi - 1:
+            return (*out, ((lo + hi - 1) // 2, replica, counter))
+        if l_trip is not None:
+            out.append(l_trip)
+            right = right if l_trip == r_trip else None
+        elif hi == 1:
+            out.append((0, replica, counter))
+            right = None
+        else:  # hi == 0: the bound starts with a zero digit; copy its padding triple
+            out.append(r_trip)
 
 
 class ReplicaServer:
@@ -415,14 +412,18 @@ class ReplicaServer:
         if not isinstance(ctx, dict):
             raise ProtocolViolation("sync message has no context")
         seen, extra = ctx.get("seen", {}), ctx.get("extra", [])
-        if not isinstance(seen, dict) or not all(
-            isinstance(r, str) and r.isdecimal() and _int(c)
-            for r, c in seen.items()
-        ):
-            raise ProtocolViolation("context seen must map replica to counter")
-        if not isinstance(extra, list) or not all(_ints(d, 2) for d in extra):
-            raise ProtocolViolation("context extra must be [replica, counter] pairs")
-        return op, _Ctx.from_wire(ctx)
+        # Decoded in the checking pass; a seen that is no object, or an
+        # extra that is no array, is refused like one bad entry.
+        decoded = _Ctx()
+        for r, c in seen.items() if isinstance(seen, dict) else [(None, None)]:
+            if not (isinstance(r, str) and r.isdecimal() and _int(c)):
+                raise ProtocolViolation("context seen must map replica to counter")
+            decoded.seen[int(r)] = c
+        for d in extra if isinstance(extra, list) else [None]:
+            if not _ints(d, 2):
+                raise ProtocolViolation("context extra must be [replica, counter] pairs")
+            decoded.extra.add((d[0], d[1]))
+        return op, decoded
 
     def _deps_applied(self, op: dict) -> bool:
         return all(self.applied.has(r, c) for r, c in op.get("deps", []))

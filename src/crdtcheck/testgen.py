@@ -12,8 +12,8 @@ Line shape (field order fixed):
      "sched": [["C", slot, request, target] | ["D", dest, origin, counter], ...],
      "oracle": per-replica canonical state strings at the end}
 
-The ``case`` id is recomputed on parse, so a corpus edited by hand is
-rejected instead of silently replaying something the oracle never saw.
+The ``case`` id is recomputed on parse, so a hand edit must recompute
+it, and the harness still rejects a case that is no run of its config.
 """
 
 from __future__ import annotations
@@ -49,23 +49,16 @@ def _schedule_digest(sched_wire: list) -> str:
     return hashlib.sha256(compact_json(sched_wire).encode("utf-8")).hexdigest()
 
 
-def case_from_trace(fingerprint: str, trace: TraceRecord) -> TestCase:
-    wire = [event_wire(ev) for ev in trace.schedule]
-    return TestCase(
-        case_id=_schedule_digest(wire),
-        fingerprint=fingerprint,
-        schedule=trace.schedule,
-        oracle=trace.oracle,
-    )
-
-
-def case_line(tc: TestCase) -> str:
+def case_line(fingerprint: str, schedule: tuple, oracle: tuple[str, ...]) -> str:
+    """One corpus line; its case id hashes the same event encoding the
+    line carries."""
+    sched = [event_wire(ev) for ev in schedule]
     doc = {
         "v": CORPUS_VERSION,
-        "case": tc.case_id,
-        "cfg": tc.fingerprint,
-        "sched": [event_wire(ev) for ev in tc.schedule],
-        "oracle": list(tc.oracle),
+        "case": _schedule_digest(sched),
+        "cfg": fingerprint,
+        "sched": sched,
+        "oracle": list(oracle),
     }
     return compact_json(doc)
 
@@ -97,7 +90,7 @@ def generate_corpus(
         nonlocal count
         if limit is not None and count >= limit:
             raise _Done
-        out.write(case_line(case_from_trace(fingerprint, trace)))
+        out.write(case_line(fingerprint, trace.schedule, trace.oracle))
         out.write("\n")
         count += 1
 

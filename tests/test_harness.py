@@ -11,13 +11,14 @@ import threading
 
 import pytest
 
+from crdtcheck.cli import main
 from crdtcheck.errors import BadConfig, MalformedCase, UnknownFlag
 from crdtcheck.explorer import (
     ClientEvent,
     DeliverEvent,
     ExplorationConfig,
-    TraceRecord,
     config_fingerprint,
+    replay_schedule,
 )
 from crdtcheck.harness import (
     DIVERGED,
@@ -34,7 +35,7 @@ from crdtcheck.harness import (
 )
 from crdtcheck.operations import OperationRequest
 from crdtcheck.server import ReplicaServer
-from crdtcheck.testgen import case_from_trace, generate_corpus, iter_corpus
+from crdtcheck.testgen import case_line, generate_corpus, iter_corpus, parse_case_line
 from crdtcheck.wire import FrameSocket
 
 
@@ -160,11 +161,8 @@ def test_delivery_without_an_in_flight_message_is_a_replica_error(fault):
 def test_rejected_scheduled_request_is_a_replica_error():
     cfg = ExplorationConfig(data_type="list", n=1, q=2)
     dup = OperationRequest("insert", "e1", 10)
-    trace = TraceRecord(
-        schedule=(ClientEvent(0, 0, dup), ClientEvent(1, 0, dup)),
-        oracle=("{}",),
-    )
-    tc = case_from_trace(config_fingerprint(cfg), trace)
+    schedule = (ClientEvent(0, 0, dup), ClientEvent(1, 0, dup))
+    tc = parse_case_line(1, case_line(config_fingerprint(cfg), schedule, ("{}",)))
     result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg))
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
@@ -175,12 +173,12 @@ def test_rejected_scheduled_request_is_a_replica_error():
 REPLICA_FIELD = {"C": 3, "D": 1}
 
 
-def retargeted_line(cfg, tag: str, value) -> str:
-    """The first corpus line with the replica index of its first ``tag``
+def edited_line(cfg, tag: str, field: int, value) -> str:
+    """The first corpus line with field ``field`` of its first ``tag``
     event set to ``value``, under a recomputed (so still valid) case id."""
     doc = json.loads(corpus_text(cfg).splitlines()[0])
     event = next(ev for ev in doc["sched"] if ev[0] == tag)
-    event[REPLICA_FIELD[tag]] = value
+    event[field] = value
     blob = json.dumps(doc["sched"], separators=(",", ":"), ensure_ascii=False)
     doc["case"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return json.dumps(doc, separators=(",", ":"))
@@ -188,14 +186,47 @@ def retargeted_line(cfg, tag: str, value) -> str:
 
 @pytest.mark.parametrize("tag", ["C", "D"])
 @pytest.mark.parametrize("index", [7, -1])
-def test_out_of_range_replica_is_a_replica_error(tag, index):
+def test_out_of_range_replica_is_rejected(tag, index):
     # a corrupted corpus must neither crash replay nor drive the last
-    # replica through a negative index
+    # replica through a negative index, nor be blamed on the servers
     cfg = rpq_cfg()
-    summary = replay_corpus(cfg, io.StringIO(retargeted_line(cfg, tag, index)))
-    assert (summary.cases, summary.replica_error) == (1, 1)
+    line = edited_line(cfg, tag, REPLICA_FIELD[tag], index)
+    summary = replay_corpus(cfg, io.StringIO(line))
+    assert (summary.cases, summary.rejected) == (1, 1)
     [failure] = summary.first_failures
     assert failure["detail"] == f"schedule names replica {index}, configuration has 2"
+
+
+# Edits of the first list n=2 q=3 line, whose first client event is slot 0
+# at replica 0: (tag, field, value, detail).
+MISFITS = {
+    "slot-moved": ("C", 1, 7, "client event 0 takes slot 7 at replica 0, not slot 0 at replica 0"),
+    "target-swapped": ("C", 3, 1, "client event 0 takes slot 0 at replica 1, not slot 0 at replica 0"),
+    "target-outside": ("C", 3, 5, "schedule names replica 5, configuration has 2"),
+    "origin-outside": ("D", 2, 2, "schedule names replica 2, configuration has 2"),
+    "dest-outside": ("D", 1, 2, "schedule names replica 2, configuration has 2"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MISFITS))
+def test_a_case_that_is_no_run_of_the_configuration_is_rejected(name):
+    tag, field, value, detail = MISFITS[name]
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    summary = replay_corpus(cfg, io.StringIO(edited_line(cfg, tag, field, value)))
+    assert (summary.cases, summary.rejected) == (1, 1)
+    [failure] = summary.first_failures
+    assert (failure["status"], failure["detail"]) == (REJECTED, detail)
+
+
+@pytest.mark.parametrize("name", ["slot-moved", "target-outside"])
+def test_replay_of_a_misfit_case_exits_one(name, tmp_path, capsys):
+    tag, field, value, _ = MISFITS[name]
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    corpus = tmp_path / "misfit.jsonl"
+    corpus.write_text(edited_line(cfg, tag, field, value) + "\n")
+    code = main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
 
 
 @pytest.mark.parametrize("tag", ["C", "D"])
@@ -203,8 +234,44 @@ def test_boolean_replica_index_is_malformed(tag):
     # JSON true decodes to a bool, which Python counts as the int 1
     cfg = rpq_cfg()
     with pytest.raises(MalformedCase) as exc:
-        replay_corpus(cfg, io.StringIO(retargeted_line(cfg, tag, True)))
+        replay_corpus(cfg, io.StringIO(edited_line(cfg, tag, REPLICA_FIELD[tag], True)))
     assert exc.value.field == "sched"
+
+
+def refused_requests(rep) -> list[OperationRequest]:
+    """Requests the list replica ``rep`` must refuse: an insert of an id
+    in use, an insert anchored on a removed or an unknown element, and an
+    update, remove or re-add of an unknown id."""
+    removed = sorted(set(rep.elems) - set(rep.existent()))
+    return [
+        *(OperationRequest("insert", elem, 1) for elem in sorted(rep.elems)),
+        *(OperationRequest("insert", "fresh", 1, anchor) for anchor in [*removed, "unknown"]),
+        OperationRequest("update", "unknown", 1),
+        OperationRequest("remove", "unknown"),
+        OperationRequest("readd", "unknown"),
+    ]
+
+
+def test_model_and_server_agree_on_refusals():
+    # Corpora hold only valid requests and stress draws none the model
+    # refuses, so this compares the two implementations' refusals: at
+    # every replica at the end of every list n=2 q=3 schedule.
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    fp = config_fingerprint(cfg)
+    refused = {"accepted": False, "syncs": [], "type": "Ack"}
+    probes = 0
+    for tc in iter_corpus(io.StringIO(corpus_text(cfg))):
+        endpoints = loopback_factory(cfg)()
+        assert replay_case(tc, endpoints, fp).status == PASS
+        gs = replay_schedule(cfg, tc.schedule)
+        for i, ep in enumerate(endpoints):
+            before = ep.send({"type": "Inspect"})
+            for req in refused_requests(gs[1 + i]):
+                assert gs[1 + i].request_error(req) is not None, req
+                assert ep.send({"req": req.as_wire(), "type": "ClientOp"}) == refused, req
+                assert ep.send({"type": "Inspect"}) == before, req
+                probes += 1
+    assert probes == 11_688  # 908 schedules, two replicas each
 
 
 # -- corpus-level replay -------------------------------------------------------

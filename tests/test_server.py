@@ -593,6 +593,41 @@ def test_serve_connection_refuses_a_deep_frame_and_carries_on():
         assert not t.is_alive()
 
 
+# A peer's insert position 1,500 triples deep: past the recursion limit.
+DEEP_POSITION = [[63, 1, 1]] * 1500
+
+
+def insert_after_a_deep_position(ep) -> None:
+    """Deliver a peer's insert of e1 at DEEP_POSITION, insert e2 after
+    it, and check the session still answers."""
+    assert ep.send(peer_sync("list", op={"pos": DEEP_POSITION}))["type"] == "Ack"
+    reply = ep.send(client_frame("insert", "e2", 20, anchor="e1"))
+    assert reply["type"] == "Ack" and reply["accepted"]
+    assert reply["syncs"][0]["msg"]["op"]["pos"] == DEEP_POSITION + [[32, 0, 1]]
+    assert ep.send({"type": "Inspect"})["type"] == "InspectReply"
+
+
+def test_insert_after_a_deep_peer_position_is_acked_over_loopback():
+    insert_after_a_deep_position(LoopbackEndpoint(ReplicaServer("list", 0, 2)))
+
+
+def test_insert_after_a_deep_peer_position_is_acked_over_a_socket():
+    srv_sock, cli_sock = socket.socketpair()
+    cli_sock.settimeout(5)  # a server that died would never answer
+    t = threading.Thread(
+        target=serve_connection, args=(ReplicaServer("list", 0, 2), srv_sock)
+    )
+    t.start()
+    try:
+        ep = SocketEndpoint(FrameSocket(cli_sock))
+        insert_after_a_deep_position(ep)
+        ep.close()  # sends Shutdown
+    finally:
+        t.join(timeout=5)
+        srv_sock.close()
+        assert not t.is_alive()
+
+
 def test_serve_connection_refuses_an_oversized_header_and_ends():
     srv_sock, cli_sock = socket.socketpair()
     with srv_sock, cli_sock:

@@ -97,7 +97,7 @@ def test_state_cap_abort_is_not_a_corpus():
 def test_round_trip_preserves_every_field():
     for lineno, line in enumerate(gen_lines(), start=1):
         tc = parse_case_line(lineno, line)
-        assert case_line(tc) == line
+        assert case_line(tc.fingerprint, tc.schedule, tc.oracle) == line
 
 
 def test_iter_corpus_skips_blank_lines():
