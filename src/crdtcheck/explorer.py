@@ -46,20 +46,27 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   level is deduplicated on it.
 - Every component move is memoized on ids and runs once: the client
   requests and ``issue`` per (replica id, slot), ``deliver`` per
-  (replica id, message id), a channel's add or remove per (channel id,
-  message id) and the list position check per replica id.
-- A terminal state is rendered by ``render``, with no memo on replica
-  ids: in a run without bug flags a terminal replica state has applied
-  every op and so fixes every op choice, so no two terminal states
-  share one.  A rendering is text, compared and stored as text; only
-  the harness encodes it, to report a difference's byte offset.
+  (replica id, message id), a message joining a channel per (channel
+  id, message id) and the list position check per replica id.  The
+  deliveries out of a channel are memoized per (dest, channel id), each
+  with the id of the channel that message leaves behind, so a delivery
+  edge costs one memo call (``deliver``).
+- A terminal state is rendered through a memo of its own, keyed on the
+  replica digests the store interned its replicas under: replicas with
+  one digest are normalized once.  That is sound because ``normalize``
+  omits the replica index and equal digests mean equal canonical keys,
+  so equal text; the depth-first walk renders every replica, so it
+  still checks the shortcut.  A rendering is text, compared and stored
+  as text; only the harness encodes it, to report a difference's byte
+  offset.
 - A new distinct state costs id work only.  It is terminal when its
-  ids say so (the root's empty channel is interned first, as channel id
-  0), and it is resolved to the component tuple its ids stand for only
-  if it is terminal or violating.  Only a violating state is digested,
-  by ``state_digest`` of that tuple, so violations are keyed as without
-  the store; a stuck state, which needs a pinned op space, digests its
-  own.
+  ids say so (slot q and every channel id 0: the root's empty channel
+  is interned first), its replicas' position checks are read only once
+  some replica id has failed one, and it is resolved to the component
+  tuple its ids stand for only if it is terminal or violating.  Only a
+  violating state is digested, by ``state_digest`` of that tuple, so
+  violations are keyed as without the store; a stuck state, which needs
+  a pinned op space, digests its own.
 - A level entry holds the state's path count, the event that first
   discovered it and a link to its parent's entry.  A counterexample is
   read back along those links, so it is the breadth-first shortest one.
@@ -79,7 +86,7 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   to every other channel; a delivery moves one replica and removes the
   message from its channel).  A store supplies only the component
   moves: ``issued``, ``deliveries``, ``ready``, ``deliver`` and
-  ``toggle``.  The breadth-first search passes its ``_IdStore``;
+  ``add``.  The breadth-first search passes its ``_IdStore``;
   ``step``, ``replay_schedule`` and ``enumerate_traces`` use
   ``_Direct``, which calls ``ReplicaState.issue``/``deliver`` afresh
   with no memo, so the depth-first walk stays an independent check of
@@ -371,10 +378,10 @@ def _dot_order(msg: SyncMessage) -> tuple[int, int]:
 
 
 def _in_order(dest: int, channel: frozenset[SyncMessage]) -> list:
-    """(delivery event, message) for each message in flight to ``dest``,
-    in (origin, counter) order."""
+    """(delivery event, message, the channel without it) for each
+    message in flight to ``dest``, in (origin, counter) order."""
     return [
-        (DeliverEvent(dest, *_dot_order(msg)), msg)
+        (DeliverEvent(dest, *_dot_order(msg)), msg, channel - {msg})
         for msg in sorted(channel, key=_dot_order)
     ]
 
@@ -408,8 +415,8 @@ class _Direct:
         return rep.deliver(msg)
 
     @staticmethod
-    def toggle(channel: frozenset[SyncMessage], msg: SyncMessage) -> frozenset[SyncMessage]:
-        return channel ^ {msg}
+    def add(channel: frozenset[SyncMessage], msg: SyncMessage) -> frozenset[SyncMessage]:
+        return channel | {msg}
 
 
 class _IdStore:
@@ -422,19 +429,20 @@ class _IdStore:
         # id -> component, and component key -> id; the replica digest
         # omits the index
         self.replicas: list[ReplicaState] = []
+        self.digests: list[bytes] = []  # per replica id
         self.messages: list[SyncMessage] = []
         self.channels: list[frozenset[SyncMessage]] = []
         self._replica_ids: dict[tuple[int, bytes], int] = {}
         self._message_ids: dict[bytes, int] = {}
         self._channel_ids: dict[frozenset[SyncMessage], int] = {}
         # per replica id: its position-check violations, if any
-        self._violations: dict[int, list[tuple[str, str]]] = {}
+        self.flagged: dict[int, list[tuple[str, str]]] = {}
         # one applied context per value, shared by the stored replicas
         self._contexts: dict[tuple, CausalContext] = {}
         # move memos, keyed on ids; a replica id fixes its index
         self._issued: dict[tuple[int, int], list] = {}  # (replica, slot)
         self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
-        self._toggled: dict[tuple[int, int], int] = {}  # (channel, message)
+        self._added: dict[tuple[int, int], int] = {}  # (channel, message)
         self._deliveries: dict[tuple[int, int], list] = {}  # (dest, channel)
 
     def root(self) -> tuple:
@@ -449,9 +457,10 @@ class _IdStore:
             rid = self._replica_ids[key] = len(self.replicas)
             rep.share_applied(self._contexts)
             self.replicas.append(rep)
+            self.digests.append(key[1])
             vs = replica_violations(self.cfg, index, rep)
             if vs:
-                self._violations[rid] = vs
+                self.flagged[rid] = vs
         return rid
 
     def _message(self, msg: SyncMessage) -> int:
@@ -479,7 +488,8 @@ class _IdStore:
         got = self._deliveries.get((dest, cid))
         if got is None:
             got = self._deliveries[dest, cid] = [
-                (ev, self._message(msg)) for ev, msg in _in_order(dest, self.channels[cid])
+                (ev, self._message(msg), self._channel(rest))
+                for ev, msg, rest in _in_order(dest, self.channels[cid])
             ]
         return got
 
@@ -494,14 +504,11 @@ class _IdStore:
             got = self._delivered[key] = self._replica(dest, rep)
         return got
 
-    def toggle(self, cid: int, mid: int) -> int:
-        """The channel with the message added or removed.  A message only
-        joins a channel that lacks it and only leaves one that holds it,
-        so one memo serves both moves."""
+    def add(self, cid: int, mid: int) -> int:
         key = (cid, mid)
-        got = self._toggled.get(key)
+        got = self._added.get(key)
         if got is None:
-            got = self._toggled[key] = self._channel(self.channels[cid] ^ {self.messages[mid]})
+            got = self._added[key] = self._channel(self.channels[cid] | {self.messages[mid]})
         return got
 
     # -- what the search reads off a state ----------------------------
@@ -515,7 +522,19 @@ class _IdStore:
     def violations(self, ids: tuple) -> list[tuple[str, str]]:
         """``state_violations`` of the state, from the check each replica
         id got when it was interned."""
-        return [v for r in ids[1:self.cfg.n + 1] for v in self._violations.get(r, ())]
+        return [v for r in ids[1:self.cfg.n + 1] for v in self.flagged.get(r, ())]
+
+    def render(self, ids: tuple) -> tuple[str, ...]:
+        """``render`` of the state, normalizing one replica per distinct
+        digest (see "State store" in the module docstring)."""
+        texts: dict[bytes, str] = {}
+        out = []
+        for r in ids[1:self.cfg.n + 1]:
+            text = texts.get(self.digests[r])
+            if text is None:
+                text = texts[self.digests[r]] = self.replicas[r].normalize()
+            out.append(text)
+        return tuple(out)
 
 
 def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]:
@@ -537,16 +556,16 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
             succ[0] = slot + 1
             succ[1 + target] = rep
             for c in others:
-                succ[c] = store.toggle(gs[c], msg)
+                succ[c] = store.add(gs[c], msg)
             out.append((ev, tuple(succ)))
     causal = cfg.channel == CHANNEL_CAUSAL
     for dest in range(n):
         r, c = 1 + dest, 1 + n + dest
-        for ev, msg in store.deliveries(dest, gs[c]):
+        for ev, msg, rest in store.deliveries(dest, gs[c]):
             if not causal or store.ready(gs[r], msg):
                 succ = list(gs)
                 succ[r] = store.deliver(dest, gs[r], msg)
-                succ[c] = store.toggle(gs[c], msg)
+                succ[c] = rest
                 out.append((ev, tuple(succ)))
     return out
 
@@ -839,6 +858,9 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
         if log.record(store.violations(root), state_digest(store.resolve(root)), entry):
             entry = [1]
         frontier = {root: entry}
+        q, cap, flagged = cfg.q, cfg.state_cap, store.flagged
+        # on ids: the root's empty channel is interned first, as id 0
+        drained, channels = (0,) * cfg.n, slice(cfg.n + 1, None)
         while frontier:
             level: dict[tuple, list] = {}
             for ids, entry in frontier.items():
@@ -849,29 +871,29 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                 if not succs:
                     log.stuck(store.resolve(ids), entry)
                     continue
-                for ev, succ in succs:
+                visited += len(succs)
+                for k, (ev, succ) in enumerate(succs):
                     child = level.get(succ)
-                    if child is None and distinct == cfg.state_cap:
-                        return False
-                    visited += 1
                     if child is not None:
                         child[0] += paths
                         continue
+                    if distinct == cap:
+                        visited -= len(succs) - k  # count only the edges walked
+                        return False
                     distinct += 1
-                    child = [paths, ev, entry]
-                    vs = store.violations(succ)
-                    # on ids: the root's empty channel is interned first, as id 0
-                    terminal = is_terminal(cfg, succ)
-                    if terminal or vs:
-                        gs = store.resolve(succ)
+                    terminal = succ[0] == q and succ[channels] == drained
+                    vs = store.violations(succ) if flagged else []
+                    if not (terminal or vs):
+                        level[succ] = [paths, ev, entry]
+                        continue
+                    gs = store.resolve(succ)
+                    level[succ] = child = [paths]
                     if terminal:
-                        oracle = render(gs)
-                        vs = vs + terminal_violations(gs, oracle)
-                    if log.record(vs, state_digest(gs) if vs else None, child) or terminal:
-                        child = [paths]
-                    level[succ] = child
-                    if terminal:
+                        oracle = store.render(succ)
+                        vs += terminal_violations(gs, oracle)
                         terminals.append((child, oracle if collect_oracles else None))
+                    if vs:
+                        log.record(vs, state_digest(gs), [paths, ev, entry])
             frontier = level
         return True
 

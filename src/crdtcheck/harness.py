@@ -23,7 +23,7 @@ Verdicts per case:
                      oracle for another replica count, a replica index
                      (client target, delivery dest or origin) outside
                      0..n-1, or client events that do not take slots
-                     0, 1, 2, ... in order, slot i at replica i mod n.
+                     0, 1, ..., q-1 in order, slot i at replica i mod n.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -218,7 +218,7 @@ def _exchange(endpoint, frame: dict, want: str) -> dict:
     return reply
 
 
-def _misfit(tc: TestCase, n: int, expected_fp: str) -> str | None:
+def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
     """Why ``tc`` is not a run of this configuration, or None if it is."""
     if tc.fingerprint != expected_fp:
         return (f"case fingerprint {tc.fingerprint[:12]}… does not match "
@@ -233,13 +233,17 @@ def _misfit(tc: TestCase, n: int, expected_fp: str) -> str | None:
         if (ev.slot, ev.target) != (i, i % n):
             return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
                     f"not slot {i} at replica {i % n}")
+        if i == q:
+            return f"client event {i} takes slot {i}, configuration has {q} slots"
     return None
 
 
-def replay_case(tc: TestCase, endpoints: list, expected_fp: str) -> CaseResult:
-    """Run one corpus case against freshly constructed endpoints."""
+def replay_case(tc: TestCase, endpoints: list, expected_fp: str, q: int) -> CaseResult:
+    """Run one corpus case against freshly constructed endpoints, one per
+    replica, of the configuration with fingerprint ``expected_fp`` and
+    ``q`` request slots."""
     n = len(endpoints)
-    if (misfit := _misfit(tc, n, expected_fp)) is not None:
+    if (misfit := _misfit(tc, n, q, expected_fp)) is not None:
         return CaseResult(tc.case_id, REJECTED, detail=misfit)
     in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
     replica = None  # the replica a failure is blamed on
@@ -294,7 +298,7 @@ def replay_corpus(
     expected_fp = config_fingerprint(cfg)
     summary = ReplaySummary()
     for tc in iter_corpus(stream):
-        summary.note(replay_case(tc, factory(), expected_fp))
+        summary.note(replay_case(tc, factory(), expected_fp, cfg.q))
     return summary
 
 

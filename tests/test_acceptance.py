@@ -133,7 +133,9 @@ _RPQ_N2Q5_SCHEDULES = 5**5 * math.factorial(10) // (2 * 4 * 6 * 8 * 10)
     ],
 )
 def test_criterion_2_long_reach(data_type, n, q, distinct, visited, schedules):
+    t0 = time.monotonic()
     rep = explore(cfg(data_type=data_type, n=n, q=q))
+    wall = time.monotonic() - t0  # reported, not bounded
     got = (rep.distinct_states, rep.states_visited, rep.terminal_traces)
     # ru_maxrss is in KiB on Linux: the peak of this whole test process
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -146,7 +148,7 @@ def test_criterion_2_long_reach(data_type, n, q, distinct, visited, schedules):
         ok,
         f"{got} (want {(distinct, visited, schedules)}), "
         f"{len(rep.violations)} violation(s), peak RSS {peak_mib:.0f} MiB "
-        f"(budget 1024)",
+        f"(budget 1024), search {wall:.1f} s",
     )
 
 

@@ -346,9 +346,8 @@ def test_cached_digest_is_not_copied_by_replace():
     assert replace(msg, origin=1).digest() != msg.digest()
 
 
-def test_terminal_states_are_rendered_once(monkeypatch):
-    # the invariant check, the oracle multiset and the emitted records
-    # share one rendering of each terminal state
+def count_normalize(monkeypatch) -> list:
+    """The replicas ``normalize`` is called on from here on."""
     calls = []
     normalize = ReplicaState.normalize
 
@@ -357,16 +356,39 @@ def test_terminal_states_are_rendered_once(monkeypatch):
         return normalize(self)
 
     monkeypatch.setattr(ReplicaState, "normalize", counting)
+    return calls
+
+
+def test_terminal_states_are_rendered_once(monkeypatch):
+    # The invariant check and the oracle multiset share one rendering of
+    # each terminal state, and the breadth-first search normalizes one
+    # replica per distinct digest in it: its 388 terminal states all
+    # converged.  The depth-first walk and its emitted records render
+    # every replica of every terminal schedule.
+    calls = count_normalize(monkeypatch)
     cfg = cfg_of(data_type="list", n=2, q=3)
     _explore_bfs(cfg, collect_oracles=False)
-    assert len(calls) == 776
+    assert len(calls) == 388
     calls.clear()
     _explore_bfs(cfg, collect_oracles=True)
-    assert len(calls) == 776
+    assert len(calls) == 388
     calls.clear()
     report = enumerate_traces(cfg, check=True, collect_oracles=True)
     assert report.terminal_traces == 908
     assert len(calls) == 2 * 908
+
+
+@pytest.mark.parametrize("kw,normalized,violations", [
+    (dict(data_type="list", n=2, q=3, bug_flags=BUG1), 404, 8),
+    (dict(n=3, q=3, bug_flags=BUG2), 1_462, 100),
+], ids=["list-n2q3-bug1", "rpq-n3q3-bug2"])
+def test_diverged_terminal_replicas_are_rendered_apart(monkeypatch, kw, normalized, violations):
+    # a terminal state whose replicas digest apart normalizes each digest
+    calls = count_normalize(monkeypatch)
+    for collect_oracles in (False, True):
+        calls.clear()
+        report = _explore_bfs(cfg_of(**kw), collect_oracles=collect_oracles)
+        assert (len(calls), len(report.violations)) == (normalized, violations)
 
 
 def test_tree_mode_and_bfs_agree_on_single_replica():
@@ -732,6 +754,26 @@ def test_state_cap_raises_with_partial_report_attached():
     assert partial is not None
     assert not partial.exhaustive
     assert partial.states_visited >= 50
+
+
+@pytest.mark.parametrize("kw,counts,digest", [
+    (dict(n=2, q=3, state_cap=100), (100, 100, 0, 0),
+     "642f4fc427a3e35f3af8083aed36beaf72f3ec01cdeb0b74c6ed0931ddccd17c"),
+    (dict(data_type="list", n=3, q=3, state_cap=5_000), (5_000, 9_008, 0, 0),
+     "7485d9490b08d95b7f6bbb8b6cfbd6ad29d33f9d8d24bcb0ebfb8e9c9002f76f"),
+    # stopped in the last level, with terminal states and violations
+    (dict(data_type="list", n=2, q=3, bug_flags=BUG1, state_cap=1_351), (1_351, 1_755, 834, 8),
+     "3214dffbcfba108ba359dd6b6849fd817d782133c3a2611964832644cde1b0ea"),
+], ids=["rpq-n2q3", "list-n3q3", "list-n2q3-bug1"])
+def test_capped_partial_reports_are_pinned(kw, counts, digest):
+    # a capped search counts the transitions it walked before the cap
+    # stopped it, not the rest of the state it was expanding
+    with pytest.raises(BudgetExceeded) as exc:
+        explore(cfg_of(**kw))
+    partial = exc.value.report
+    assert (partial.distinct_states, partial.states_visited, partial.terminal_traces,
+            len(partial.violations)) == counts
+    assert report_digest(partial) == digest
 
 
 def test_state_cap_raises_in_deduplicating_mode_too():

@@ -74,7 +74,7 @@ def first_case(cfg):
 def test_pass_verdict():
     cfg = rpq_cfg()
     tc = first_case(cfg)
-    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == PASS
     assert result.as_json()["status"] == "pass"
 
@@ -83,7 +83,7 @@ def test_fingerprint_mismatch_is_rejected_before_any_replay():
     cfg = rpq_cfg()
     other = rpq_cfg(q=3)
     tc = first_case(cfg)
-    result = replay_case(tc, loopback_factory(other)(), config_fingerprint(other))
+    result = replay_case(tc, loopback_factory(other)(), config_fingerprint(other), other.q)
     assert result.status == REJECTED
     assert "fingerprint" in result.detail
 
@@ -97,7 +97,7 @@ def test_oracle_arity_mismatch_is_rejected():
         schedule=tc.schedule,
         oracle=tc.oracle + ("extra",),
     )
-    result = replay_case(crippled, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(crippled, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == REJECTED
     assert "oracle" in result.detail
 
@@ -110,7 +110,7 @@ def test_tampered_oracle_diverges_with_a_byte_offset():
         case_id=tc.case_id, fingerprint=tc.fingerprint,
         schedule=tc.schedule, oracle=broken_oracle,
     )
-    result = replay_case(tampered, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(tampered, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == DIVERGED
     assert result.replica == 0
     assert result.diff_offset is not None and result.diff_offset >= 0
@@ -128,7 +128,7 @@ def test_unsatisfiable_delivery_is_a_replica_error():
         case_id=tc.case_id, fingerprint=tc.fingerprint,
         schedule=deliveries, oracle=tc.oracle,
     )
-    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
 
 
@@ -149,7 +149,7 @@ def test_delivery_without_an_in_flight_message_is_a_replica_error(fault):
         case_id=tc.case_id, fingerprint=tc.fingerprint,
         schedule=schedule, oracle=tc.oracle,
     )
-    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
     assert result.replica == ev.dest
     assert result.detail == (
@@ -163,7 +163,7 @@ def test_rejected_scheduled_request_is_a_replica_error():
     dup = OperationRequest("insert", "e1", 10)
     schedule = (ClientEvent(0, 0, dup), ClientEvent(1, 0, dup))
     tc = parse_case_line(1, case_line(config_fingerprint(cfg), schedule, ("{}",)))
-    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg))
+    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
     assert "rejected" in result.detail
@@ -173,15 +173,31 @@ def test_rejected_scheduled_request_is_a_replica_error():
 REPLICA_FIELD = {"C": 3, "D": 1}
 
 
-def edited_line(cfg, tag: str, field: int, value) -> str:
-    """The first corpus line with field ``field`` of its first ``tag``
-    event set to ``value``, under a recomputed (so still valid) case id."""
-    doc = json.loads(corpus_text(cfg).splitlines()[0])
-    event = next(ev for ev in doc["sched"] if ev[0] == tag)
-    event[field] = value
+def recased(doc: dict) -> str:
+    """The corpus line of ``doc`` under a recomputed (so still valid)
+    case id."""
     blob = json.dumps(doc["sched"], separators=(",", ":"), ensure_ascii=False)
     doc["case"] = hashlib.sha256(blob.encode("utf-8")).hexdigest()
     return json.dumps(doc, separators=(",", ":"))
+
+
+def edited_line(cfg, tag: str, field: int, value) -> str:
+    """The first corpus line with field ``field`` of its first ``tag``
+    event set to ``value``, under a recomputed case id."""
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    event = next(ev for ev in doc["sched"] if ev[0] == tag)
+    event[field] = value
+    return recased(doc)
+
+
+def extra_slot_line(cfg) -> str:
+    """The first corpus line with a client event for slot q appended,
+    under a recomputed case id: it keeps the slot rule, but the
+    configuration has no slot q."""
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    insert = {"anchor": None, "arg": 10, "id": "e9", "kind": "insert"}
+    doc["sched"].append(["C", cfg.q, insert, cfg.q % cfg.n])
+    return recased(doc)
 
 
 @pytest.mark.parametrize("tag", ["C", "D"])
@@ -216,6 +232,27 @@ def test_a_case_that_is_no_run_of_the_configuration_is_rejected(name):
     assert (summary.cases, summary.rejected) == (1, 1)
     [failure] = summary.first_failures
     assert (failure["status"], failure["detail"]) == (REJECTED, detail)
+
+
+def test_a_client_event_past_the_last_slot_is_rejected():
+    # the servers would accept the extra insert and so diverge from the
+    # oracle, which is the state after q slots
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    summary = replay_corpus(cfg, io.StringIO(extra_slot_line(cfg)))
+    assert (summary.cases, summary.rejected) == (1, 1)
+    [failure] = summary.first_failures
+    assert (failure["status"], failure["detail"]) == (
+        REJECTED, "client event 3 takes slot 3, configuration has 3 slots"
+    )
+
+
+def test_replay_of_a_case_past_the_last_slot_exits_one(tmp_path, capsys):
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    corpus = tmp_path / "misfit.jsonl"
+    corpus.write_text(extra_slot_line(cfg) + "\n")
+    code = main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
 
 
 @pytest.mark.parametrize("name", ["slot-moved", "target-outside"])
@@ -262,7 +299,7 @@ def test_model_and_server_agree_on_refusals():
     probes = 0
     for tc in iter_corpus(io.StringIO(corpus_text(cfg))):
         endpoints = loopback_factory(cfg)()
-        assert replay_case(tc, endpoints, fp).status == PASS
+        assert replay_case(tc, endpoints, fp, cfg.q).status == PASS
         gs = replay_schedule(cfg, tc.schedule)
         for i, ep in enumerate(endpoints):
             before = ep.send({"type": "Inspect"})
@@ -381,7 +418,7 @@ def test_bad_fanout_is_a_replica_error_in_replay(name):
         MangledFanout(ReplicaServer("rpq", i, 2), BAD_FANOUTS[name])
         for i in range(2)
     ]
-    result = replay_case(tc, endpoints, config_fingerprint(cfg))
+    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
     assert "fan-out" in result.detail
@@ -522,7 +559,7 @@ def bad_endpoints(name: str, n: int) -> list:
 def test_bad_reply_is_a_replica_error_in_replay(name):
     cfg = ExplorationConfig(data_type="list", n=2, q=2)
     tc = first_case(cfg)
-    result = replay_case(tc, bad_endpoints(name, 2), config_fingerprint(cfg))
+    result = replay_case(tc, bad_endpoints(name, 2), config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
     assert result.replica in (0, 1)
     assert result.detail
