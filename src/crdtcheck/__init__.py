@@ -29,7 +29,6 @@ from .errors import (
 from .explorer import (
     ExplorationConfig,
     ExplorationReport,
-    TraceRecord,
     Violation,
     enumerate_traces,
     explore,
@@ -63,7 +62,6 @@ __all__ = [
     "StressReport",
     "SyncMessage",
     "TestCase",
-    "TraceRecord",
     "UnknownElement",
     "UnknownFlag",
     "Violation",

@@ -86,11 +86,12 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   to every other channel; a delivery moves one replica and removes the
   message from its channel).  A store supplies only the component
   moves: ``issued``, ``deliveries``, ``ready``, ``deliver`` and
-  ``add``.  The breadth-first search passes its ``_IdStore``;
-  ``step``, ``replay_schedule`` and ``enumerate_traces`` use
-  ``_Direct``, which calls ``ReplicaState.issue``/``deliver`` afresh
-  with no memo, so the depth-first walk stays an independent check of
-  the store.
+  ``add``.  ``_Direct`` computes each move afresh, by
+  ``ReplicaState.issue``/``deliver``; ``step``, ``replay_schedule`` and
+  ``enumerate_traces`` use it.  The breadth-first search passes its
+  ``_IdStore``, which on a memo miss calls the same ``_Direct`` move
+  and interns the result: the store adds only memos and interning, and
+  the depth-first walk, which uses neither, checks them.
 
 Checked invariants (reported by name):
 
@@ -367,23 +368,8 @@ def _list_pool(state: ReplicaState, slot: int) -> list[OperationRequest]:
     return pool
 
 
-def _causally_ready(rep: ReplicaState, msg: SyncMessage) -> bool:
-    """A causal channel delivers ``msg`` only once ``rep`` has every dot
-    of its context snapshot."""
-    return all(rep.has_delivered(d) for d in msg.ctx.iter_dots())
-
-
 def _dot_order(msg: SyncMessage) -> tuple[int, int]:
     return (msg.origin, msg.op.dot.counter)
-
-
-def _in_order(dest: int, channel: frozenset[SyncMessage]) -> list:
-    """(delivery event, message, the channel without it) for each
-    message in flight to ``dest``, in (origin, counter) order."""
-    return [
-        (DeliverEvent(dest, *_dot_order(msg)), msg, channel - {msg})
-        for msg in sorted(channel, key=_dot_order)
-    ]
 
 
 def _intern(ids: dict, items: list, key, item) -> int:
@@ -407,8 +393,20 @@ class _Direct:
             for req in candidate_requests(cfg, rep, slot)
         ]
 
-    deliveries = staticmethod(_in_order)
-    ready = staticmethod(_causally_ready)
+    @staticmethod
+    def deliveries(dest: int, channel: frozenset[SyncMessage]) -> list:
+        """(delivery event, message, the channel without it) for each
+        message in flight to ``dest``, in (origin, counter) order."""
+        return [
+            (DeliverEvent(dest, *_dot_order(msg)), msg, channel - {msg})
+            for msg in sorted(channel, key=_dot_order)
+        ]
+
+    @staticmethod
+    def ready(rep: ReplicaState, msg: SyncMessage) -> bool:
+        """A causal channel delivers ``msg`` only once ``rep`` has every
+        dot of its context snapshot."""
+        return all(rep.has_delivered(d) for d in msg.ctx.iter_dots())
 
     @staticmethod
     def deliver(dest: int, rep: ReplicaState, msg: SyncMessage) -> ReplicaState:
@@ -421,8 +419,8 @@ class _Direct:
 
 class _IdStore:
     """The integer handles and move memos of one breadth-first search
-    (see "State store" in the module docstring): the same component
-    moves as ``_Direct``, on ids."""
+    (see "State store" in the module docstring): ``_Direct``'s moves on
+    ids, each computed by ``_Direct`` once and interned."""
 
     def __init__(self, cfg: ExplorationConfig):
         self.cfg = cfg
@@ -474,14 +472,10 @@ class _IdStore:
     def issued(self, cfg: ExplorationConfig, rid: int, slot: int, target: int) -> list:
         got = self._issued.get((rid, slot))
         if got is None:
-            rep = self.replicas[rid]
-            got = self._issued[rid, slot] = []
-            for req in candidate_requests(cfg, rep, slot):
-                after, msg = rep.issue(req)
-                got.append(
-                    (ClientEvent(slot, target, req), self._replica(target, after),
-                     self._message(msg))
-                )
+            got = self._issued[rid, slot] = [
+                (ev, self._replica(target, after), self._message(msg))
+                for ev, after, msg in _Direct.issued(cfg, self.replicas[rid], slot, target)
+            ]
         return got
 
     def deliveries(self, dest: int, cid: int) -> list:
@@ -489,26 +483,25 @@ class _IdStore:
         if got is None:
             got = self._deliveries[dest, cid] = [
                 (ev, self._message(msg), self._channel(rest))
-                for ev, msg, rest in _in_order(dest, self.channels[cid])
+                for ev, msg, rest in _Direct.deliveries(dest, self.channels[cid])
             ]
         return got
 
     def ready(self, rid: int, mid: int) -> bool:
-        return _causally_ready(self.replicas[rid], self.messages[mid])
+        return _Direct.ready(self.replicas[rid], self.messages[mid])
 
     def deliver(self, dest: int, rid: int, mid: int) -> int:
-        key = (rid, mid)
-        got = self._delivered.get(key)
+        got = self._delivered.get((rid, mid))
         if got is None:
-            rep = self.replicas[rid].deliver(self.messages[mid])
-            got = self._delivered[key] = self._replica(dest, rep)
+            rep = _Direct.deliver(dest, self.replicas[rid], self.messages[mid])
+            got = self._delivered[rid, mid] = self._replica(dest, rep)
         return got
 
     def add(self, cid: int, mid: int) -> int:
-        key = (cid, mid)
-        got = self._added.get(key)
+        got = self._added.get((cid, mid))
         if got is None:
-            got = self._added[key] = self._channel(self.channels[cid] | {self.messages[mid]})
+            msgs = _Direct.add(self.channels[cid], self.messages[mid])
+            got = self._added[cid, mid] = self._channel(msgs)
         return got
 
     # -- what the search reads off a state ----------------------------
@@ -648,14 +641,6 @@ class Violation:
         }
 
 
-@dataclass(frozen=True)
-class TraceRecord:
-    """One complete schedule plus the terminal canonical text per replica."""
-
-    schedule: tuple
-    oracle: tuple[str, ...]
-
-
 @dataclass
 class ExplorationReport:
     fingerprint: str
@@ -734,7 +719,7 @@ class _ViolationLog:
 
 def enumerate_traces(
     cfg: ExplorationConfig,
-    emit: Callable[[TraceRecord], None] | None = None,
+    emit: Callable[[tuple, tuple[str, ...]], None] | None = None,
     *,
     check: bool = False,
     collect_oracles: bool = False,
@@ -743,11 +728,12 @@ def enumerate_traces(
 
     No deduplication happens, so ``terminal_traces`` counts schedules
     exactly, every walked node counts as a distinct state, and the
-    ``emit`` callback sees the schedules in an order that is a pure
-    function of the configuration.  With ``check`` set, the same
-    invariants as the deduplicating search run at every node, violating
-    non-terminal nodes pruning their subtree the same way.  The walk
-    stops early, with ``exhaustive`` false, before it would visit node
+    ``emit`` callback gets each schedule with its oracle (``render`` of
+    its terminal state), in an order that is a pure function of the
+    configuration.  With ``check`` set, the same invariants as the
+    deduplicating search run at every node, violating non-terminal nodes
+    pruning their subtree the same way.  The walk stops early, with
+    ``exhaustive`` false, before it would visit node
     ``cfg.state_cap + 1``.
     """
     visited = 1
@@ -770,7 +756,7 @@ def enumerate_traces(
         if terminal:
             leaves += 1
             if emit is not None:
-                emit(TraceRecord(tuple(path), oracle))
+                emit(tuple(path), oracle)
             if oracle_ms is not None:
                 oracle_ms[oracle] = oracle_ms.get(oracle, 0) + 1
             return

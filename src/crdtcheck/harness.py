@@ -22,8 +22,10 @@ Verdicts per case:
                      sent: another configuration's fingerprint, an
                      oracle for another replica count, a replica index
                      (client target, delivery dest or origin) outside
-                     0..n-1, or client events that do not take slots
-                     0, 1, ..., q-1 in order, slot i at replica i mod n.
+                     0..n-1, client events that do not take slots
+                     0, 1, ..., q-1 in order, slot i at replica i mod n,
+                     or a schedule that is not complete: a run has q
+                     client events and q·(n-1) deliveries.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -229,12 +231,17 @@ def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
         for replica in (ev.target,) if isinstance(ev, ClientEvent) else (ev.dest, ev.origin):
             if not 0 <= replica < n:
                 return f"schedule names replica {replica}, configuration has {n}"
-    for i, ev in enumerate(ev for ev in tc.schedule if isinstance(ev, ClientEvent)):
+    clients = [ev for ev in tc.schedule if isinstance(ev, ClientEvent)]
+    for i, ev in enumerate(clients):
         if (ev.slot, ev.target) != (i, i % n):
             return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
                     f"not slot {i} at replica {i % n}")
         if i == q:
             return f"client event {i} takes slot {i}, configuration has {q} slots"
+    deliveries = len(tc.schedule) - len(clients)
+    if (len(clients), deliveries) != (q, q * (n - 1)):
+        return (f"schedule has {len(clients)} client event(s) and {deliveries} delivery "
+                f"event(s), a complete run has {q} and {q * (n - 1)}")
     return None
 
 
@@ -292,13 +299,20 @@ def replay_corpus(
     bug_flags: Iterable[str] = (),
     endpoints_factory: Callable[[], list] | None = None,
 ) -> ReplaySummary:
-    """Replay every case in a JSONL stream; raises ``MalformedCase`` on
-    unparseable lines."""
-    factory = endpoints_factory or loopback_factory(cfg, bug_flags)
+    """Replay every case in a JSONL stream, against loopback servers with
+    ``bug_flags`` unless ``endpoints_factory`` makes the endpoints.
+    Raises ``MalformedCase`` on unparseable lines, ``UnknownFlag`` for a
+    flag outside the catalog and ``BadConfig`` for flags together with a
+    factory, whose servers they could not reach."""
+    if endpoints_factory is None:
+        endpoints_factory = loopback_factory(cfg, bug_flags)
+    elif check_bug_flags(bug_flags):
+        raise BadConfig("bug flags configure the loopback servers; "
+                        "custom endpoints take none")
     expected_fp = config_fingerprint(cfg)
     summary = ReplaySummary()
     for tc in iter_corpus(stream):
-        summary.note(replay_case(tc, factory(), expected_fp, cfg.q))
+        summary.note(replay_case(tc, endpoints_factory(), expected_fp, cfg.q))
     return summary
 
 
@@ -392,9 +406,12 @@ def stress(
     request must produce byte-identical sync messages on both sides,
     rejections must agree, and after each round drains the network the
     canonical bytes must match replica by replica.  Stops at the first
-    failure.  Raises ``BadConfig`` for an unknown data type, a replica
-    count outside 1..3, a seed, round or op count that is not exactly
-    an ``int``, or fewer than one round or op per round.
+    failure.  The servers are loopback servers with ``bug_flags`` unless
+    ``endpoints`` is given.  Raises ``BadConfig`` for an unknown data
+    type, a replica count outside 1..3, a seed, round or op count that
+    is not exactly an ``int``, fewer than one round or op per round, or
+    bug flags together with ``endpoints``; ``UnknownFlag`` for a flag
+    outside the catalog.
     """
     for name, value in (("seed", seed), ("rounds", rounds), ("ops_per_round", ops_per_round)):
         if type(value) is not int:  # not a bool: True would run as 1
@@ -404,7 +421,11 @@ def stress(
     # The config checks the data type and n; q only has to be at least n.
     cfg = ExplorationConfig(data_type=data_type, n=n, q=n)
     rng = random.Random(seed)
-    eps = endpoints or loopback_factory(cfg, bug_flags)()
+    if endpoints is None:
+        endpoints = loopback_factory(cfg, bug_flags)()
+    elif check_bug_flags(bug_flags):
+        raise BadConfig("bug flags configure the loopback servers; "
+                        "custom endpoints take none")
     models = [fresh_replica(data_type, i) for i in range(n)]
     report = StressReport(seed=seed, rounds=rounds)
     # in-flight: list of (dest, wire message, model SyncMessage)
@@ -416,7 +437,7 @@ def stress(
         nonlocal replica
         replica, wire_msg, model_msg = in_flight.pop(index)
         report.deliveries += 1
-        _exchange(eps[replica], {"msg": wire_msg, "type": "Sync"}, "Ack")
+        _exchange(endpoints[replica], {"msg": wire_msg, "type": "Sync"}, "Ack")
         models[replica] = models[replica].deliver(model_msg)
 
     try:
@@ -427,7 +448,7 @@ def stress(
                 req = _random_request(rng, data_type, models[target], f"x{issued}")
                 err = models[target].request_error(req)
                 reply = _exchange(
-                    eps[target], {"req": req.as_wire(), "type": "ClientOp"}, "Ack"
+                    endpoints[target], {"req": req.as_wire(), "type": "ClientOp"}, "Ack"
                 )
                 if err is not None:
                     report.ops += 1
@@ -469,7 +490,7 @@ def stress(
                 deliver(rng.randrange(len(in_flight)))
             for replica in range(n):
                 got = _exchange(
-                    eps[replica], {"type": "Inspect"}, "InspectReply"
+                    endpoints[replica], {"type": "Inspect"}, "InspectReply"
                 )["state"]
                 offset = _diff_at(got, models[replica].normalize())
                 if offset is not None:

@@ -174,14 +174,10 @@ class ListView(_View):
                 "existence": self.existence.value, "pos": position_wire(self.pos)}
 
 
-def _survives(ctx: CausalContext, rems: tuple[Rec, ...]) -> bool:
-    """Remove-win kill rule: the record lives iff it saw every remove."""
-    return all(ctx.contains(r.dot) for r in rems)
-
-
 def _survivor_test(rems: tuple[Rec, ...]):
-    """``_survives(ctx, rems)`` as a test of ``ctx`` alone, which looks
-    at each origin's highest remove rather than at every remove.
+    """The remove-win kill rule as a test of a record's context: the
+    record lives iff its context contains every remove in ``rems``.  The
+    test looks at each origin's highest remove, not at every remove.
 
     A context whose frontier covers each origin's highest remove counter
     contains every remove.  One that lacks some origin's highest remove
@@ -198,7 +194,7 @@ def _survivor_test(rems: tuple[Rec, ...]):
             if ctx.seen.get(replica, 0) < top:
                 if Dot(top, replica) not in ctx.extra:
                     return False
-                return _survives(ctx, rems)
+                return all(ctx.contains(r.dot) for r in rems)
         return True
 
     return survives
@@ -218,13 +214,10 @@ def rpq_view(ops: RpqOps) -> RpqView:
 
 
 def list_view(ops: ListOps) -> ListView:
+    survives = _survivor_test(ops.rems)
     ins = ops.ins
-    alive = _survives(ins.ctx, ops.rems) or any(
-        _survives(x.ctx, ops.rems) for x in ops.readds
-    )
-    candidates = [(ins.dot, ins.val)] + [
-        (u.dot, u.val) for u in ops.upds if _survives(u.ctx, ops.rems)
-    ]
+    alive = survives(ins.ctx) or any(survives(x.ctx) for x in ops.readds)
+    candidates = [(ins.dot, ins.val)] + [(u.dot, u.val) for u in ops.upds if survives(u.ctx)]
     _, attr = max(candidates)
     existence = Existence.EXISTENT if alive else Existence.ONCE_EXISTENT
     return ListView(existence, attr, ops.pos, ins.dot)

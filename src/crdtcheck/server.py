@@ -281,7 +281,7 @@ class ReplicaServer:
         if not isinstance(req, dict):
             raise ProtocolViolation("ClientOp frame carries no request object")
         kind, elem, arg, anchor = self._check_request_shape(req)
-        if self._rejection(kind, elem, anchor) is not None:
+        if self._refuses(kind, elem, anchor):
             return {"accepted": False, "syncs": [], "type": "Ack"}
 
         # The issue snapshot is every delivered dot: applied or buffered.
@@ -339,20 +339,18 @@ class ReplicaServer:
             raise ProtocolViolation("insert anchor must be a string or null")
         return kind, elem, arg, anchor
 
-    def _rejection(self, kind: str, elem: str, anchor) -> str | None:
+    def _refuses(self, kind: str, elem: str, anchor) -> bool:
+        """True if this replica must reject the request: a list insert
+        of an id in use or after an anchor not existent here, or another
+        list op on an id never seen here."""
         if self.data_type == RPQ:
-            return None
-        if kind == "insert":
-            if elem in self.elems:
-                return "id in use"
-            if anchor is not None:
-                e = self.elems.get(anchor)
-                if e is None or not self._list_existent(e):
-                    return "anchor not existent here"
-            return None
-        if elem not in self.elems:
-            return "id never seen here"
-        return None
+            return False
+        if kind != "insert":
+            return elem not in self.elems
+        if anchor is None:
+            return elem in self.elems
+        e = self.elems.get(anchor)
+        return elem in self.elems or e is None or not self._list_existent(e)
 
     # -- sync delivery ---------------------------------------------------
 

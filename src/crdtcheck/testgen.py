@@ -26,7 +26,6 @@ from typing import IO, Iterator
 from .errors import BadConfig, BudgetExceeded, MalformedCase
 from .explorer import (
     ExplorationConfig,
-    TraceRecord,
     config_fingerprint,
     enumerate_traces,
     event_from_wire,
@@ -86,11 +85,11 @@ def generate_corpus(
     class _Done(Exception):
         pass
 
-    def emit(trace: TraceRecord) -> None:
+    def emit(schedule: tuple, oracle: tuple[str, ...]) -> None:
         nonlocal count
         if limit is not None and count >= limit:
             raise _Done
-        out.write(case_line(fingerprint, trace.schedule, trace.oracle))
+        out.write(case_line(fingerprint, schedule, oracle))
         out.write("\n")
         count += 1
 

@@ -122,7 +122,7 @@ _RPQ_N2Q5_SCHEDULES = 5**5 * math.factorial(10) // (2 * 4 * 6 * 8 * 10)
 
 @pytest.mark.skipif(
     not os.environ.get("CRDTCHECK_ACCEPT_LONG"),
-    reason="three searches of 8-15 s each; set CRDTCHECK_ACCEPT_LONG=1 to run",
+    reason="three searches of 12-35 s each; set CRDTCHECK_ACCEPT_LONG=1 to run",
 )
 @pytest.mark.parametrize(
     "data_type, n, q, distinct, visited, schedules",

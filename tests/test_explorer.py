@@ -410,8 +410,8 @@ def test_exploration_is_deterministic():
 
     seen_a: list = []
     seen_b: list = []
-    enumerate_traces(cfg, lambda t: seen_a.append(t.schedule))
-    enumerate_traces(cfg, lambda t: seen_b.append(t.schedule))
+    enumerate_traces(cfg, lambda schedule, _oracle: seen_a.append(schedule))
+    enumerate_traces(cfg, lambda schedule, _oracle: seen_b.append(schedule))
     assert seen_a == seen_b
 
 

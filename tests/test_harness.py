@@ -120,13 +120,13 @@ def test_tampered_oracle_diverges_with_a_byte_offset():
 def test_unsatisfiable_delivery_is_a_replica_error():
     cfg = rpq_cfg()
     tc = first_case(cfg)
-    # replaying with no client events first: the delivery has no message
-    deliveries = tuple(
-        ev for ev in tc.schedule if not isinstance(ev, ClientEvent)
-    )
+    # every delivery moved before the client events, so the run is still
+    # complete: the first delivery has no message
+    deliveries = tuple(ev for ev in tc.schedule if isinstance(ev, DeliverEvent))
+    clients = tuple(ev for ev in tc.schedule if isinstance(ev, ClientEvent))
     broken = type(tc)(
         case_id=tc.case_id, fingerprint=tc.fingerprint,
-        schedule=deliveries, oracle=tc.oracle,
+        schedule=deliveries + clients, oracle=tc.oracle,
     )
     result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
@@ -134,17 +134,18 @@ def test_unsatisfiable_delivery_is_a_replica_error():
 
 @pytest.mark.parametrize("fault", ["never-sent", "already-delivered"])
 def test_delivery_without_an_in_flight_message_is_a_replica_error(fault):
-    # in-flight messages match exactly on (dest, origin, counter), once
+    # in-flight messages match exactly on (dest, origin, counter), once;
+    # one delivery is replaced, so the run is still complete
     cfg = rpq_cfg()
     tc = first_case(cfg)
-    at, ev = next(
-        (i, ev) for i, ev in enumerate(tc.schedule) if isinstance(ev, DeliverEvent)
-    )
+    at, later = [i for i, ev in enumerate(tc.schedule) if isinstance(ev, DeliverEvent)][:2]
+    ev = tc.schedule[at]
     if fault == "never-sent":
         ev = DeliverEvent(ev.dest, ev.origin, ev.counter + 10)
-        schedule = tc.schedule[:at] + (ev,)
     else:
-        schedule = tc.schedule[:at + 1] + (ev,)
+        at = later  # the first delivery, repeated in place of the second
+    schedule = tc.schedule[:at] + (ev,) + tc.schedule[at + 1:]
+    assert len(schedule) == len(tc.schedule)
     broken = type(tc)(
         case_id=tc.case_id, fingerprint=tc.fingerprint,
         schedule=schedule, oracle=tc.oracle,
@@ -266,6 +267,70 @@ def test_replay_of_a_misfit_case_exits_one(name, tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rejected"] == 1
 
 
+def cut_line(cfg, keep: slice) -> str:
+    """The first corpus line with its schedule cut to ``keep``, under a
+    recomputed case id."""
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    doc["sched"] = doc["sched"][keep]
+    return recased(doc)
+
+
+# Cuts of the first list n=2 q=3 line, whose last event is ["D",1,0,2]:
+# (events kept, detail).  A complete run has q client events and q*(n-1)
+# deliveries.
+CUTS = {
+    "last-dropped": (slice(None, -1), "schedule has 3 client event(s) and "
+                     "2 delivery event(s), a complete run has 3 and 3"),
+    "one-delivery": (slice(-1, None), "schedule has 0 client event(s) and "
+                     "1 delivery event(s), a complete run has 3 and 3"),
+}
+
+
+class Untouchable:
+    """An endpoint that fails the test if any frame reaches it."""
+
+    def send(self, frame: dict) -> dict:
+        raise AssertionError(f"frame sent: {frame!r}")
+
+
+@pytest.mark.parametrize("name", sorted(CUTS))
+def test_an_incomplete_schedule_is_rejected_before_any_frame(name):
+    # a flagless server would diverge from the oracle (the last delivery
+    # missing) or fail a delivery it never got the message for
+    keep, detail = CUTS[name]
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    assert json.loads(corpus_text(cfg).splitlines()[0])["sched"][-1] == ["D", 1, 0, 2]
+    tc = parse_case_line(1, cut_line(cfg, keep))
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg.q)
+    assert (result.status, result.detail) == (REJECTED, detail)
+
+
+def test_replay_of_an_incomplete_case_exits_one(tmp_path, capsys):
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    corpus = tmp_path / "cut.jsonl"
+    corpus.write_text(cut_line(cfg, CUTS["last-dropped"][0]) + "\n")
+    code = main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
+
+
+def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):
+    # a complete schedule whose first delivery names a message never sent
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    never_sent = edited_line(cfg, "D", 3, 99)
+    text = never_sent + "\n" + corpus_text(cfg).splitlines()[0] + "\n"
+    summary = replay_corpus(cfg, io.StringIO(text))
+    assert (summary.cases, summary.passed, summary.replica_error,
+            summary.diverged, summary.rejected) == (2, 1, 1, 0, 0)
+    [failure] = summary.first_failures
+    assert failure["status"] == REPLICA_ERROR and "no in-flight message" in failure["detail"]
+    corpus = tmp_path / "never-sent.jsonl"
+    corpus.write_text(never_sent + "\n")
+    assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["replica_error"], doc["diverged"], doc["rejected"]) == (1, 0, 0)
+
+
 @pytest.mark.parametrize("tag", ["C", "D"])
 def test_boolean_replica_index_is_malformed(tag):
     # JSON true decodes to a bool, which Python counts as the int 1
@@ -318,6 +383,24 @@ def test_replay_refuses_an_unknown_flag_before_any_case():
     # an empty corpus builds no server, so only the factory can refuse it
     with pytest.raises(UnknownFlag, match="'nope' is not in the bug catalog"):
         replay_corpus(rpq_cfg(), io.StringIO(""), bug_flags=["nope"])
+
+
+@pytest.mark.parametrize("flags, error", [
+    (("bug7-idgen-order",), BadConfig),
+    (("nope",), UnknownFlag),
+], ids=["catalogued", "unknown"])
+def test_bug_flags_with_custom_endpoints_are_refused(flags, error):
+    # the flags configure only the loopback servers: with endpoints the
+    # caller made, they would be dropped and a flagged run would pass
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    with pytest.raises(error):
+        replay_corpus(cfg, io.StringIO(corpus_text(cfg)), bug_flags=flags,
+                      endpoints_factory=loopback_factory(cfg))
+    # an empty endpoint list is endpoints too, not a call for loopback ones
+    for endpoints in (loopback_factory(cfg)(), []):
+        with pytest.raises(error):
+            stress("list", 2, seed=1, rounds=1, ops_per_round=1, bug_flags=flags,
+                   endpoints=endpoints)
 
 
 @pytest.mark.parametrize("entry", [

@@ -23,6 +23,8 @@ from crdtcheck.replica import (
     BUG_ASSUME_CAUSAL,
     BUG_READD_ACCEPT,
     Existence,
+    ListOps,
+    ListView,
     Rec,
     RpqOps,
     RpqView,
@@ -603,3 +605,52 @@ def test_survival_by_highest_remove_matches_all_removes():
     # without a lower remove the context lacks
     assert {("covered", True), ("missing", False), ("in-extra", True),
             ("in-extra", False)} <= set(cases)
+
+
+def all_removes_list_view(ops: ListOps) -> ListView:
+    """``list_view`` with every record checked against every remove."""
+    def survives(rec):
+        return all(rec.ctx.contains(r.dot) for r in ops.rems)
+
+    alive = survives(ops.ins) or any(survives(x) for x in ops.readds)
+    _, attr = max([(ops.ins.dot, ops.ins.val)]
+                  + [(u.dot, u.val) for u in ops.upds if survives(u)])
+    existence = Existence.EXISTENT if alive else Existence.ONCE_EXISTENT
+    return ListView(existence, attr, ops.pos, ops.ins.dot)
+
+
+def random_list_ops(rng: random.Random) -> ListOps:
+    """An insert plus updates, removes and re-adds with distinct dots
+    from 3 origins, each with a context of random dots, as in
+    ``random_rpq_ops``."""
+    grid = [Dot(c, r) for r in range(3) for c in range(1, 7)]
+    ins, *dots = rng.sample(grid, rng.randrange(1, 12))
+    density = rng.choice([0.3, 0.7, 0.95])
+
+    def rec(dot, val):
+        seen = [d for d in grid if d != dot and rng.random() < density]
+        return Rec(dot, val, context_from_dots(seen))
+
+    recs = [(rng.choice(["upds", "rems", "readds"]), d) for d in dots]
+    return ListOps(rec(ins, 10), ((32, ins.replica, ins.counter),), **{
+        kind: tuple(rec(d, rng.randrange(0, 100) if kind == "upds" else None)
+                    for k, d in recs if k == kind)
+        for kind in ("upds", "rems", "readds")
+    })
+
+
+def test_list_survival_by_highest_remove_matches_all_removes():
+    rng = random.Random(19)
+    cases = Counter()
+    for _ in range(1000):
+        ops = random_list_ops(rng)
+        view = replica.list_view(ops)
+        assert view == all_removes_list_view(ops)
+        for rec in (ops.ins, *ops.upds, *ops.readds):
+            cases[highest_remove_case(rec.ctx, ops.rems)] += 1
+        cases[view.existence] += 1
+    for rep in random_history("list", seed=8, length=300, names="abc"):
+        for ops in rep.elems.values():
+            assert ops.view() == all_removes_list_view(ops)
+    assert {"covered", "missing", "in-extra",
+            Existence.EXISTENT, Existence.ONCE_EXISTENT} <= set(cases)

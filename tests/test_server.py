@@ -133,6 +133,11 @@ def test_unknown_bug_flag_is_refused_at_construction():
         ReplicaServer("rpq", 0, 2, ("bug99-nope",))
 
 
+def test_unknown_data_type_is_refused_at_construction():
+    with pytest.raises(ProtocolViolation, match="unknown data type 'set'"):
+        ReplicaServer("set", 0, 1)
+
+
 def test_client_op_acks_with_fan_out():
     srv = ReplicaServer("rpq", 0, 3)
     reply = srv.handle_frame(client_frame("add", "e", 10))
@@ -328,7 +333,7 @@ def test_random_schedules_agree_with_the_model(data_type):
     # sample complete schedules from the walk and replay each against
     # fresh servers, comparing sync bytes and end states
     schedules: list = []
-    enumerate_traces(cfg, lambda t: schedules.append(t.schedule))
+    enumerate_traces(cfg, lambda schedule, _oracle: schedules.append(schedule))
     sample = rng.sample(schedules, 60)
 
     for schedule in sample:
@@ -494,9 +499,9 @@ def test_cached_members_match_a_cold_rendering(data_type, flag):
     flags = (flag,) if flag else ()
     frames = 0
     for seed in range(1, 6):
+        # the flags go to the servers; stress refuses them beside endpoints
         endpoints = [CacheChecked(ReplicaServer(data_type, i, 3, flags)) for i in range(3)]
-        stress(data_type, 3, seed=seed, rounds=6, ops_per_round=20,
-               bug_flags=flags, endpoints=endpoints)
+        stress(data_type, 3, seed=seed, rounds=6, ops_per_round=20, endpoints=endpoints)
         frames += sum(ep.frames for ep in endpoints)
     assert frames > 400  # a flag stops each session at its first divergence
 
@@ -675,6 +680,16 @@ def test_serve_connection_ends_quietly_when_the_peer_closes(sent):
         cli_sock.sendall(sent)
         cli_sock.close()
         serve_connection(ReplicaServer("rpq", 0, 2), srv_sock)  # returns
+
+
+def test_serve_connection_ends_when_the_peer_closes_between_frames():
+    # the peer reads its reply and closes without a Shutdown frame
+    srv_sock, cli_sock = socket.socketpair()
+    with srv_sock, cli_sock:
+        cli_sock.sendall(encode_frame({"type": "Inspect"}))
+        cli_sock.shutdown(socket.SHUT_WR)
+        serve_connection(ReplicaServer("rpq", 0, 2), srv_sock)  # returns
+        assert FrameSocket(cli_sock).recv()["type"] == "InspectReply"
 
 
 def test_loopback_and_socket_endpoints_agree():

@@ -128,6 +128,13 @@ def test_unparseable_json_is_rejected_with_the_line_number():
     assert exc.value.field == "json"
 
 
+def test_a_line_that_is_no_object_is_malformed_json():
+    with pytest.raises(MalformedCase) as exc:
+        parse_case_line(2, json.dumps([json.loads(gen_lines()[0])]))
+    assert (exc.value.lineno, exc.value.field) == (2, "json")
+    assert "not an object" in str(exc.value)
+
+
 @pytest.mark.parametrize("line", [
     '{"v":' + "[" * 100_000 + "]" * 100_000 + "}",  # nests past the recursion limit
     '{"v":' + "1" * 5000 + "}",  # too many digits for int()
@@ -196,3 +203,12 @@ def test_malformed_schedule_entries_are_rejected():
     doc["sched"] = [["X", 1, 2, 3]] + doc["sched"]
     with pytest.raises(MalformedCase):
         parse_case_line(1, json.dumps(doc, separators=(",", ":")))
+
+
+def test_a_short_delivery_event_names_sched():
+    doc = json.loads(gen_lines()[0])
+    doc["sched"] = [["D", 1, 0]] + doc["sched"]
+    with pytest.raises(MalformedCase) as exc:
+        parse_case_line(1, json.dumps(doc, separators=(",", ":")))
+    assert exc.value.field == "sched"
+    assert "event 0: deliver event needs" in str(exc.value)
