@@ -58,8 +58,8 @@ BUG_READD_ACCEPT = "bug1-readd-accept"
 BUG_ASSUME_CAUSAL = "bug2-assume-causal"
 
 # Fabricated positions get counters far above any real dot counter so
-# they never collide with origin-generated position stamps; the stamp is
-# also what marks a fabricated element in the canonical key.
+# they never collide with origin-generated position stamps; each is one
+# above the highest stamp held, so the canonical key needs no counter.
 _BUG_NONCE_FLOOR = 1_000_000
 
 
@@ -233,13 +233,10 @@ class ReplicaState:
     pending: dict = field(default_factory=dict)  # Dot -> SyncMessage
     applied: CausalContext = field(default_factory=CausalContext)
     bug_flags: frozenset = frozenset()
-    bug_nonce: int = 0
 
-    def _successor(self, elems: dict, pending: dict, applied: CausalContext,
-                   bug_nonce: int) -> "ReplicaState":
+    def _successor(self, elems: dict, pending: dict, applied: CausalContext) -> "ReplicaState":
         """Every transition's result, built by one constructor call."""
-        return ReplicaState(self.data_type, self.replica, elems, pending, applied,
-                            self.bug_flags, bug_nonce)
+        return ReplicaState(self.data_type, self.replica, elems, pending, applied, self.bug_flags)
 
     def share_applied(self, contexts: dict) -> None:
         """Rebind ``applied`` to the equal context in ``contexts``, which
@@ -334,13 +331,11 @@ class ReplicaState:
             # The operation is "processed" — its dot counts as handled —
             # but its effect is dropped.  This is exactly the misbehaviour
             # a causal-delivery assumption hides.
-            state = self._successor(self.elems, self.pending, self.applied.add(dot),
-                                    self.bug_nonce)
+            state = self._successor(self.elems, self.pending, self.applied.add(dot))
         elif BUG_READD_ACCEPT in self.bug_flags and msg.op.kind == "readd":
             state = self._bug_materialize_readd(msg)
         else:
-            state = self._successor(self.elems, {**self.pending, dot: msg}, self.applied,
-                                    self.bug_nonce)
+            state = self._successor(self.elems, {**self.pending, dot: msg}, self.applied)
         return state._flush()
 
     def _deps_met(self, op: Operation) -> bool:
@@ -349,21 +344,23 @@ class ReplicaState:
     def _apply(self, msg: SyncMessage, pending: dict) -> "ReplicaState":
         """Apply ``msg``'s effect, leaving ``pending`` as the buffer."""
         return self._successor(self._effect(msg.op, msg.ctx), pending,
-                               self.applied.add(msg.op.dot), self.bug_nonce)
+                               self.applied.add(msg.op.dot))
 
     def _bug_materialize_readd(self, msg: SyncMessage) -> "ReplicaState":
         """bug1: accept a re-add whose insert never arrived.
 
         The element springs into existence with a locally fabricated
-        position; the real insert is ignored when it shows up.
+        position; the real insert is ignored when it shows up.  The
+        stamp is the highest held plus one, not a count of fabricated
+        elements: a second early re-add replaces the first fabrication.
         """
-        nonce = self.bug_nonce + 1
+        stamp = max((o.pos[-1][2] for o in self.elems.values()), default=0)
         last = max((o.pos for o in self.elems.values()
                     if o.view().existence is Existence.EXISTENT), default=None)
-        pos = generate_between(last, None, self.replica, _BUG_NONCE_FLOOR + nonce)
+        pos = generate_between(last, None, self.replica, max(stamp, _BUG_NONCE_FLOOR) + 1)
         elems = dict(self.elems)
         elems[msg.op.elem] = ListOps(Rec(msg.op.dot, 0, msg.ctx), pos)
-        return self._successor(elems, self.pending, self.applied.add(msg.op.dot), nonce)
+        return self._successor(elems, self.pending, self.applied.add(msg.op.dot))
 
     def _flush(self) -> "ReplicaState":
         """Apply the first buffered operation, in dot order, whose
@@ -455,14 +452,13 @@ class ReplicaState:
         Unlike ``normalize`` this keeps everything that can influence a
         future transition: record stores with their context snapshots,
         the pending buffer contents, the applied context.  The delivered
-        set and the next own dot derive from these.  Buffer *ordering*
-        still does not matter.
+        set, the next own dot and the next bug-1 stamp derive from these.
+        Buffer *ordering* still does not matter.
         """
         return (
             self.applied.canonical(),
             tuple(sorted((e, o.canonical()) for e, o in self.elems.items())),
             tuple(sorted((d.key(), m.canonical()) for d, m in self.pending.items())),
-            self.bug_nonce,
         )
 
     def digest(self) -> bytes:

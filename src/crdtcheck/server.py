@@ -25,23 +25,8 @@ carrying the sync messages to forward (the server never talks to its
 peers directly — the driver owns the topology), deliveries answer with a
 bare Ack, and Inspect answers with the canonical state string.
 
-Bug flags (transcription mistakes kept reproducible on purpose):
-
-- ``bug1-readd-accept``   a re-add whose insert has not arrived is
-                          applied anyway, fabricating a position for an
-                          element this server has never seen; the real
-                          insert is dropped when it arrives.
-- ``bug2-assume-causal``  no dependency buffering at all: an operation
-                          arriving before its prerequisites is silently
-                          discarded, as if the channel were causal.
-- ``bug4-dummy-position`` update/remove/re-add on a missing element
-                          materializes a placeholder at the out-of-range
-                          position [[64,0,0]] instead of buffering; the
-                          real insert is dropped when it arrives.
-- ``bug7-idgen-order``    the element index orders position ties by
-                          *descending* (replica, counter), so anchored
-                          inserts resolve the wrong neighbor and
-                          generate different position bytes.
+Bug flags (transcription mistakes kept reproducible on purpose) are
+catalogued once, in ``BUG_DESCRIPTIONS``, which ``crdtcheck bugs`` prints.
 """
 
 from __future__ import annotations
@@ -250,6 +235,7 @@ class ReplicaServer:
         self._state_tail = '},"type":' + canonical_json(data_type) + "}"
         self.replica = replica
         self.n = n
+        self._replica_names = {str(r): r for r in range(n)}  # a seen key -> its replica
         self.applied = _Ctx()
         self.elems: dict = {}
         self.by_pos: list = []  # (index key, pos, elem id); inserts only
@@ -259,7 +245,6 @@ class ReplicaServer:
         self.bug2 = "bug2-assume-causal" in bug_flags
         self.bug4 = "bug4-dummy-position" in bug_flags
         self.bug7 = "bug7-idgen-order" in bug_flags
-        self.ghost_count = 0
 
     # -- frame dispatch ------------------------------------------------
 
@@ -390,8 +375,8 @@ class ReplicaServer:
         dot = op.get("dot")
         if not _ints(dot, 2):
             raise ProtocolViolation("operation dot must be [replica, counter]")
-        if not 0 <= dot[0] < self.n:
-            raise ProtocolViolation(f"dot {dot} names no replica of {self.n}")
+        if not (0 <= dot[0] < self.n and dot[1] >= 1):
+            raise ProtocolViolation(f"{dot} is no dot of replicas 0..{self.n - 1}")
         if dot[0] == self.replica:
             # Own dots are only ever issued here; one arriving from a
             # peer would collide with the next own dot.
@@ -411,14 +396,17 @@ class ReplicaServer:
             raise ProtocolViolation("sync message has no context")
         seen, extra = ctx.get("seen", {}), ctx.get("extra", [])
         # Decoded in the checking pass; a seen that is no object, or an
-        # extra that is no array, is refused like one bad entry.
+        # extra that is no array, is refused like one bad entry.  Like an
+        # operation's dot, each names a replica 0..n-1 and a counter of
+        # at least 1; a seen key is the replica's name as ``str`` writes it.
         decoded = _Ctx()
-        for r, c in seen.items() if isinstance(seen, dict) else [(None, None)]:
-            if not (isinstance(r, str) and r.isdecimal() and _int(c)):
+        for key, c in seen.items() if isinstance(seen, dict) else [(None, None)]:
+            r = self._replica_names.get(key)
+            if r is None or not (_int(c) and c >= 1):
                 raise ProtocolViolation("context seen must map replica to counter")
-            decoded.seen[int(r)] = c
+            decoded.seen[r] = c
         for d in extra if isinstance(extra, list) else [None]:
-            if not _ints(d, 2):
+            if not (_ints(d, 2) and 0 <= d[0] < self.n and d[1] >= 1):
                 raise ProtocolViolation("context extra must be [replica, counter] pairs")
             decoded.extra.add((d[0], d[1]))
         return op, decoded
@@ -489,15 +477,15 @@ class ReplicaServer:
             _kill([e.ins, *e.upds, *e.readds], dot)
 
     def _materialize_ghost(self, op: dict, ctx: _Ctx) -> None:
-        """bug1: accept a re-add for an element nobody inserted here."""
-        self.ghost_count += 1
+        """bug1: accept a re-add for an element nobody inserted here.  Its
+        position's stamp is one above the highest stamp held."""
+        stamp = max((e.pos[-1][2] for e in self.elems.values()), default=0)
         last = None
         for _key, pos, elem in reversed(self.by_pos):
             if self._list_existent(self.elems[elem]):
                 last = pos
                 break
-        pos = _gen_pos(last, None, self.replica,
-                       _GHOST_COUNTER_FLOOR + self.ghost_count)
+        pos = _gen_pos(last, None, self.replica, max(stamp, _GHOST_COUNTER_FLOOR) + 1)
         self.applied.add(*op["dot"])
         self._fabricate(op, pos, ctx)
 
@@ -508,7 +496,11 @@ class ReplicaServer:
 
     def _fabricate(self, op: dict, pos, ctx: _Ctx) -> None:
         """Create the element ``op`` names at ``pos``, with attribute 0
-        and ``op``'s dot in place of its insert's."""
+        and ``op``'s dot in place of its insert's, replacing any element
+        of that id and its index entry."""
+        old = self.elems.get(op["id"])
+        if old is not None:
+            self.by_pos.remove((self._index_key(old.pos), old.pos, op["id"]))
         self._index_insert(pos, op["id"])
         self.members.pop(op["id"], None)
         self.elems[op["id"]] = _ListElem((op["dot"][0], op["dot"][1]), pos, 0, ctx)

@@ -90,11 +90,6 @@ def _parse_body(body) -> dict:
     return obj
 
 
-def _holds_one_frame(chunk: bytes) -> bool:
-    size = _HEADER.size
-    return len(chunk) >= size and _HEADER.unpack_from(chunk)[0] == len(chunk) - size
-
-
 class FrameSocket:
     """Blocking frame reader/writer over a connected socket."""
 
@@ -106,12 +101,9 @@ class FrameSocket:
         self._sock.sendall(encode_frame(obj))
 
     def recv(self) -> dict | None:
-        """Next frame, or None on clean end-of-stream.
-
-        In lockstep a chunk usually holds exactly one whole frame, which
-        is parsed where it lies.  The buffer collects only what arrives
-        otherwise: a frame in pieces, or several frames in one chunk.
-        """
+        """Next frame, or None on clean end-of-stream.  Received chunks
+        collect in one buffer, so a frame may arrive in pieces and one
+        chunk may hold several frames."""
         buf = self._buf
         while True:
             if len(buf) >= _HEADER.size:
@@ -128,8 +120,6 @@ class FrameSocket:
                 if buf:
                     raise ProtocolViolation("connection closed mid-frame")
                 return None
-            if not buf and _holds_one_frame(chunk):
-                return _parse_body(memoryview(chunk)[_HEADER.size:])
             buf += chunk
 
     def close(self) -> None:

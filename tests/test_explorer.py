@@ -163,7 +163,7 @@ def test_two_replica_list_q2_has_24_schedules():
 # Three replicas, a few candidates per slot: small enough for the
 # non-deduplicating walk.  Slot 2's re-add, issued at replica 2, can
 # reach replica 1 before the insert does; bug1 then fabricates the
-# element there and bumps its nonce, which the canonical key holds.
+# element there, at a position whose stamp the canonical key holds.
 PINNED_RPQ_N3 = (
     (OperationRequest("add", "e", 10), OperationRequest("add", "e", 20)),
     (OperationRequest("remove", "e"),),
@@ -340,7 +340,7 @@ def test_stored_replicas_share_one_applied_context_per_value(monkeypatch):
 
 def test_cached_digest_is_not_copied_by_replace():
     rep = fresh_replica("list", 0)
-    assert replace(rep, bug_nonce=1).digest() != rep.digest()
+    assert replace(rep, applied=rep.applied.add(Dot(1, 1))).digest() != rep.digest()
     after, msg = rep.issue(OperationRequest("insert", "e1", 10))
     assert after.digest() != rep.digest()
     assert replace(msg, origin=1).digest() != msg.digest()

@@ -482,6 +482,11 @@ def random_network_history(data_type: str, seed: int, steps: int, bug_flags=froz
         yield before, msg, reps[dest]
 
 
+def top_stamp(rep) -> int:
+    """The highest last-triple counter among a list replica's positions."""
+    return max((o.pos[-1][2] for o in rep.elems.values() if isinstance(o, ListOps)), default=0)
+
+
 @pytest.mark.parametrize("data_type, flags, derive", [
     ("rpq", (), replica.rpq_view),
     ("list", (), replica.list_view),
@@ -508,7 +513,7 @@ def test_delivered_states_carry_no_cached_digest_or_view(data_type, flags, deriv
             seen["buffered"] += msg.op.dot in rep.pending
             seen["flushed"] += len(rep.pending) < len(before.pending)
             seen["unmet"] += not all(before.applied.contains(d) for d in msg.op.deps)
-            seen["fabricated"] += rep.bug_nonce > before.bug_nonce
+            seen["fabricated"] += top_stamp(rep) > max(top_stamp(before), replica._BUG_NONCE_FLOOR)
     assert seen["unmet"] > 10
     if BUG_ASSUME_CAUSAL in flags:
         assert seen["buffered"] == seen["flushed"] == 0

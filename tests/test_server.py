@@ -22,7 +22,7 @@ from crdtcheck.explorer import (
 from crdtcheck.harness import LoopbackEndpoint, SocketEndpoint, stress
 from crdtcheck.operations import OperationRequest
 from crdtcheck.positions import generate_between
-from crdtcheck.replica import fresh_replica
+from crdtcheck.replica import _BUG_NONCE_FLOOR, fresh_replica
 from crdtcheck.server import (
     BUG_FLAGS,
     ReplicaServer,
@@ -242,6 +242,20 @@ MALFORMED = [
     ("list", peer_sync("list", op={"anchor": 5})),
     ("rpq", without(peer_sync("rpq"), "op")),
     ("list", without(peer_sync("list"), "ctx")),
+    # dot counters start at 1
+    ("rpq", peer_sync("rpq", op={"dot": [1, 0]})),
+    ("list", peer_sync("list", op={"dot": [1, -1]})),
+    # a seen key is str(r) for a replica r of the group, with a counter
+    # of at least 1; str.isdecimal takes "00" and a non-ASCII digit
+    ("rpq", peer_sync("rpq", ctx={"seen": {"00": 1}})),
+    ("rpq", peer_sync("rpq", ctx={"seen": {"\u0663": 1}})),
+    ("rpq", peer_sync("rpq", ctx={"seen": {"2": 1}})),
+    ("list", peer_sync("list", ctx={"seen": {"1": -1}})),
+    ("rpq", peer_sync("rpq", ctx={"seen": {"0": 0}})),
+    # so is an extra pair's
+    ("rpq", peer_sync("rpq", ctx={"extra": [[2, 3]]})),
+    ("rpq", peer_sync("rpq", ctx={"extra": [[-1, 3]]})),
+    ("list", peer_sync("list", ctx={"extra": [[0, 0]]})),
 ]
 
 
@@ -402,6 +416,37 @@ def test_bug1_server_materializes_ghosts():
     dest.handle_frame({"msg": rem, "type": "Sync"})
     dest.handle_frame({"msg": ins, "type": "Sync"})
     assert dest.canonical_state() != origin.canonical_state()
+
+
+def test_two_early_readds_of_one_element_match_the_model():
+    # Replica 2 gets replica 1's, then replica 0's re-add of e1 before
+    # e1's insert.  Under bug1 each fabricates e1 afresh, with the next
+    # stamp, and a head insert must see only the second fabrication.
+    flags = ("bug1-readd-accept",)
+    models = [fresh_replica("list", i, frozenset(flags)) for i in range(3)]
+    servers = [ReplicaServer("list", i, 3, flags) for i in range(3)]
+
+    def issue(i, *request):
+        models[i], msg = models[i].issue(OperationRequest(*request))
+        reply = servers[i].handle_frame(client_frame(*request))
+        return msg, {s["dest"]: s["msg"] for s in reply["syncs"]}
+
+    def deliver(i, sent):
+        models[i] = models[i].deliver(sent[0])
+        servers[i].handle_frame({"msg": sent[1][i], "type": "Sync"})
+        assert servers[i].canonical_state() == models[i].normalize()
+
+    ins = issue(0, "insert", "e1", 10)
+    deliver(1, ins)
+    readd_1, readd_0 = issue(1, "readd", "e1"), issue(0, "readd", "e1")
+    # the second fabrication goes after the first, which is still existent
+    for readd, digit, stamp in [(readd_1, 32, 1), (readd_0, 48, 2)]:
+        deliver(2, readd)
+        assert models[2].elems["e1"].pos == ((digit, 2, _BUG_NONCE_FLOOR + stamp),)
+    head, syncs = issue(2, "insert", "e2", 5)
+    assert head.op.pos == ((24, 2, 1),)
+    assert syncs[0]["op"]["pos"] == [[24, 2, 1]]
+    deliver(2, ins)
 
 
 def test_bug2_server_drops_early_arrivals():

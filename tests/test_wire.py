@@ -94,9 +94,8 @@ def test_fallback_encoders_give_the_same_bytes(python_encoder_wire):
 
 
 def read_frame(body: bytes, split: bool) -> dict:
-    """``body`` framed and read back by ``FrameSocket.recv``: parsed where
-    it lies when the frame arrives in one chunk, from the buffer when
-    ``split`` sends it in two."""
+    """``body`` framed and read back by ``FrameSocket.recv``, arriving in
+    one chunk, or in two when ``split``."""
     frame = struct.pack(">I", len(body)) + body
     chunks = [frame[:5], frame[5:]] if split else [frame]
     return FrameSocket(ScriptedSocket(chunks)).recv()
