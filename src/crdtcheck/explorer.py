@@ -34,7 +34,39 @@ Two searches share the same transition function:
 
 With a single replica there are no messages, so the state graph is a
 tree and the two searches coincide; ``explore`` uses the depth-first
-walk there to keep memory flat.
+walk there to keep memory flat, split over two processes when it is
+large.
+
+Splitting the depth-first walk (the parallel state-space search of Stern
+and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
+
+- Only a walk with neither ``emit`` nor a state cap splits: ``explore``
+  at n=1 and the check-only walks.  ``gen``'s emission order and a capped
+  walk's stopping point belong to one process.
+- The walk is cut at the shallowest depth holding at least
+  ``_SPLIT_UNITS`` nodes (16 and 25 units at depth 2 for list and rpq
+  n=1).  The nodes above the cut are checked one at a time; each node at
+  the cut is a *unit*, walked with its whole subtree.  The first unit is
+  walked first and sizes the rest: if its node count times the number of
+  other units reaches ``_SPLIT_MIN_NODES``, ``os.fork`` exists, only one
+  thread runs and a second CPU is free, a forked child walks every
+  other remaining unit while this process walks the rest.
+- Each node above the cut and each unit yields a tally: node and leaf
+  counts, its violations as (invariant, state digest, wire schedule,
+  detail) and its oracle counts.  The child sends its tallies back
+  through a pipe with ``marshal``.  Sorted by child-index path, the
+  tallies come in the one-process walk's order, and merging them in that
+  order into one violation log gives the one-process report byte for
+  byte: a violation above the cut keeps its place, and ``VIOLATION_CAP``
+  keeps the same violations.
+- The child is forked, not spawned, so it walks the caller's model as
+  it is, with any patched method or installed tracer; a fork also takes
+  milliseconds where starting an interpreter takes a quarter second.
+  What the child does is lost to the caller except its tallies: tracer
+  spans and ``ru_maxrss`` count the calling process's share only.  The
+  child ends with ``os._exit``; an exception it raises is pickled and
+  raised again in the caller, and the caller reaps the child on every
+  way out, killing it first when its own share fails.
 
 State store of the breadth-first search (integer handles over the
 collapse compression of Holzmann, *State compression in SPIN*, 1997):
@@ -111,6 +143,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
+import os
+import threading
 from collections.abc import Callable
 from dataclasses import dataclass
 
@@ -665,16 +700,19 @@ class ExplorationReport:
 
 
 class _ViolationLog:
-    """Violations, one per (invariant, state digest), at most
-    ``VIOLATION_CAP`` of them, and the report of the walk that found
-    them.  ``schedule_of`` maps the walk's handle on a state
+    """Violations, one per (invariant, state digest), at most ``cap``
+    (default ``VIOLATION_CAP``) of them, and the report of the walk that
+    found them.  ``schedule_of`` maps the walk's handle on a state
     (``at``) to the events that reached the state; it runs only for a
     violation that gets recorded."""
 
-    def __init__(self, cfg: ExplorationConfig, schedule_of: Callable[[object], tuple]):
+    def __init__(self, cfg: ExplorationConfig, schedule_of: Callable[[object], tuple],
+                 cap: int | None = None):
         self.cfg = cfg
-        self.found: list[Violation] = []
+        # (invariant, state digest, schedule, detail) in discovery order
+        self.found: list[tuple[str, bytes, tuple, str]] = []
         self.capped = False
+        self.cap = VIOLATION_CAP if cap is None else cap
         self._shapes: set = set()
         self._schedule_of = schedule_of
 
@@ -686,11 +724,11 @@ class _ViolationLog:
             shape = (name, key)
             if shape in self._shapes:
                 continue
-            if len(self.found) >= VIOLATION_CAP:
+            if len(self.found) >= self.cap:
                 self.capped = True
                 continue
             self._shapes.add(shape)
-            self.found.append(Violation(name, self._schedule_of(at), detail))
+            self.found.append((name, key, self._schedule_of(at), detail))
         return bool(vs)
 
     def stuck(self, gs: tuple, at: object = None) -> None:
@@ -702,12 +740,13 @@ class _ViolationLog:
                oracle_ms: dict | None) -> ExplorationReport:
         """The walk's report; violations shortest schedule first, in
         discovery order among equals."""
+        found = sorted(self.found, key=lambda v: len(v[2]))
         return ExplorationReport(
             fingerprint=config_fingerprint(self.cfg),
             states_visited=visited,
             distinct_states=distinct,
             terminal_traces=traces,
-            violations=tuple(sorted(self.found, key=lambda v: len(v.schedule))),
+            violations=tuple(Violation(name, sched, detail) for name, _, sched, detail in found),
             violations_capped=self.capped,
             exhaustive=exhaustive,
             oracle_multiset=oracle_ms,
@@ -715,6 +754,76 @@ class _ViolationLog:
 
 
 # -- depth-first walk ----------------------------------------------------
+
+# See "Splitting the depth-first walk" in the module docstring.  Below
+# about 10,000 nodes (0.3 s of walking), a fork and the merge cost more
+# than the second CPU saves.
+_SPLIT_UNITS = 16
+_SPLIT_MIN_NODES = 10_000
+
+
+class _Walk:
+    """The depth-first walk from the node at ``path`` down: how many
+    nodes and leaves it walked, what it found (``log``) and, when asked,
+    its terminal oracle counts."""
+
+    def __init__(self, cfg: ExplorationConfig, emit, check: bool, collect_oracles: bool,
+                 path: tuple = (), cap: int | None = None):
+        self.cfg = cfg
+        self.emit = emit
+        self.check = check
+        self.visited = 0
+        self.leaves = 0
+        self.budget_hit = False
+        self.oracles: dict | None = {} if collect_oracles else None
+        self.path = list(path)
+        self.log = _ViolationLog(cfg, lambda _at: tuple(self.path), cap)
+
+    def node(self, gs: tuple) -> list:
+        """Count and check the node ``path`` leads to, in state ``gs``;
+        the (event, successor) pairs to walk below it, none if it is a
+        leaf or pruned."""
+        cfg = self.cfg
+        self.visited += 1
+        terminal = is_terminal(cfg, gs)
+        oracle = render(gs) if terminal else None
+        if self.check:
+            vs = state_violations(cfg, gs)
+            if terminal:
+                vs += terminal_violations(gs, oracle)
+            if self.log.record(vs, state_digest(gs) if vs else None) and not terminal:
+                return []  # prune below a broken state
+        if terminal:
+            self.leaves += 1
+            if self.emit is not None:
+                self.emit(tuple(self.path), oracle)
+            if self.oracles is not None:
+                self.oracles[oracle] = self.oracles.get(oracle, 0) + 1
+            return []
+        succs = _successors(cfg, gs)
+        if not succs and self.check:
+            self.log.stuck(gs)
+        return succs
+
+    def below(self, succs: list) -> None:
+        """Walk the subtree of every successor in ``succs`` of the node
+        ``path`` leads to, until the state cap stops the walk."""
+        for ev, succ in succs:
+            if self.visited == self.cfg.state_cap:
+                self.budget_hit = True
+                return
+            self.path.append(ev)
+            self.below(self.node(succ))
+            self.path.pop()
+            if self.budget_hit:
+                return
+
+    def tally(self) -> tuple:
+        """(nodes, leaves, violations, oracle counts): plain data, with
+        schedules in wire form, for ``marshal`` and ``_merge``."""
+        found = [(name, key, [event_wire(ev) for ev in sched], detail)
+                 for name, key, sched, detail in self.log.found]
+        return self.visited, self.leaves, found, self.oracles
 
 
 def enumerate_traces(
@@ -734,50 +843,150 @@ def enumerate_traces(
     deduplicating search run at every node, violating non-terminal nodes
     pruning their subtree the same way.  The walk stops early, with
     ``exhaustive`` false, before it would visit node
-    ``cfg.state_cap + 1``.
+    ``cfg.state_cap + 1``.  Without ``emit`` or a state cap, a large walk
+    is split with a child process (see "Splitting the depth-first walk"
+    in the module docstring); the report is the same.
     """
-    visited = 1
-    leaves = 0
-    budget_hit = False
+    if emit is None and cfg.state_cap is None:
+        return _split_walk(cfg, check, collect_oracles)
+    walk = _Walk(cfg, emit, check, collect_oracles)
+    walk.below(walk.node(initial_state(cfg)))
+    return walk.log.report(walk.visited, walk.visited, walk.leaves, not walk.budget_hit,
+                           walk.oracles)
+
+
+def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> ExplorationReport:
+    """``enumerate_traces`` without ``emit`` or a state cap: the nodes
+    above the cut are walked one at a time, each unit below it as a
+    subtree, and the tallies merged in walk order."""
+    # child-index path of a node -> the tally of walking it (an upper
+    # node) or its subtree (a unit)
+    tallies: dict[tuple, tuple] = {}
+    # (child-index path, schedule, state) of each node of one depth
+    level: list[tuple] = [((), (), initial_state(cfg))]
+    while 0 < len(level) < _SPLIT_UNITS:
+        deeper = []
+        for key, path, gs in level:
+            walk = _Walk(cfg, None, check, collect_oracles, path)
+            succs = walk.node(gs)
+            tallies[key] = walk.tally()
+            deeper += [(key + (k,), path + (ev,), succ) for k, (ev, succ) in enumerate(succs)]
+        level = deeper
+
+    def units(share: list) -> list:
+        """(child-index path, tally) of each unit of ``share``, walked
+        whole.  A unit's log keeps its first ``VIOLATION_CAP + 1``
+        distinct violations: the merged log holds at most
+        ``VIOLATION_CAP``, so it is full once it has met them, and at
+        least one of them caps it; a later violation changes nothing."""
+        out = []
+        for key, path, gs in share:
+            walk = _Walk(cfg, None, check, collect_oracles, path, VIOLATION_CAP + 1)
+            walk.below(walk.node(gs))
+            out.append((key, walk.tally()))
+        return out
+
+    if level:
+        # the first unit is walked here, and sizes the others
+        probe, rest = units(level[:1]), level[1:]
+        tallies.update(probe)
+        probe_nodes = probe[0][1][0]
+        if probe_nodes * len(rest) >= _SPLIT_MIN_NODES and _can_fork():
+            theirs, mine = _fork_beside(lambda: units(rest[::2]), lambda: units(rest[1::2]))
+            tallies.update(theirs)
+        else:
+            mine = units(rest)
+        tallies.update(mine)
+    return _merge(cfg, tallies, collect_oracles)
+
+
+def _merge(cfg: ExplorationConfig, tallies: dict, collect_oracles: bool) -> ExplorationReport:
+    """The report of one walk over the nodes and units of ``tallies``:
+    sorted by child-index path, they come in the order the one-process
+    walk visits them, so each violation meets the same log state."""
+    log = _ViolationLog(cfg, lambda schedule: schedule)
+    visited = leaves = 0
     oracle_ms: dict | None = {} if collect_oracles else None
-    path: list = []
-    log = _ViolationLog(cfg, lambda _at: tuple(path))
+    for _, (nodes, ends, found, oracles) in sorted(tallies.items()):
+        visited += nodes
+        leaves += ends
+        for name, key, sched, detail in found:
+            log.record([(name, detail)], key, tuple(map(event_from_wire, sched)))
+        if oracle_ms is not None:
+            for oracle, count in oracles.items():
+                oracle_ms[oracle] = oracle_ms.get(oracle, 0) + count
+    return log.report(visited, visited, leaves, True, oracle_ms)
 
-    def walk(gs: tuple) -> None:
-        nonlocal visited, leaves, budget_hit
-        terminal = is_terminal(cfg, gs)
-        oracle = render(gs) if terminal else None
-        if check:
-            vs = state_violations(cfg, gs)
-            if terminal:
-                vs += terminal_violations(gs, oracle)
-            if log.record(vs, state_digest(gs) if vs else None) and not terminal:
-                return  # prune below a broken state
-        if terminal:
-            leaves += 1
-            if emit is not None:
-                emit(tuple(path), oracle)
-            if oracle_ms is not None:
-                oracle_ms[oracle] = oracle_ms.get(oracle, 0) + 1
-            return
-        succs = _successors(cfg, gs)
-        if not succs:
-            if check:
-                log.stuck(gs)
-            return
-        for ev, succ in succs:
-            if visited == cfg.state_cap:
-                budget_hit = True
-                return
-            visited += 1
-            path.append(ev)
-            walk(succ)
-            path.pop()
-            if budget_hit:
-                return
 
-    walk(initial_state(cfg))
-    return log.report(visited, visited, leaves, not budget_hit, oracle_ms)
+def _can_fork() -> bool:
+    """Whether a forked child can walk beside this process: ``os.fork``
+    exists, no other thread could hold a lock the child would inherit
+    held, and a second CPU is there to run it."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
+
+
+def _fork_beside(theirs: Callable[[], object], mine: Callable[[], object]) -> tuple:
+    """``(theirs(), mine())``, ``theirs`` run in a forked child while this
+    process runs ``mine``.  ``theirs`` returns data ``marshal`` can
+    write; it comes back through a pipe, as does an exception either
+    raises.  The child is reaped on every way out of this call."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:  # no process to spare: walk both shares here
+        os.close(r)
+        os.close(w)
+        return theirs(), mine()
+    if pid == 0:
+        try:
+            os.close(r)
+            try:
+                blob = marshal.dumps((theirs(), None))
+            except BaseException as exc:  # raised again in the caller
+                blob = marshal.dumps((None, _pickled(exc)))
+            with open(w, "wb") as pipe:
+                pipe.write(blob)
+        finally:
+            os._exit(0)
+    os.close(w)
+    try:
+        own = mine()
+    except BaseException:  # the child's share is of no use now: stop it
+        import signal
+
+        os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        try:
+            with open(r, "rb") as pipe:
+                blob = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not blob:
+        raise RuntimeError(f"the walk's child process ended without a result (status {status})")
+    got, err = marshal.loads(blob)
+    if err is not None:
+        import pickle
+
+        raise pickle.loads(err)
+    return got, own
+
+
+def _pickled(exc: BaseException) -> bytes:
+    """``exc`` pickled, or a RuntimeError naming it if it does not
+    survive a round trip."""
+    import pickle
+
+    try:
+        blob = pickle.dumps(exc)
+        pickle.loads(blob)
+    except Exception:
+        blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+    return blob
 
 
 # -- deduplicating search -------------------------------------------------

@@ -383,8 +383,14 @@ class ReplicaServer:
             raise ProtocolViolation(f"replica {self.replica} was sent its own dot {dot}")
         kind = self._check_request_shape(op)[0]
         deps = op.get("deps", [])
-        if not isinstance(deps, list) or not all(_ints(d, 2) for d in deps):
-            raise ProtocolViolation("operation deps must be [replica, counter] pairs")
+        # a dep names a dot like the operation's own: one that was never
+        # issued could never be applied, and the op would wait on it forever
+        if not isinstance(deps, list) or not all(
+            _ints(d, 2) and 0 <= d[0] < self.n and d[1] >= 1 for d in deps
+        ):
+            raise ProtocolViolation(
+                f"operation deps must be [replica, counter] pairs of replicas 0..{self.n - 1}"
+            )
         if kind == "insert":
             pos = op.get("pos")
             if not isinstance(pos, list) or not pos or not all(_ints(t, 3) for t in pos):

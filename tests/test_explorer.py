@@ -28,7 +28,9 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pickle
+import threading
 import tracemalloc
 from copy import copy as shallow_copy, deepcopy
 from dataclasses import replace
@@ -206,29 +208,29 @@ def assert_walks_agree(cfg: ExplorationConfig):
     return deduped
 
 
-@pytest.mark.parametrize(
-    "kw",
-    [
-        dict(),
-        dict(q=3),
-        dict(n=2, q=2),
-        dict(n=2, q=3),
-        dict(data_type="list", q=3),
-        dict(data_type="list", n=2, q=2),
-        dict(data_type="list", n=2, q=3),
-        dict(data_type="list", n=2, q=3, bug_flags=BUG1),
-        dict(n=2, q=3, bug_flags=BUG2),
-        dict(data_type="list", n=2, q=3, bug_flags=BUG2),
-        dict(data_type="list", n=2, q=3, channel="causal"),
-        dict(n=2, q=3, channel="causal", bug_flags=BUG2),
-        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3),
-        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, bug_flags=BUG2),
-        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3),
-        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, bug_flags=BUG1),
-        dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, channel="causal"),
-        dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, channel="causal", bug_flags=BUG2),
-    ],
-)
+WALK_CONFIGS = [
+    dict(),
+    dict(q=3),
+    dict(n=2, q=2),
+    dict(n=2, q=3),
+    dict(data_type="list", q=3),
+    dict(data_type="list", n=2, q=2),
+    dict(data_type="list", n=2, q=3),
+    dict(data_type="list", n=2, q=3, bug_flags=BUG1),
+    dict(n=2, q=3, bug_flags=BUG2),
+    dict(data_type="list", n=2, q=3, bug_flags=BUG2),
+    dict(data_type="list", n=2, q=3, channel="causal"),
+    dict(n=2, q=3, channel="causal", bug_flags=BUG2),
+    dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3),
+    dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, bug_flags=BUG2),
+    dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3),
+    dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, bug_flags=BUG1),
+    dict(data_type="list", n=3, q=3, pinned_ops=PINNED_LIST_N3, channel="causal"),
+    dict(n=3, q=3, pinned_ops=PINNED_RPQ_N3, channel="causal", bug_flags=BUG2),
+]
+
+
+@pytest.mark.parametrize("kw", WALK_CONFIGS)
 def test_dedup_never_loses_or_invents_traces(kw):
     deduped = assert_walks_agree(cfg_of(**kw))
     # every flag breaks something, except bug2 on a causal channel
@@ -815,15 +817,17 @@ def test_pinned_single_candidates_walk_one_client_path():
     assert report.violations == ()
 
 
+# Replica 1 never sees "zz", so its slot offers no request: once either
+# insert of e1 has reached it, nothing is enabled.
+PINNED_STUCK = (
+    (OperationRequest("insert", "e1", 10), OperationRequest("insert", "e1", 20)),
+    (OperationRequest("update", "zz", 10),),
+)
+
+
 def test_stuck_states_are_reported_by_both_walks():
-    # Replica 1 never sees "zz", so its slot offers no request: once
-    # either insert of e1 has reached it, nothing is enabled.  Each of the
-    # two stuck states is its own violation.
-    pinned = (
-        (OperationRequest("insert", "e1", 10), OperationRequest("insert", "e1", 20)),
-        (OperationRequest("update", "zz", 10),),
-    )
-    cfg = cfg_of(data_type="list", n=2, q=2, pinned_ops=pinned)
+    # Each of the two stuck states is its own violation.
+    cfg = cfg_of(data_type="list", n=2, q=2, pinned_ops=PINNED_STUCK)
     deduped = explore(cfg)
     brute = enumerate_traces(cfg, check=True)
     for report in (deduped, brute):
@@ -865,3 +869,164 @@ def test_bug_flags_must_be_a_frozenset(flags):
     # a string is refused as itself, not as a list of its characters
     with pytest.raises(BadConfig, match=r"bug_flags must be a frozenset of flag names, got "):
         cfg_of(data_type="list", bug_flags=flags)
+
+
+# -- the split depth-first walk -------------------------------------------------
+
+
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Split every walk that may split; the pids this process forks."""
+    if not explorer._can_fork():
+        pytest.skip("a split walk needs os.fork and two CPUs")
+    monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
+    pids: list = []
+    fork = os.fork
+
+    def recorded():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", recorded)
+    return pids
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def assert_split_walk_is_the_whole_walk(cfg: ExplorationConfig, forks: list, forked=True):
+    """The split walk reports what one process walking every schedule
+    (a state cap it never reaches keeps the walk whole) reports."""
+    split = enumerate_traces(cfg, check=True, collect_oracles=True)
+    assert len(forks) == forked
+    assert_no_child_left()
+    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
+    assert split.as_json() == whole.as_json()
+    assert split.oracle_multiset == whole.oracle_multiset
+    return split
+
+
+@pytest.mark.parametrize("kw", [
+    *(dict(data_type=t, q=q) for t in ("rpq", "list") for q in (1, 2, 3, 4)),
+    *(kw for kw in WALK_CONFIGS if kw.get("bug_flags")),
+])
+def test_split_walk_reports_what_one_process_reports(forks, kw):
+    # q=1 has no level of 16 nodes to cut at, so nothing forks
+    assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks, forked=kw.get("q") != 1)
+
+
+@pytest.mark.parametrize("kw", [
+    dict(n=2, q=3, bug_flags=BUG2),
+    dict(data_type="list", n=2, q=3, bug_flags=BUG1),
+])
+def test_split_walk_keeps_the_capped_violations(forks, monkeypatch, kw):
+    # 36 and 8 violating states; each unit keeps 3 + 1 of them
+    monkeypatch.setattr(explorer, "VIOLATION_CAP", 3)
+    report = assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks)
+    assert report.violations_capped and len(report.violations) == 3
+
+
+def test_split_walk_caps_the_report_as_one_process_does(forks, monkeypatch):
+    # rpq q=2 is cut at its 25 leaves.  The first leaf's three violations
+    # fill the report; every leaf whose oracle differs from it repeats
+    # them and adds a fourth, which only caps the report.  A unit that
+    # kept no more violations than the report holds would drop the
+    # fourth, and the cap with it.
+    cfg = cfg_of(q=2)
+    add10 = OperationRequest("add", "e", 10)
+    first = render(replay_schedule(cfg, [ClientEvent(0, 0, add10), ClientEvent(1, 0, add10)]))
+
+    def violations(gs, oracle):
+        names = ["v1", "v2", "v3"] + (["v4"] if oracle != first else [])
+        return [(name, "") for name in names]
+
+    monkeypatch.setattr(explorer, "VIOLATION_CAP", 3)
+    monkeypatch.setattr(explorer, "state_digest", lambda gs: b"one state")
+    monkeypatch.setattr(explorer, "terminal_violations", violations)
+    report = assert_split_walk_is_the_whole_walk(cfg, forks)
+    assert report.violations_capped
+    assert [(v.invariant, v.schedule) for v in report.violations] == [
+        (name, (ClientEvent(0, 0, add10), ClientEvent(1, 0, add10))) for name in ("v1", "v2", "v3")
+    ]
+
+
+def test_split_walk_keeps_stuck_states(forks):
+    cfg = cfg_of(data_type="list", n=2, q=2, pinned_ops=PINNED_STUCK)
+    report = assert_split_walk_is_the_whole_walk(cfg, forks, forked=False)
+    assert [v.invariant for v in report.violations] == ["stuck"] * 2
+
+
+def test_split_walk_keeps_a_violation_above_the_cut(forks, monkeypatch):
+    monkeypatch.setattr(explorer, "replica_violations",
+                        lambda cfg, index, rep: [("position-range", f"replica {index}")])
+    report = assert_split_walk_is_the_whole_walk(cfg_of(data_type="list", q=3), forks,
+                                                 forked=False)
+    assert [(v.invariant, v.schedule) for v in report.violations] == [("position-range", ())]
+
+
+@pytest.mark.parametrize("kw", [dict(n=2, q=3), dict(data_type="list", n=2, q=3)])
+def test_split_walk_child_runs_the_patched_model(forks, monkeypatch, kw):
+    # a child started by spawning would import the unpatched model and
+    # find no violation in its share
+    monkeypatch.setattr(ReplicaState, "_flush", lambda self: self)
+    report = assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks)
+    assert {v.invariant for v in report.violations} == {"buffer-liveness", "convergence"}
+
+
+def fail_in(process: str, forks: list, exc: BaseException, monkeypatch):
+    """Make ``_successors`` raise ``exc`` in the forked child, or here
+    once the child is forked."""
+    here = os.getpid()
+    successors = explorer._successors
+
+    def failing(cfg, gs, store=explorer._Direct):
+        if (os.getpid() != here) if process == "child" else bool(forks):
+            raise exc
+        return successors(cfg, gs, store)
+
+    monkeypatch.setattr(explorer, "_successors", failing)
+
+
+def test_an_exception_in_the_child_reaches_the_caller(forks, monkeypatch):
+    fail_in("child", forks, BadConfig("raised in the child"), monkeypatch)
+    with pytest.raises(BadConfig, match="^raised in the child$"):
+        enumerate_traces(cfg_of(q=4), check=True)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("exc", [BadConfig("raised in the caller"), KeyboardInterrupt()])
+def test_an_exception_in_the_caller_leaves_no_child(forks, monkeypatch, exc):
+    fail_in("caller", forks, exc, monkeypatch)
+    with pytest.raises(type(exc)):
+        enumerate_traces(cfg_of(q=4), check=True)
+    assert len(forks) == 1
+    assert_no_child_left()
+
+
+@pytest.mark.parametrize("how", ["state_cap", "emit", "thread"])
+def test_walks_that_cannot_split_never_fork(monkeypatch, how):
+    monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
+
+    def no_fork():
+        raise AssertionError("os.fork called")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    cfg = cfg_of(q=4, state_cap=10**9 if how == "state_cap" else None)
+    emit = (lambda schedule, oracle: None) if how == "emit" else None
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    if how == "thread":
+        thread.start()
+    try:
+        report = enumerate_traces(cfg, emit, check=True)
+    finally:
+        release.set()
+        if how == "thread":
+            thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert report.terminal_traces == 5**4

@@ -256,6 +256,13 @@ MALFORMED = [
     ("rpq", peer_sync("rpq", ctx={"extra": [[2, 3]]})),
     ("rpq", peer_sync("rpq", ctx={"extra": [[-1, 3]]})),
     ("list", peer_sync("list", ctx={"extra": [[0, 0]]})),
+    # and so is a dep's: an op waiting on a dot no replica can issue
+    # would stay buffered for good
+    ("rpq", peer_sync("rpq", op={"deps": [[5, 1]]})),
+    ("rpq", peer_sync("rpq", op={"deps": [[-1, 1]]})),
+    ("rpq", peer_sync("rpq", op={"deps": [[0, 0]]})),
+    ("list", peer_sync("list", op={"kind": "update", "deps": [[2, 1]]})),
+    ("list", peer_sync("list", op={"deps": [[1, 0]]})),
 ]
 
 
