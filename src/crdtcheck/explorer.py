@@ -52,9 +52,9 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
   thread runs and a second CPU is free, a forked child walks every
   other remaining unit while this process walks the rest.
 - Each node above the cut and each unit yields a tally: node and leaf
-  counts, its violations as (invariant, state digest, wire schedule,
-  detail) and its oracle counts.  The child sends its tallies back
-  through a pipe with ``marshal``.  Sorted by child-index path, the
+  counts, its violations as (invariant, state digest, schedule, detail)
+  and its oracle counts.  The child sends its tallies back through a
+  pipe with ``pickle``.  Sorted by child-index path, the
   tallies come in the one-process walk's order, and merging them in that
   order into one violation log gives the one-process report byte for
   byte: a violation above the cut keeps its place, and ``VIOLATION_CAP``
@@ -64,9 +64,10 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
   milliseconds where starting an interpreter takes a quarter second.
   What the child does is lost to the caller except its tallies: tracer
   spans and ``ru_maxrss`` count the calling process's share only.  The
-  child ends with ``os._exit``; an exception it raises is pickled and
-  raised again in the caller, and the caller reaps the child on every
-  way out, killing it first when its own share fails.
+  child ends with ``os._exit``; an exception it raises comes back in
+  place of its tallies and is raised again in the caller.  The caller
+  reaps the child on every way out, killing it first when anything
+  (its own share, an interrupt) stops it before the tallies are read.
 
 State store of the breadth-first search (integer handles over the
 collapse compression of Holzmann, *State compression in SPIN*, 1997):
@@ -143,7 +144,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import marshal
 import os
 import threading
 from collections.abc import Callable
@@ -755,11 +755,17 @@ class _ViolationLog:
 
 # -- depth-first walk ----------------------------------------------------
 
-# See "Splitting the depth-first walk" in the module docstring.  Below
-# about 10,000 nodes (0.3 s of walking), a fork and the merge cost more
-# than the second CPU saves.
+# See "Splitting the depth-first walk" in the module docstring.
+# _SPLIT_MIN_NODES, compared with the probe's estimate of the walk, is
+# set from the crossover measured in BENCH_22.json ("split_crossover":
+# split forced against one process, alternating pairs on a 2-CPU host).
+# Walks estimated at up to 744 nodes (rpq n=1 q <= 4) were no faster
+# split, with or without 100 MiB of other objects in the process; from
+# 1,584 up (a pinned rpq q=5 walk, list n=1 q=4, rpq n=1 q=5) the split
+# had the lower median in both, winning 7 to 11 of 11 pairs.  Between
+# them the winner depends on the size of the process a fork copies.
 _SPLIT_UNITS = 16
-_SPLIT_MIN_NODES = 10_000
+_SPLIT_MIN_NODES = 1_500
 
 
 class _Walk:
@@ -819,11 +825,8 @@ class _Walk:
                 return
 
     def tally(self) -> tuple:
-        """(nodes, leaves, violations, oracle counts): plain data, with
-        schedules in wire form, for ``marshal`` and ``_merge``."""
-        found = [(name, key, [event_wire(ev) for ev in sched], detail)
-                 for name, key, sched, detail in self.log.found]
-        return self.visited, self.leaves, found, self.oracles
+        """(nodes, leaves, violations, oracle counts), for ``_merge``."""
+        return self.visited, self.leaves, self.log.found, self.oracles
 
 
 def enumerate_traces(
@@ -911,7 +914,7 @@ def _merge(cfg: ExplorationConfig, tallies: dict, collect_oracles: bool) -> Expl
         visited += nodes
         leaves += ends
         for name, key, sched, detail in found:
-            log.record([(name, detail)], key, tuple(map(event_from_wire, sched)))
+            log.record([(name, detail)], key, sched)
         if oracle_ms is not None:
             for oracle, count in oracles.items():
                 oracle_ms[oracle] = oracle_ms.get(oracle, 0) + count
@@ -931,9 +934,11 @@ def _can_fork() -> bool:
 
 def _fork_beside(theirs: Callable[[], object], mine: Callable[[], object]) -> tuple:
     """``(theirs(), mine())``, ``theirs`` run in a forked child while this
-    process runs ``mine``.  ``theirs`` returns data ``marshal`` can
-    write; it comes back through a pipe, as does an exception either
-    raises.  The child is reaped on every way out of this call."""
+    process runs ``mine``.  What ``theirs`` returns or raises comes back
+    pickled through a pipe.  The child is reaped on every way out of this
+    call, and killed first if this process stops before reading it."""
+    import pickle
+
     r, w = os.pipe()
     try:
         pid = os.fork()
@@ -945,48 +950,43 @@ def _fork_beside(theirs: Callable[[], object], mine: Callable[[], object]) -> tu
         try:
             os.close(r)
             try:
-                blob = marshal.dumps((theirs(), None))
+                out = (theirs(), None)
             except BaseException as exc:  # raised again in the caller
-                blob = marshal.dumps((None, _pickled(exc)))
+                out = (None, _portable(exc))
             with open(w, "wb") as pipe:
-                pipe.write(blob)
+                pickle.dump(out, pipe)
         finally:
             os._exit(0)
     os.close(w)
-    try:
-        own = mine()
-    except BaseException:  # the child's share is of no use now: stop it
-        import signal
-
-        os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
+    with open(r, "rb") as pipe:
         try:
-            with open(r, "rb") as pipe:
-                blob = pipe.read()
+            own = mine()
+            blob = pipe.read()
+        except BaseException:  # the child's share is of no use now: stop it
+            import signal
+
+            os.kill(pid, signal.SIGKILL)
+            raise
         finally:
             _, status = os.waitpid(pid, 0)
     if not blob:
         raise RuntimeError(f"the walk's child process ended without a result (status {status})")
-    got, err = marshal.loads(blob)
+    got, err = pickle.loads(blob)
     if err is not None:
-        import pickle
-
-        raise pickle.loads(err)
+        raise err
     return got, own
 
 
-def _pickled(exc: BaseException) -> bytes:
-    """``exc`` pickled, or a RuntimeError naming it if it does not
-    survive a round trip."""
+def _portable(exc: BaseException) -> BaseException:
+    """``exc``, or a RuntimeError naming it if it does not survive a
+    pickle round trip."""
     import pickle
 
     try:
-        blob = pickle.dumps(exc)
-        pickle.loads(blob)
+        pickle.loads(pickle.dumps(exc))
     except Exception:
-        blob = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
-    return blob
+        return RuntimeError(f"{type(exc).__name__}: {exc}")
+    return exc
 
 
 # -- deduplicating search -------------------------------------------------

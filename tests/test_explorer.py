@@ -30,7 +30,9 @@ import hashlib
 import json
 import os
 import pickle
+import signal
 import threading
+import time
 import tracemalloc
 from copy import copy as shallow_copy, deepcopy
 from dataclasses import replace
@@ -1006,6 +1008,44 @@ def test_an_exception_in_the_caller_leaves_no_child(forks, monkeypatch, exc):
         enumerate_traces(cfg_of(q=4), check=True)
     assert len(forks) == 1
     assert_no_child_left()
+
+
+def test_an_interrupt_while_the_caller_waits_kills_the_child(forks, monkeypatch):
+    # The child's share starts with a minute's sleep, so the caller has
+    # walked its own share and waits on the pipe when the interrupt
+    # arrives.  Waiting for the child instead of killing it would take
+    # that minute.
+    here = os.getpid()
+    successors = explorer._successors
+    calls: list = []
+    slept: list = []
+
+    def slow_in_child(cfg, gs, store=explorer._Direct):
+        if os.getpid() != here and not slept:
+            slept.append(True)
+            time.sleep(60)
+        calls.append(time.monotonic())
+        return successors(cfg, gs, store)
+
+    interrupted: list = []
+
+    def interrupt(signum, frame):
+        interrupted.append(time.monotonic())
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(explorer, "_successors", slow_in_child)
+    previous = signal.signal(signal.SIGALRM, interrupt)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            enumerate_traces(cfg_of(q=4), check=True)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    assert len(forks) == 1
+    assert_no_child_left()
+    assert interrupted[0] - calls[-1] > 0.5, "the caller was still walking"
+    assert time.monotonic() - interrupted[0] < 30
 
 
 @pytest.mark.parametrize("how", ["state_cap", "emit", "thread"])
