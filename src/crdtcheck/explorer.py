@@ -51,23 +51,26 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
   other units reaches ``_SPLIT_MIN_NODES``, ``os.fork`` exists, only one
   thread runs and a second CPU is free, a forked child walks every
   other remaining unit while this process walks the rest.
-- Each node above the cut and each unit yields a tally: node and leaf
-  counts, its violations as (invariant, state digest, schedule, detail)
-  and its oracle counts.  The child sends its tallies back through a
-  pipe with ``pickle``.  Sorted by child-index path, the
-  tallies come in the one-process walk's order, and merging them in that
-  order into one violation log gives the one-process report byte for
-  byte: a violation above the cut keeps its place, and ``VIOLATION_CAP``
-  keeps the same violations.
+- The split walk only adds up counts: nodes, leaves and oracle counts.
+  The child sends its share's counts back through a pipe with
+  ``pickle``.  It gives up as soon as anything records a violation
+  (``stuck`` included): a node above the cut, the first unit, or a unit
+  of either process's share, which stops at the end of that unit.
+  ``enumerate_traces`` then walks the whole tree again in one process,
+  and that walk's report is the report, so the violations, their order
+  and ``VIOLATION_CAP`` are the one-process walk's by construction.  At
+  n=1 no message is delivered, so no model bug flag acts and the correct
+  model breaks no invariant: ``explore`` walks twice only under a broken
+  model.
 - The child is forked, not spawned, so it walks the caller's model as
   it is, with any patched method or installed tracer; a fork also takes
   milliseconds where starting an interpreter takes a quarter second.
-  What the child does is lost to the caller except its tallies: tracer
+  What the child does is lost to the caller except its counts: tracer
   spans and ``ru_maxrss`` count the calling process's share only.  The
   child ends with ``os._exit``; an exception it raises comes back in
-  place of its tallies and is raised again in the caller.  The caller
+  place of its counts and is raised again in the caller.  The caller
   reaps the child on every way out, killing it first when anything
-  (its own share, an interrupt) stops it before the tallies are read.
+  (its own share, an interrupt) stops it before the counts are read.
 
 State store of the breadth-first search (integer handles over the
 collapse compression of Holzmann, *State compression in SPIN*, 1997):
@@ -700,19 +703,17 @@ class ExplorationReport:
 
 
 class _ViolationLog:
-    """Violations, one per (invariant, state digest), at most ``cap``
-    (default ``VIOLATION_CAP``) of them, and the report of the walk that
-    found them.  ``schedule_of`` maps the walk's handle on a state
-    (``at``) to the events that reached the state; it runs only for a
-    violation that gets recorded."""
+    """Violations, one per (invariant, state digest), at most
+    ``VIOLATION_CAP`` of them, and the report of the walk that found
+    them.  ``schedule_of`` maps the walk's handle on a state (``at``) to
+    the events that reached the state; it runs only for a violation that
+    gets recorded."""
 
-    def __init__(self, cfg: ExplorationConfig, schedule_of: Callable[[object], tuple],
-                 cap: int | None = None):
+    def __init__(self, cfg: ExplorationConfig, schedule_of: Callable[[object], tuple]):
         self.cfg = cfg
-        # (invariant, state digest, schedule, detail) in discovery order
-        self.found: list[tuple[str, bytes, tuple, str]] = []
+        # (invariant, schedule, detail) in discovery order
+        self.found: list[tuple[str, tuple, str]] = []
         self.capped = False
-        self.cap = VIOLATION_CAP if cap is None else cap
         self._shapes: set = set()
         self._schedule_of = schedule_of
 
@@ -724,11 +725,11 @@ class _ViolationLog:
             shape = (name, key)
             if shape in self._shapes:
                 continue
-            if len(self.found) >= self.cap:
+            if len(self.found) >= VIOLATION_CAP:
                 self.capped = True
                 continue
             self._shapes.add(shape)
-            self.found.append((name, key, self._schedule_of(at), detail))
+            self.found.append((name, self._schedule_of(at), detail))
         return bool(vs)
 
     def stuck(self, gs: tuple, at: object = None) -> None:
@@ -740,13 +741,13 @@ class _ViolationLog:
                oracle_ms: dict | None) -> ExplorationReport:
         """The walk's report; violations shortest schedule first, in
         discovery order among equals."""
-        found = sorted(self.found, key=lambda v: len(v[2]))
+        found = sorted(self.found, key=lambda v: len(v[1]))
         return ExplorationReport(
             fingerprint=config_fingerprint(self.cfg),
             states_visited=visited,
             distinct_states=distinct,
             terminal_traces=traces,
-            violations=tuple(Violation(name, sched, detail) for name, _, sched, detail in found),
+            violations=tuple(Violation(*v) for v in found),
             violations_capped=self.capped,
             exhaustive=exhaustive,
             oracle_multiset=oracle_ms,
@@ -769,12 +770,12 @@ _SPLIT_MIN_NODES = 1_500
 
 
 class _Walk:
-    """The depth-first walk from the node at ``path`` down: how many
-    nodes and leaves it walked, what it found (``log``) and, when asked,
-    its terminal oracle counts."""
+    """A depth-first walk: how many nodes and leaves it walked, what it
+    found (``log``) and, when asked, its terminal oracle counts.
+    Schedules are read off ``path``, the events from the node the walk
+    started at."""
 
-    def __init__(self, cfg: ExplorationConfig, emit, check: bool, collect_oracles: bool,
-                 path: tuple = (), cap: int | None = None):
+    def __init__(self, cfg: ExplorationConfig, emit, check: bool, collect_oracles: bool):
         self.cfg = cfg
         self.emit = emit
         self.check = check
@@ -782,8 +783,8 @@ class _Walk:
         self.leaves = 0
         self.budget_hit = False
         self.oracles: dict | None = {} if collect_oracles else None
-        self.path = list(path)
-        self.log = _ViolationLog(cfg, lambda _at: tuple(self.path), cap)
+        self.path: list = []
+        self.log = _ViolationLog(cfg, lambda _at: tuple(self.path))
 
     def node(self, gs: tuple) -> list:
         """Count and check the node ``path`` leads to, in state ``gs``;
@@ -824,10 +825,6 @@ class _Walk:
             if self.budget_hit:
                 return
 
-    def tally(self) -> tuple:
-        """(nodes, leaves, violations, oracle counts), for ``_merge``."""
-        return self.visited, self.leaves, self.log.found, self.oracles
-
 
 def enumerate_traces(
     cfg: ExplorationConfig,
@@ -848,77 +845,60 @@ def enumerate_traces(
     ``exhaustive`` false, before it would visit node
     ``cfg.state_cap + 1``.  Without ``emit`` or a state cap, a large walk
     is split with a child process (see "Splitting the depth-first walk"
-    in the module docstring); the report is the same.
+    in the module docstring); a split walk that meets a violation is
+    walked again in one process, whose report is the report.
     """
+    walk = None
     if emit is None and cfg.state_cap is None:
-        return _split_walk(cfg, check, collect_oracles)
-    walk = _Walk(cfg, emit, check, collect_oracles)
-    walk.below(walk.node(initial_state(cfg)))
+        walk = _split_walk(cfg, check, collect_oracles)
+    if walk is None:
+        walk = _Walk(cfg, emit, check, collect_oracles)
+        walk.below(walk.node(initial_state(cfg)))
     return walk.log.report(walk.visited, walk.visited, walk.leaves, not walk.budget_hit,
                            walk.oracles)
 
 
-def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> ExplorationReport:
-    """``enumerate_traces`` without ``emit`` or a state cap: the nodes
-    above the cut are walked one at a time, each unit below it as a
-    subtree, and the tallies merged in walk order."""
-    # child-index path of a node -> the tally of walking it (an upper
-    # node) or its subtree (a unit)
-    tallies: dict[tuple, tuple] = {}
-    # (child-index path, schedule, state) of each node of one depth
-    level: list[tuple] = [((), (), initial_state(cfg))]
-    while 0 < len(level) < _SPLIT_UNITS:
-        deeper = []
-        for key, path, gs in level:
-            walk = _Walk(cfg, None, check, collect_oracles, path)
-            succs = walk.node(gs)
-            tallies[key] = walk.tally()
-            deeper += [(key + (k,), path + (ev,), succ) for k, (ev, succ) in enumerate(succs)]
-        level = deeper
+def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _Walk | None:
+    """``enumerate_traces`` without ``emit`` or a state cap: a walk that
+    counted the nodes above the cut and the units below it, the child's
+    share added in; None once any of them records a violation, whose
+    schedule is never read."""
 
-    def units(share: list) -> list:
-        """(child-index path, tally) of each unit of ``share``, walked
-        whole.  A unit's log keeps its first ``VIOLATION_CAP + 1``
-        distinct violations: the merged log holds at most
-        ``VIOLATION_CAP``, so it is full once it has met them, and at
-        least one of them caps it; a later violation changes nothing."""
-        out = []
-        for key, path, gs in share:
-            walk = _Walk(cfg, None, check, collect_oracles, path, VIOLATION_CAP + 1)
+    def counts(walk: _Walk, units: list) -> tuple | None:
+        """(nodes, leaves, oracle counts) of ``walk`` once it has walked
+        each unit with its subtree; None, stopping at the end of the
+        unit, once the walk has recorded a violation."""
+        for gs in units:
+            if walk.log.found:
+                break
             walk.below(walk.node(gs))
-            out.append((key, walk.tally()))
-        return out
+        return None if walk.log.found else (walk.visited, walk.leaves, walk.oracles)
 
-    if level:
-        # the first unit is walked here, and sizes the others
-        probe, rest = units(level[:1]), level[1:]
-        tallies.update(probe)
-        probe_nodes = probe[0][1][0]
-        if probe_nodes * len(rest) >= _SPLIT_MIN_NODES and _can_fork():
-            theirs, mine = _fork_beside(lambda: units(rest[::2]), lambda: units(rest[1::2]))
-            tallies.update(theirs)
-        else:
-            mine = units(rest)
-        tallies.update(mine)
-    return _merge(cfg, tallies, collect_oracles)
-
-
-def _merge(cfg: ExplorationConfig, tallies: dict, collect_oracles: bool) -> ExplorationReport:
-    """The report of one walk over the nodes and units of ``tallies``:
-    sorted by child-index path, they come in the order the one-process
-    walk visits them, so each violation meets the same log state."""
-    log = _ViolationLog(cfg, lambda schedule: schedule)
-    visited = leaves = 0
-    oracle_ms: dict | None = {} if collect_oracles else None
-    for _, (nodes, ends, found, oracles) in sorted(tallies.items()):
-        visited += nodes
-        leaves += ends
-        for name, key, sched, detail in found:
-            log.record([(name, detail)], key, sched)
-        if oracle_ms is not None:
-            for oracle, count in oracles.items():
-                oracle_ms[oracle] = oracle_ms.get(oracle, 0) + count
-    return log.report(visited, visited, leaves, True, oracle_ms)
+    walk = _Walk(cfg, None, check, collect_oracles)
+    level = [initial_state(cfg)]
+    while 0 < len(level) < _SPLIT_UNITS:
+        level = [succ for gs in level for _, succ in walk.node(gs)]
+    # the first unit is walked here, and sizes the others
+    above = walk.visited
+    probe, rest = level[:1], level[1:]
+    if counts(walk, probe) is None:
+        return None
+    if rest and (walk.visited - above) * len(rest) >= _SPLIT_MIN_NODES and _can_fork():
+        theirs, mine = _fork_beside(
+            lambda: counts(_Walk(cfg, None, check, collect_oracles), rest[::2]),
+            lambda: counts(walk, rest[1::2]),
+        )
+    else:  # nothing forked: the child's share is empty
+        theirs, mine = (0, 0, {}), counts(walk, rest)
+    if theirs is None or mine is None:
+        return None
+    nodes, leaves, oracles = theirs
+    walk.visited += nodes
+    walk.leaves += leaves
+    if collect_oracles:
+        for oracle, count in oracles.items():
+            walk.oracles[oracle] = walk.oracles.get(oracle, 0) + count
+    return walk
 
 
 def _can_fork() -> bool:

@@ -876,12 +876,8 @@ def test_bug_flags_must_be_a_frozenset(flags):
 # -- the split depth-first walk -------------------------------------------------
 
 
-@pytest.fixture
-def forks(monkeypatch) -> list:
-    """Split every walk that may split; the pids this process forks."""
-    if not explorer._can_fork():
-        pytest.skip("a split walk needs os.fork and two CPUs")
-    monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
+def record_forks(monkeypatch) -> list:
+    """The pids this process forks from now on."""
     pids: list = []
     fork = os.fork
 
@@ -895,6 +891,15 @@ def forks(monkeypatch) -> list:
     return pids
 
 
+@pytest.fixture
+def forks(monkeypatch) -> list:
+    """Split every walk that may split; the pids this process forks."""
+    if not explorer._can_fork():
+        pytest.skip("a split walk needs os.fork and two CPUs")
+    monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
+    return record_forks(monkeypatch)
+
+
 def assert_no_child_left():
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
@@ -902,14 +907,27 @@ def assert_no_child_left():
 
 def assert_split_walk_is_the_whole_walk(cfg: ExplorationConfig, forks: list, forked=True):
     """The split walk reports what one process walking every schedule
-    (a state cap it never reaches keeps the walk whole) reports."""
+    (a state cap it never reaches keeps the walk whole) reports.  A walk
+    that meets a violation is walked again in one process, so whether it
+    forked first is checked only for a walk without one."""
     split = enumerate_traces(cfg, check=True, collect_oracles=True)
-    assert len(forks) == forked
     assert_no_child_left()
     whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
     assert split.as_json() == whole.as_json()
     assert split.oracle_multiset == whole.oracle_multiset
+    if not whole.violations:
+        assert len(forks) == forked
     return split
+
+
+def cut_of(cfg: ExplorationConfig) -> list:
+    """(schedule, state) of each unit of a walk that prunes nothing above
+    its cut, in walk order."""
+    level = [((), initial_state(cfg))]
+    while 0 < len(level) < explorer._SPLIT_UNITS:
+        level = [(path + (ev,), succ) for path, gs in level
+                 for ev, succ in explorer._successors(cfg, gs)]
+    return level
 
 
 @pytest.mark.parametrize("kw", [
@@ -926,7 +944,7 @@ def test_split_walk_reports_what_one_process_reports(forks, kw):
     dict(data_type="list", n=2, q=3, bug_flags=BUG1),
 ])
 def test_split_walk_keeps_the_capped_violations(forks, monkeypatch, kw):
-    # 36 and 8 violating states; each unit keeps 3 + 1 of them
+    # 36 and 8 violating states, of which the report keeps 3
     monkeypatch.setattr(explorer, "VIOLATION_CAP", 3)
     report = assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks)
     assert report.violations_capped and len(report.violations) == 3
@@ -935,9 +953,7 @@ def test_split_walk_keeps_the_capped_violations(forks, monkeypatch, kw):
 def test_split_walk_caps_the_report_as_one_process_does(forks, monkeypatch):
     # rpq q=2 is cut at its 25 leaves.  The first leaf's three violations
     # fill the report; every leaf whose oracle differs from it repeats
-    # them and adds a fourth, which only caps the report.  A unit that
-    # kept no more violations than the report holds would drop the
-    # fourth, and the cap with it.
+    # them and adds a fourth, which only caps the report.
     cfg = cfg_of(q=2)
     add10 = OperationRequest("add", "e", 10)
     first = render(replay_schedule(cfg, [ClientEvent(0, 0, add10), ClientEvent(1, 0, add10)]))
@@ -958,25 +974,50 @@ def test_split_walk_caps_the_report_as_one_process_does(forks, monkeypatch):
 
 def test_split_walk_keeps_stuck_states(forks):
     cfg = cfg_of(data_type="list", n=2, q=2, pinned_ops=PINNED_STUCK)
-    report = assert_split_walk_is_the_whole_walk(cfg, forks, forked=False)
+    report = assert_split_walk_is_the_whole_walk(cfg, forks)
     assert [v.invariant for v in report.violations] == ["stuck"] * 2
 
 
 def test_split_walk_keeps_a_violation_above_the_cut(forks, monkeypatch):
     monkeypatch.setattr(explorer, "replica_violations",
                         lambda cfg, index, rep: [("position-range", f"replica {index}")])
-    report = assert_split_walk_is_the_whole_walk(cfg_of(data_type="list", q=3), forks,
-                                                 forked=False)
+    report = assert_split_walk_is_the_whole_walk(cfg_of(data_type="list", q=3), forks)
     assert [(v.invariant, v.schedule) for v in report.violations] == [("position-range", ())]
+
+
+@pytest.mark.parametrize("unit, forked", [(0, False), (1, True)])
+def test_split_walk_that_meets_a_violation_below_the_cut_is_walked_again(
+    forks, monkeypatch, unit, forked
+):
+    # Only the root of one unit violates: the first unit is the probe,
+    # walked before any fork; the second is in the child's share, and
+    # the caller's share meets no violation.
+    cfg = cfg_of(data_type="list", q=3)
+    schedule, gs = cut_of(cfg)[unit]
+    broken = state_digest(gs)
+    check = explorer.state_violations
+    monkeypatch.setattr(explorer, "state_violations", lambda cfg, gs: (
+        [("position-range", "mutant")] if state_digest(gs) == broken else check(cfg, gs)))
+    report = assert_split_walk_is_the_whole_walk(cfg, forks)
+    assert len(forks) == forked
+    assert [(v.invariant, v.schedule) for v in report.violations] == [
+        ("position-range", schedule)]
 
 
 @pytest.mark.parametrize("kw", [dict(n=2, q=3), dict(data_type="list", n=2, q=3)])
 def test_split_walk_child_runs_the_patched_model(forks, monkeypatch, kw):
-    # a child started by spawning would import the unpatched model and
-    # find no violation in its share
-    monkeypatch.setattr(ReplicaState, "_flush", lambda self: self)
-    report = assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks)
-    assert {v.invariant for v in report.violations} == {"buffer-liveness", "convergence"}
+    # A child started by spawning would import the unpatched model and
+    # count the attr-20 schedules of its share.  The mutant violates
+    # nothing, so the split counts are the report.
+    cfg = cfg_of(**kw)
+    unpatched = enumerate_traces(replace(cfg, state_cap=10**9), check=True)
+    candidates = explorer.candidate_requests
+    monkeypatch.setattr(explorer, "candidate_requests", lambda cfg, state, slot: [
+        r for r in candidates(cfg, state, slot) if slot == 0 or r.arg != 20])
+    report = assert_split_walk_is_the_whole_walk(cfg, forks)
+    assert not report.violations
+    assert (report.distinct_states, report.terminal_traces) != (
+        unpatched.distinct_states, unpatched.terminal_traces)
 
 
 def fail_in(process: str, forks: list, exc: BaseException, monkeypatch):
@@ -1048,7 +1089,7 @@ def test_an_interrupt_while_the_caller_waits_kills_the_child(forks, monkeypatch)
     assert time.monotonic() - interrupted[0] < 30
 
 
-@pytest.mark.parametrize("how", ["state_cap", "emit", "thread"])
+@pytest.mark.parametrize("how", ["state_cap", "emit", "thread", "one_cpu"])
 def test_walks_that_cannot_split_never_fork(monkeypatch, how):
     monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
 
@@ -1056,6 +1097,8 @@ def test_walks_that_cannot_split_never_fork(monkeypatch, how):
         raise AssertionError("os.fork called")
 
     monkeypatch.setattr(os, "fork", no_fork)
+    if how == "one_cpu":
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     cfg = cfg_of(q=4, state_cap=10**9 if how == "state_cap" else None)
     emit = (lambda schedule, oracle: None) if how == "emit" else None
     release = threading.Event()
@@ -1070,3 +1113,18 @@ def test_walks_that_cannot_split_never_fork(monkeypatch, how):
             thread.join(timeout=10)
     assert not thread.is_alive()
     assert report.terminal_traces == 5**4
+
+
+@pytest.mark.parametrize("kw, forked", [
+    (dict(q=4), False),
+    (dict(data_type="list", q=4), True),
+    (dict(q=5), True),
+])
+def test_walks_split_from_the_measured_threshold(monkeypatch, kw, forked):
+    # rpq n=1 q=4 is estimated at 744 nodes, below _SPLIT_MIN_NODES
+    if forked and not explorer._can_fork():
+        pytest.skip("a split walk needs os.fork and two CPUs")
+    forks = record_forks(monkeypatch)
+    enumerate_traces(cfg_of(**kw), check=True)
+    assert len(forks) == forked
+    assert_no_child_left()
