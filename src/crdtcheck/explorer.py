@@ -38,24 +38,35 @@ walk there to keep memory flat, split over two processes when it is
 large.
 
 Splitting the depth-first walk (the parallel state-space search of Stern
-and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
+and Dill, *Parallelizing the Murphi verifier*, CAV 1997, with the shared
+work queue of Holzmann and Bošnački, *The design of a multicore
+extension of the SPIN model checker*, IEEE TSE 2007):
 
 - Only a walk with neither ``emit`` nor a state cap splits: ``explore``
   at n=1 and the check-only walks.  ``gen``'s emission order and a capped
   walk's stopping point belong to one process.
 - The walk is cut at the shallowest depth holding at least
-  ``_SPLIT_UNITS`` nodes (16 and 25 units at depth 2 for list and rpq
+  ``_SPLIT_UNITS`` nodes (172 and 125 units at depth 3 for list and rpq
   n=1).  The nodes above the cut are checked one at a time; each node at
   the cut is a *unit*, walked with its whole subtree.  The first unit is
   walked first and sizes the rest: if its node count times the number of
   other units reaches ``_SPLIT_MIN_NODES``, ``os.fork`` exists, only one
-  thread runs and a second CPU is free, a forked child walks every
-  other remaining unit while this process walks the rest.
+  thread runs and a second CPU is free, a forked child walks beside this
+  process.
+- Neither process owns a share.  Before the fork, the index of every
+  remaining unit goes into one pipe as a fixed-width record and the
+  write end is closed; each process then claims the next unit by
+  reading one record, until the pipe is empty.  A process that is free
+  takes the next unit, so both finish within one unit of each other.
+  Reads from one pipe do not interleave, so each unit is claimed once.
+  Records that would not fit in the pipe's buffer (a write there would
+  block before anyone reads) leave the walk in one process.
 - The split walk only adds up counts: nodes, leaves and oracle counts.
-  The child sends its share's counts back through a pipe with
-  ``pickle``.  It gives up as soon as anything records a violation
-  (``stuck`` included): a node above the cut, the first unit, or a unit
-  of either process's share, which stops at the end of that unit.
+  The child sends its counts back through a second pipe with ``pickle``.
+  It gives up as soon as anything records a violation (``stuck``
+  included): a node above the cut, the first unit, or a unit either
+  process claimed, which stops at the end of that unit and empties the
+  queue, so the other process stops at the end of its own unit.
   ``enumerate_traces`` then walks the whole tree again in one process,
   and that walk's report is the report, so the violations, their order
   and ``VIOLATION_CAP`` are the one-process walk's by construction.  At
@@ -66,11 +77,13 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997):
   it is, with any patched method or installed tracer; a fork also takes
   milliseconds where starting an interpreter takes a quarter second.
   What the child does is lost to the caller except its counts: tracer
-  spans and ``ru_maxrss`` count the calling process's share only.  The
-  child ends with ``os._exit``; an exception it raises comes back in
-  place of its counts and is raised again in the caller.  The caller
-  reaps the child on every way out, killing it first when anything
-  (its own share, an interrupt) stops it before the counts are read.
+  spans and ``ru_maxrss`` count the calling process's units only, which
+  always include the first unit, and how many units that is varies from
+  run to run.  The child ends with ``os._exit``; an exception it raises
+  comes back in place of its counts and is raised again in the caller.
+  The caller reaps the child on every way out, killing it first when
+  anything (its own units, an interrupt) stops it before the counts are
+  read.
 
 State store of the breadth-first search (integer handles over the
 collapse compression of Holzmann, *State compression in SPIN*, 1997):
@@ -254,7 +267,9 @@ class ExplorationConfig:
                 if not isinstance(pool, tuple) or not pool:
                     raise BadConfig(f"pinned_ops slot {i} must be a non-empty tuple, got {pool!r}")
                 for req in pool:
-                    if not isinstance(req, OperationRequest) or req.kind not in kinds:
+                    # an int arg, not a bool, as a corpus event carries it
+                    if (not isinstance(req, OperationRequest) or req.kind not in kinds
+                            or not (req.arg is None or type(req.arg) is int)):
                         raise BadConfig(
                             f"pinned_ops slot {i}: {req!r} is not a {self.data_type} request"
                         )
@@ -758,15 +773,14 @@ class _ViolationLog:
 
 # See "Splitting the depth-first walk" in the module docstring.
 # _SPLIT_MIN_NODES, compared with the probe's estimate of the walk, is
-# set from the crossover measured in BENCH_22.json ("split_crossover":
-# split forced against one process, alternating pairs on a 2-CPU host).
-# Walks estimated at up to 744 nodes (rpq n=1 q <= 4) were no faster
-# split, with or without 100 MiB of other objects in the process; from
-# 1,584 up (a pinned rpq q=5 walk, list n=1 q=4, rpq n=1 q=5) the split
-# had the lower median in both, winning 7 to 11 of 11 pairs.  Between
-# them the winner depends on the size of the process a fork copies.
-_SPLIT_UNITS = 16
-_SPLIT_MIN_NODES = 1_500
+# set from the crossover in BENCH_24.json ("split_crossover": split
+# forced against one process, alternating pairs on a 2-CPU host, with
+# and without 100 MiB of other objects in the process).  Walks estimated
+# at up to 868 nodes (rpq n=1 q=4 is 744) were not faster split in both;
+# from 1,116 up the split won 10 or 11 of 11 pairs in both.
+_SPLIT_UNITS = 64
+_SPLIT_MIN_NODES = 1_000
+_RECORD = 4  # bytes per unit index in the queue
 
 
 class _Walk:
@@ -861,18 +875,24 @@ def enumerate_traces(
 def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _Walk | None:
     """``enumerate_traces`` without ``emit`` or a state cap: a walk that
     counted the nodes above the cut and the units below it, the child's
-    share added in; None once any of them records a violation, whose
+    units added in; None once any of them records a violation, whose
     schedule is never read."""
 
-    def counts(walk: _Walk, units: list) -> tuple | None:
+    def counts(walk: _Walk, units) -> tuple | None:
         """(nodes, leaves, oracle counts) of ``walk`` once it has walked
-        each unit with its subtree; None, stopping at the end of the
-        unit, once the walk has recorded a violation."""
-        for gs in units:
-            if walk.log.found:
-                break
-            walk.below(walk.node(gs))
-        return None if walk.log.found else (walk.visited, walk.leaves, walk.oracles)
+        each unit of the iterator ``units`` with its subtree; None,
+        stopping at the end of the unit, once the walk has recorded a
+        violation.  Whatever ends the loop, ``units`` is emptied, so the
+        other process claims no further unit."""
+        try:
+            for gs in units:
+                walk.below(walk.node(gs))
+                if walk.log.found:
+                    return None
+            return (walk.visited, walk.leaves, walk.oracles)
+        finally:
+            for _ in units:
+                pass
 
     walk = _Walk(cfg, None, check, collect_oracles)
     level = [initial_state(cfg)]
@@ -880,16 +900,23 @@ def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _
         level = [succ for gs in level for _, succ in walk.node(gs)]
     # the first unit is walked here, and sizes the others
     above = walk.visited
-    probe, rest = level[:1], level[1:]
-    if counts(walk, probe) is None:
+    if walk.log.found or counts(walk, iter(level[:1])) is None:
         return None
+    rest = level[1:]
+    queue = None
     if rest and (walk.visited - above) * len(rest) >= _SPLIT_MIN_NODES and _can_fork():
-        theirs, mine = _fork_beside(
-            lambda: counts(_Walk(cfg, None, check, collect_oracles), rest[::2]),
-            lambda: counts(walk, rest[1::2]),
-        )
-    else:  # nothing forked: the child's share is empty
-        theirs, mine = (0, 0, {}), counts(walk, rest)
+        queue = _unit_queue(len(rest))
+    if queue is None:  # nothing forked: the child walked nothing
+        theirs, mine = (0, 0, {}), counts(walk, iter(rest))
+    else:
+        try:
+            theirs, mine = _fork_beside(
+                lambda: counts(_Walk(cfg, None, check, collect_oracles),
+                               (rest[i] for i in _claim(queue))),
+                lambda: counts(walk, (rest[i] for i in _claim(queue))),
+            )
+        finally:
+            os.close(queue)
     if theirs is None or mine is None:
         return None
     nodes, leaves, oracles = theirs
@@ -899,6 +926,34 @@ def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _
         for oracle, count in oracles.items():
             walk.oracles[oracle] = walk.oracles.get(oracle, 0) + count
     return walk
+
+
+def _unit_queue(count: int) -> int | None:
+    """The read end of a pipe that holds the indices ``0 .. count-1``,
+    one ``_RECORD``-byte record each, its write end closed; None if the
+    records do not fit in the pipe's buffer."""
+    records = b"".join(i.to_bytes(_RECORD, "little") for i in range(count))
+    r, w = os.pipe()
+    fits = False
+    try:
+        os.set_blocking(w, False)
+        fits = os.write(w, records) == len(records)
+    except BlockingIOError:
+        pass
+    finally:
+        os.close(w)
+        if not fits:
+            os.close(r)
+    return r if fits else None
+
+
+def _claim(queue: int):
+    """The indices this process reads off ``queue``, one record at a
+    time, until the queue is empty.  Reads from one pipe do not
+    interleave and each takes one whole record, so each index goes to
+    one process once."""
+    while record := os.read(queue, _RECORD):
+        yield int.from_bytes(record, "little")
 
 
 def _can_fork() -> bool:
@@ -922,7 +977,7 @@ def _fork_beside(theirs: Callable[[], object], mine: Callable[[], object]) -> tu
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: walk both shares here
+    except OSError:  # no process to spare: walk it all here
         os.close(r)
         os.close(w)
         return theirs(), mine()

@@ -51,8 +51,7 @@ from json.encoder import encode_basestring
 from .dots import CausalContext, Dot
 from .errors import DuplicateDelivery, UnknownElement
 from .operations import LIST, RPQ, Operation, OperationRequest, SyncMessage, canonical_digest
-from .positions import Position, generate_between, position_wire
-from .wire import canonical_json
+from .positions import Position, generate_between
 
 BUG_READD_ACCEPT = "bug1-readd-accept"
 BUG_ASSUME_CAUSAL = "bug2-assume-causal"
@@ -135,16 +134,22 @@ _SLOT = {
 _VALUELESS = ("remove", "readd")
 
 
+def _dot_text(dot: Dot) -> str:
+    """A dot as canonical JSON: ``[replica,counter]``."""
+    return f"[{dot.replica},{dot.counter}]"
+
+
 class _View:
-    """A view's ``wire()``: ``as_wire()`` as canonical JSON, rendered once
-    and cached in the view's ``_wire`` field, so every state that shares
-    the view shares the rendering."""
+    """A view's ``wire()``: its canonical JSON, formatted from its fields
+    once and cached in the view's ``_wire`` field, so every state that
+    shares the view shares the rendering.  The keys are written in
+    sorted order; the existence values need no escaping."""
 
     __slots__ = ()
 
     def wire(self) -> str:
         if self._wire is None:
-            object.__setattr__(self, "_wire", canonical_json(self.as_wire()))
+            object.__setattr__(self, "_wire", self._text())
         return self._wire
 
 
@@ -155,9 +160,10 @@ class RpqView(_View):
     add_dot: Dot | None
     _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
-    def as_wire(self) -> dict:
-        add_dot = self.add_dot.as_wire() if self.add_dot else None
-        return {"add_dot": add_dot, "existence": self.existence.value, "value": self.value}
+    def _text(self) -> str:
+        add_dot = "null" if self.add_dot is None else _dot_text(self.add_dot)
+        value = "null" if self.value is None else self.value
+        return f'{{"add_dot":{add_dot},"existence":"{self.existence.value}","value":{value}}}'
 
 
 @dataclass(frozen=True, slots=True)
@@ -168,10 +174,11 @@ class ListView(_View):
     add_dot: Dot
     _wire: str | None = field(default=None, init=False, compare=False, repr=False)
 
-    def as_wire(self) -> dict:
-        attr = self.attr if self.existence is Existence.EXISTENT else None
-        return {"add_dot": self.add_dot.as_wire(), "attr": attr,
-                "existence": self.existence.value, "pos": position_wire(self.pos)}
+    def _text(self) -> str:
+        attr = self.attr if self.existence is Existence.EXISTENT else "null"
+        pos = ",".join([f"[{d},{r},{c}]" for d, r, c in self.pos])
+        return (f'{{"add_dot":{_dot_text(self.add_dot)},"attr":{attr},'
+                f'"existence":"{self.existence.value}","pos":[{pos}]}}')
 
 
 def _survivor_test(rems: tuple[Rec, ...]):
@@ -405,10 +412,11 @@ class ReplicaState:
     # An element's view is a pure function of its record set, so each
     # ``RpqOps`` / ``ListOps`` object derives it once (``ops.view()``)
     # and every reader below goes through that.  Each view renders its
-    # JSON once too (``view.wire()``), and ``normalize`` only joins those
-    # pieces.  Record sets are shared between a state and its
-    # successors, and so are their views and renderings: a new state
-    # re-renders only the elements its last transition changed.
+    # JSON once too (``view.wire()``), and ``normalize`` joins those
+    # pieces and the applied context's text.  Record sets are shared
+    # between a state and its successors, and so are their views and
+    # renderings: a new state re-renders only the elements its last
+    # transition changed.
 
     def views(self) -> dict:
         return {e: o.view() for e, o in self.elems.items()}
@@ -439,9 +447,14 @@ class ReplicaState:
         elements = ",".join(
             encode_basestring(e) + ":" + v.wire() for e, v in sorted(self.views().items())
         )
+        # the context as canonical JSON: "seen" keys are strings, sorted as such
+        ctx = self.applied
+        seen = ",".join([f'"{r}":{c}' for r, c in sorted(
+            (str(r), c) for r, c in ctx.seen.items())])
+        extra = ",".join(map(_dot_text, sorted(ctx.extra)))
         return "".join((
-            '{"ctx":', canonical_json(self.applied.as_wire()),
-            ',"elements":{', elements, '},"type":', encode_basestring(self.data_type), "}",
+            '{"ctx":{"extra":[', extra, '],"seen":{', seen,
+            '}},"elements":{', elements, '},"type":', encode_basestring(self.data_type), "}",
         ))
 
     # -- identity ----------------------------------------------------

@@ -368,7 +368,8 @@ def test_terminal_states_are_rendered_once(monkeypatch):
     # each terminal state, and the breadth-first search normalizes one
     # replica per distinct digest in it: its 388 terminal states all
     # converged.  The depth-first walk and its emitted records render
-    # every replica of every terminal schedule.
+    # every replica of every terminal schedule; a state cap it never
+    # reaches keeps it in this process, where the calls are counted.
     calls = count_normalize(monkeypatch)
     cfg = cfg_of(data_type="list", n=2, q=3)
     _explore_bfs(cfg, collect_oracles=False)
@@ -377,7 +378,7 @@ def test_terminal_states_are_rendered_once(monkeypatch):
     _explore_bfs(cfg, collect_oracles=True)
     assert len(calls) == 388
     calls.clear()
-    report = enumerate_traces(cfg, check=True, collect_oracles=True)
+    report = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
     assert report.terminal_traces == 908
     assert len(calls) == 2 * 908
 
@@ -860,7 +861,10 @@ def test_pinned_ops_validation():
             (OperationRequest("remove", "e"),)))
 
 
-@pytest.mark.parametrize("pinned", [((1,),), (1,), 1, [(OperationRequest("add", "e", 10),)]])
+@pytest.mark.parametrize("pinned", [
+    ((1,),), (1,), 1, [(OperationRequest("add", "e", 10),)],
+    ((OperationRequest("add", "e", True),),),  # a bool arg would render as True
+])
 def test_pinned_ops_of_the_wrong_type_are_refused_by_name(pinned):
     with pytest.raises(BadConfig, match="pinned_ops"):
         cfg_of(q=1, pinned_ops=pinned)
@@ -932,11 +936,14 @@ def cut_of(cfg: ExplorationConfig) -> list:
 
 @pytest.mark.parametrize("kw", [
     *(dict(data_type=t, q=q) for t in ("rpq", "list") for q in (1, 2, 3, 4)),
-    *(kw for kw in WALK_CONFIGS if kw.get("bug_flags")),
+    dict(q=5),
+    *(kw for kw in WALK_CONFIGS if kw.get("n", 1) > 1),
 ])
 def test_split_walk_reports_what_one_process_reports(forks, kw):
-    # q=1 has no level of 16 nodes to cut at, so nothing forks
-    assert_split_walk_is_the_whole_walk(cfg_of(**kw), forks, forked=kw.get("q") != 1)
+    # a walk forks iff it has a level of 64 nodes to cut at: n=1 q<=2
+    # and list n=2 q=2 have none
+    cfg = cfg_of(**kw)
+    assert_split_walk_is_the_whole_walk(cfg, forks, forked=len(cut_of(cfg)) > 1)
 
 
 @pytest.mark.parametrize("kw", [
@@ -951,12 +958,13 @@ def test_split_walk_keeps_the_capped_violations(forks, monkeypatch, kw):
 
 
 def test_split_walk_caps_the_report_as_one_process_does(forks, monkeypatch):
-    # rpq q=2 is cut at its 25 leaves.  The first leaf's three violations
+    # rpq q=3 is cut at its 125 leaves.  The first leaf's three violations
     # fill the report; every leaf whose oracle differs from it repeats
     # them and adds a fourth, which only caps the report.
-    cfg = cfg_of(q=2)
+    cfg = cfg_of(q=3)
     add10 = OperationRequest("add", "e", 10)
-    first = render(replay_schedule(cfg, [ClientEvent(0, 0, add10), ClientEvent(1, 0, add10)]))
+    schedule = tuple(ClientEvent(slot, 0, add10) for slot in range(3))
+    first = render(replay_schedule(cfg, schedule))
 
     def violations(gs, oracle):
         names = ["v1", "v2", "v3"] + (["v4"] if oracle != first else [])
@@ -968,7 +976,7 @@ def test_split_walk_caps_the_report_as_one_process_does(forks, monkeypatch):
     report = assert_split_walk_is_the_whole_walk(cfg, forks)
     assert report.violations_capped
     assert [(v.invariant, v.schedule) for v in report.violations] == [
-        (name, (ClientEvent(0, 0, add10), ClientEvent(1, 0, add10))) for name in ("v1", "v2", "v3")
+        (name, schedule) for name in ("v1", "v2", "v3")
     ]
 
 
@@ -990,8 +998,8 @@ def test_split_walk_that_meets_a_violation_below_the_cut_is_walked_again(
     forks, monkeypatch, unit, forked
 ):
     # Only the root of one unit violates: the first unit is the probe,
-    # walked before any fork; the second is in the child's share, and
-    # the caller's share meets no violation.
+    # walked before any fork; the second is claimed after the fork, by
+    # either process.
     cfg = cfg_of(data_type="list", q=3)
     schedule, gs = cut_of(cfg)[unit]
     broken = state_digest(gs)
@@ -1087,6 +1095,102 @@ def test_an_interrupt_while_the_caller_waits_kills_the_child(forks, monkeypatch)
     assert_no_child_left()
     assert interrupted[0] - calls[-1] > 0.5, "the caller was still walking"
     assert time.monotonic() - interrupted[0] < 30
+
+
+def test_a_slow_child_does_not_hold_the_walk_back(forks, monkeypatch):
+    # The child sleeps 2 s in the first unit it claims.  Units come off
+    # one queue, so meanwhile the caller claims the others: more than
+    # half of the units after the probe, where a fixed every-other-unit
+    # split would leave it exactly half.
+    cfg = cfg_of(q=4)
+    here = os.getpid()
+    successors = explorer._successors
+    slept: list = []
+
+    def slow_in_child(cfg, gs, store=explorer._Direct):
+        if os.getpid() != here and not slept:
+            slept.append(True)
+            time.sleep(2)
+        return successors(cfg, gs, store)
+
+    mine: list = []  # the unit roots this process walks after the fork
+    node = explorer._Walk.node
+
+    def counting(self, gs):
+        if forks and not self.path and os.getpid() == here:
+            mine.append(gs)
+        return node(self, gs)
+
+    monkeypatch.setattr(explorer, "_successors", slow_in_child)
+    monkeypatch.setattr(explorer._Walk, "node", counting)
+    split = enumerate_traces(cfg, check=True, collect_oracles=True)
+    walked = len(mine)
+    assert_no_child_left()
+    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
+    assert (split.as_json(), split.oracle_multiset) == (whole.as_json(), whole.oracle_multiset)
+    assert len(forks) == 1
+    assert walked > (len(cut_of(cfg)) - 1) / 2
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="lists open descriptors in /dev/fd")
+@pytest.mark.parametrize("how", ["whole", "violation", "child raises", "caller raises"])
+def test_every_unit_is_claimed_once_and_the_queue_is_closed(forks, monkeypatch, tmp_path, how):
+    # Both processes note each unit they claim in one file.  A walk that
+    # ends normally claims every unit after the probe once; one that
+    # gives up or raises claims none twice.  No descriptor stays open.
+    cfg = cfg_of(q=4)
+    units = cut_of(cfg)
+    claims = tmp_path / "claims"
+    claim = explorer._claim
+
+    def noted(queue):
+        for i in claim(queue):
+            with open(claims, "a") as log:
+                log.write(f"{i}\n")
+            yield i
+
+    monkeypatch.setattr(explorer, "_claim", noted)
+    if how == "violation":
+        broken = state_digest(units[5][1])
+        check = explorer.state_violations
+        monkeypatch.setattr(explorer, "state_violations", lambda cfg, gs: (
+            [("position-range", "mutant")] if state_digest(gs) == broken else check(cfg, gs)))
+    elif how != "whole":
+        fail_in(how.split()[0], forks, BadConfig(how), monkeypatch)
+    before = set(os.listdir("/dev/fd"))
+    if how.endswith("raises"):
+        with pytest.raises(BadConfig, match=f"^{how}$"):
+            enumerate_traces(cfg, check=True)
+        assert_no_child_left()
+    else:
+        assert_split_walk_is_the_whole_walk(cfg, forks)
+    assert set(os.listdir("/dev/fd")) == before
+    assert len(forks) == 1
+    claimed = sorted(map(int, claims.read_text().split()))
+    assert len(set(claimed)) == len(claimed)
+    if how == "whole":
+        assert claimed == list(range(len(units) - 1))
+
+
+def test_unit_records_that_overflow_the_pipe_leave_the_walk_in_one_process(forks):
+    # Every record is written before the fork, so one that did not fit
+    # in the pipe's buffer would block the walk for good.
+    fcntl = pytest.importorskip("fcntl")
+    if not hasattr(fcntl, "F_GETPIPE_SZ"):
+        pytest.skip("needs F_GETPIPE_SZ to size the walk past the pipe's buffer")
+    r, w = os.pipe()
+    try:
+        records = fcntl.fcntl(w, fcntl.F_GETPIPE_SZ) // explorer._RECORD
+    finally:
+        os.close(r)
+        os.close(w)
+    if records > 1 << 14:
+        pytest.skip("the pipe buffers more records than this walk is sized for")
+    # one unit per add at depth 1, each with one remove below it
+    adds = tuple(OperationRequest("add", "e", k) for k in range(records + 2))
+    cfg = cfg_of(q=2, pinned_ops=(adds, (OperationRequest("remove", "e"),)))
+    report = assert_split_walk_is_the_whole_walk(cfg, forks, forked=False)
+    assert report.terminal_traces == len(adds)
 
 
 @pytest.mark.parametrize("how", ["state_cap", "emit", "thread", "one_cpu"])

@@ -18,6 +18,7 @@ import pytest
 from crdtcheck import replica
 from crdtcheck.dots import Dot
 from crdtcheck.errors import DuplicateDelivery, UnknownElement
+from crdtcheck.explorer import ExplorationConfig, _successors, initial_state, state_digest
 from crdtcheck.operations import OperationRequest
 from crdtcheck.replica import (
     BUG_ASSUME_CAUSAL,
@@ -528,21 +529,96 @@ ESCAPED_NAMES = ('a"b', "c\\d", "é", "\x00", "😀")
 
 
 def one_shot_normalize(rep) -> str:
-    """The whole document through one ``json.dumps``: the reference the
-    per-element rendering of ``normalize`` must match character for
+    """The whole document, built here from the fields of the views and
+    the applied context and rendered by one ``json.dumps``: the
+    reference the direct text of ``normalize`` must match character for
     character."""
-    elements = {e: v.as_wire() for e, v in rep.views().items()}
-    doc = {"ctx": rep.applied.as_wire(), "elements": elements, "type": rep.data_type}
+    def dot(d):
+        return None if d is None else [d.replica, d.counter]
+
+    def element(v):
+        if isinstance(v, RpqView):
+            return {"add_dot": dot(v.add_dot), "existence": v.existence.value, "value": v.value}
+        return {"add_dot": dot(v.add_dot),
+                "attr": v.attr if v.existence is Existence.EXISTENT else None,
+                "existence": v.existence.value, "pos": [list(t) for t in v.pos]}
+
+    ctx = rep.applied
+    doc = {
+        "ctx": {"extra": [dot(d) for d in sorted(ctx.extra)],
+                "seen": {str(r): c for r, c in ctx.seen.items()}},
+        "elements": {e: element(v) for e, v in rep.views().items()},
+        "type": rep.data_type,
+    }
     return json.dumps(doc, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
 
-@pytest.mark.parametrize("data_type", ["rpq", "list"])
-@pytest.mark.parametrize("names", [None, ESCAPED_NAMES], ids=["plain", "escaped"])
-def test_normalize_matches_one_shot_rendering(data_type, names):
-    for rep in random_history(data_type, seed=5, length=120, names=names):
+def reachable_replicas(**kw) -> list:
+    """One replica state per digest among every replica of every global
+    state a configuration reaches."""
+    cfg = ExplorationConfig(**kw)
+    seen, stack, out = set(), [initial_state(cfg)], {}
+    while stack:
+        gs = stack.pop()
+        for rep in gs[1:cfg.n + 1]:
+            out.setdefault(rep.digest(), rep)
+        for _, succ in _successors(cfg, gs):
+            key = state_digest(succ)
+            if key not in seen:
+                seen.add(key)
+                stack.append(succ)
+    return list(out.values())
+
+
+# An add of 1 decreased twice: negative values in every interleaving.
+_NEGATIVE_RPQ = (
+    (OperationRequest("add", "e", 1),),
+    (OperationRequest("increase", "e", -3),),
+    (OperationRequest("increase", "e", -3), OperationRequest("remove", "e")),
+)
+
+
+def features(rep) -> set:
+    """What of the rendering's edge cases ``rep`` shows."""
+    views = rep.views().values()
+    out = set()
+    if rep.applied.extra:
+        out.add("extra")
+    if any(getattr(v, "value", None) is not None and v.value < 0 for v in views):
+        out.add("negative")
+    if any(isinstance(v, ListView) and v.pos[-1][2] > replica._BUG_NONCE_FLOOR for v in views):
+        out.add("fabricated")
+    return out
+
+
+@pytest.mark.parametrize("states, shows", [
+    *(((t, names), shown) for t, shown in (("rpq", {"negative"}), ("list", set()))
+      for names in (None, ESCAPED_NAMES)),
+    *((dict(data_type=t, n=1, q=4), set()) for t in ("rpq", "list")),
+    (dict(data_type="rpq", n=2, q=3), {"extra"}),
+    (dict(data_type="rpq", n=2, q=3, pinned_ops=_NEGATIVE_RPQ), {"negative"}),
+    (dict(data_type="list", n=2, q=3), {"extra"}),
+    (dict(data_type="list", n=2, q=3, bug_flags=frozenset({BUG_READD_ACCEPT})),
+     {"extra", "fabricated"}),
+    (dict(data_type="list", n=3, q=3), set()),
+], ids=["plain-rpq", "escaped-rpq", "plain-list", "escaped-list",
+        "rpq-n1q4", "list-n1q4", "rpq-n2q3", "rpq-n2q3-negative", "list-n2q3",
+        "list-n2q3-bug1", "list-n3q3"])
+def test_normalize_matches_one_shot_rendering(states, shows):
+    # Every state of small configurations, and random single-replica
+    # histories with negative priorities and ids JSON escapes.
+    if isinstance(states, dict):
+        reps = reachable_replicas(**states)
+    else:
+        data_type, names = states
+        reps = list(random_history(data_type, seed=5, length=120, names=names))
+        if names:
+            assert all(any(n in e for e in reps[-1].elems) for n in ESCAPED_NAMES)
+    shown = set()
+    for rep in reps:
         assert rep.normalize() == one_shot_normalize(rep)
-    if names:
-        assert all(any(n in e for e in rep.elems) for n in ESCAPED_NAMES)
+        shown |= features(rep)
+    assert shows <= shown
 
 
 # -- remove-win survival by each origin's highest remove ----------------------
