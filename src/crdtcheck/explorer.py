@@ -42,9 +42,10 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997, with the shared
 work queue of Holzmann and Bošnački, *The design of a multicore
 extension of the SPIN model checker*, IEEE TSE 2007):
 
-- Only a walk with neither ``emit`` nor a state cap splits: ``explore``
-  at n=1 and the check-only walks.  ``gen``'s emission order and a capped
-  walk's stopping point belong to one process.
+- Only a walk with no ``emit``, no state cap and no oracle counts to
+  collect splits: ``explore`` at n=1 and the check-only walks.  ``gen``'s
+  emission order and a capped walk's stopping point belong to one
+  process, and only tests collect oracles from this walk.
 - The walk is cut at the shallowest depth holding at least
   ``_SPLIT_UNITS`` nodes (172 and 125 units at depth 3 for list and rpq
   n=1).  The nodes above the cut are checked one at a time; each node at
@@ -61,29 +62,28 @@ extension of the SPIN model checker*, IEEE TSE 2007):
   Reads from one pipe do not interleave, so each unit is claimed once.
   Records that would not fit in the pipe's buffer (a write there would
   block before anyone reads) leave the walk in one process.
-- The split walk only adds up counts: nodes, leaves and oracle counts.
-  The child sends its counts back through a second pipe with ``pickle``.
-  It gives up as soon as anything records a violation (``stuck``
-  included): a node above the cut, the first unit, or a unit either
-  process claimed, which stops at the end of that unit and empties the
-  queue, so the other process stops at the end of its own unit.
-  ``enumerate_traces`` then walks the whole tree again in one process,
-  and that walk's report is the report, so the violations, their order
-  and ``VIOLATION_CAP`` are the one-process walk's by construction.  At
-  n=1 no message is delivered, so no model bug flag acts and the correct
-  model breaks no invariant: ``explore`` walks twice only under a broken
-  model.
+- The split walk only adds up counts: the child sends back its node and
+  leaf counts, two ints in ``marshal`` form.  Either both processes walk
+  their units without recording a violation and the child's counts come
+  back, or ``enumerate_traces`` walks the whole tree again in one
+  process, whose report or exception is the outcome, so violations,
+  their order and ``VIOLATION_CAP`` are the one-process walk's by
+  construction.  That second way follows a violation anywhere
+  (``stuck`` included), an exception in the child, a child that ends
+  without its counts and a failed ``os.fork``.  A process that records
+  a violation or raises empties the queue, so the other stops at the end
+  of its unit.  At n=1 no message is delivered, so no model bug flag
+  acts and the correct model breaks no invariant: ``explore`` walks
+  twice only under a broken model.
 - The child is forked, not spawned, so it walks the caller's model as
   it is, with any patched method or installed tracer; a fork also takes
   milliseconds where starting an interpreter takes a quarter second.
   What the child does is lost to the caller except its counts: tracer
   spans and ``ru_maxrss`` count the calling process's units only, which
   always include the first unit, and how many units that is varies from
-  run to run.  The child ends with ``os._exit``; an exception it raises
-  comes back in place of its counts and is raised again in the caller.
-  The caller reaps the child on every way out, killing it first when
-  anything (its own units, an interrupt) stops it before the counts are
-  read.
+  run to run.  The child ends with ``os._exit``.  Whatever stops the
+  caller before the counts are read (its own units raising, an
+  interrupt) kills and reaps the child and propagates.
 
 State store of the breadth-first search (integer handles over the
 collapse compression of Holzmann, *State compression in SPIN*, 1997):
@@ -160,6 +160,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import marshal
 import os
 import threading
 from collections.abc import Callable
@@ -267,12 +268,16 @@ class ExplorationConfig:
                 if not isinstance(pool, tuple) or not pool:
                     raise BadConfig(f"pinned_ops slot {i} must be a non-empty tuple, got {pool!r}")
                 for req in pool:
-                    # an int arg, not a bool, as a corpus event carries it
+                    # an int arg, not a bool, and str ids, as a corpus event carries them
                     if (not isinstance(req, OperationRequest) or req.kind not in kinds
-                            or not (req.arg is None or type(req.arg) is int)):
+                            or not (req.arg is None or type(req.arg) is int)
+                            or type(req.elem) is not str
+                            or not (req.anchor is None or type(req.anchor) is str)):
                         raise BadConfig(
                             f"pinned_ops slot {i}: {req!r} is not a {self.data_type} request"
                         )
+                if len(set(pool)) != len(pool):  # each would count its schedules again
+                    raise BadConfig(f"pinned_ops slot {i} repeats a request: {pool!r}")
         if self.state_cap is not None and self.state_cap < 1:
             raise BadConfig(f"state cap must be positive, got {self.state_cap}")
 
@@ -857,14 +862,12 @@ def enumerate_traces(
     deduplicating search run at every node, violating non-terminal nodes
     pruning their subtree the same way.  The walk stops early, with
     ``exhaustive`` false, before it would visit node
-    ``cfg.state_cap + 1``.  Without ``emit`` or a state cap, a large walk
-    is split with a child process (see "Splitting the depth-first walk"
-    in the module docstring); a split walk that meets a violation is
-    walked again in one process, whose report is the report.
+    ``cfg.state_cap + 1``.  A large walk may be split with a child process
+    (see "Splitting the depth-first walk" in the module docstring).
     """
     walk = None
-    if emit is None and cfg.state_cap is None:
-        walk = _split_walk(cfg, check, collect_oracles)
+    if emit is None and cfg.state_cap is None and not collect_oracles:
+        walk = _split_walk(cfg, check)
     if walk is None:
         walk = _Walk(cfg, emit, check, collect_oracles)
         walk.below(walk.node(initial_state(cfg)))
@@ -872,29 +875,29 @@ def enumerate_traces(
                            walk.oracles)
 
 
-def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _Walk | None:
-    """``enumerate_traces`` without ``emit`` or a state cap: a walk that
-    counted the nodes above the cut and the units below it, the child's
-    units added in; None once any of them records a violation, whose
-    schedule is never read."""
+def _split_walk(cfg: ExplorationConfig, check: bool) -> _Walk | None:
+    """``enumerate_traces`` without ``emit``, a state cap or oracles: a
+    walk that counted the nodes above the cut and the units below it, the
+    child's units added in; None unless both processes walked their units
+    without recording a violation and the child's counts came back."""
 
     def counts(walk: _Walk, units) -> tuple | None:
-        """(nodes, leaves, oracle counts) of ``walk`` once it has walked
-        each unit of the iterator ``units`` with its subtree; None,
-        stopping at the end of the unit, once the walk has recorded a
-        violation.  Whatever ends the loop, ``units`` is emptied, so the
-        other process claims no further unit."""
+        """(nodes, leaves) of ``walk`` once it has walked each unit of the
+        iterator ``units`` with its subtree; None, stopping at the end of
+        the unit, once the walk has recorded a violation.  Whatever ends
+        the loop, ``units`` is emptied, so the other process claims no
+        further unit."""
         try:
             for gs in units:
                 walk.below(walk.node(gs))
                 if walk.log.found:
                     return None
-            return (walk.visited, walk.leaves, walk.oracles)
+            return (walk.visited, walk.leaves)
         finally:
             for _ in units:
                 pass
 
-    walk = _Walk(cfg, None, check, collect_oracles)
+    walk = _Walk(cfg, None, check, False)
     level = [initial_state(cfg)]
     while 0 < len(level) < _SPLIT_UNITS:
         level = [succ for gs in level for _, succ in walk.node(gs)]
@@ -906,25 +909,19 @@ def _split_walk(cfg: ExplorationConfig, check: bool, collect_oracles: bool) -> _
     queue = None
     if rest and (walk.visited - above) * len(rest) >= _SPLIT_MIN_NODES and _can_fork():
         queue = _unit_queue(len(rest))
-    if queue is None:  # nothing forked: the child walked nothing
-        theirs, mine = (0, 0, {}), counts(walk, iter(rest))
-    else:
-        try:
-            theirs, mine = _fork_beside(
-                lambda: counts(_Walk(cfg, None, check, collect_oracles),
-                               (rest[i] for i in _claim(queue))),
-                lambda: counts(walk, (rest[i] for i in _claim(queue))),
-            )
-        finally:
-            os.close(queue)
-    if theirs is None or mine is None:
+    if queue is None:  # nothing to fork for: walk the rest here
+        return None if counts(walk, iter(rest)) is None else walk
+    try:
+        theirs = _fork_beside(
+            lambda: counts(_Walk(cfg, None, check, False), (rest[i] for i in _claim(queue))),
+            lambda: counts(walk, (rest[i] for i in _claim(queue))),
+        )
+    finally:
+        os.close(queue)
+    if theirs is None or walk.log.found:
         return None
-    nodes, leaves, oracles = theirs
-    walk.visited += nodes
-    walk.leaves += leaves
-    if collect_oracles:
-        for oracle, count in oracles.items():
-            walk.oracles[oracle] = walk.oracles.get(oracle, 0) + count
+    walk.visited += theirs[0]
+    walk.leaves += theirs[1]
     return walk
 
 
@@ -967,61 +964,39 @@ def _can_fork() -> bool:
     return hasattr(os, "fork") and threading.active_count() == 1 and cpus >= 2
 
 
-def _fork_beside(theirs: Callable[[], object], mine: Callable[[], object]) -> tuple:
-    """``(theirs(), mine())``, ``theirs`` run in a forked child while this
-    process runs ``mine``.  What ``theirs`` returns or raises comes back
-    pickled through a pipe.  The child is reaped on every way out of this
-    call, and killed first if this process stops before reading it."""
-    import pickle
-
+def _fork_beside(theirs: Callable[[], tuple | None], mine: Callable[[], object]) -> tuple | None:
+    """The pair of ints ``theirs`` returns in a forked child while this
+    process runs ``mine``; None if the fork fails or the child sends no
+    pair.  The child is reaped on every way out of this call, and killed
+    first if this process stops before reading it."""
     r, w = os.pipe()
     try:
         pid = os.fork()
-    except OSError:  # no process to spare: walk it all here
+    except OSError:  # no process to spare
         os.close(r)
         os.close(w)
-        return theirs(), mine()
+        return None
     if pid == 0:
         try:
             os.close(r)
-            try:
-                out = (theirs(), None)
-            except BaseException as exc:  # raised again in the caller
-                out = (None, _portable(exc))
-            with open(w, "wb") as pipe:
-                pickle.dump(out, pipe)
+            got = theirs()
+            if got is not None:
+                os.write(w, marshal.dumps(got))
         finally:
             os._exit(0)
     os.close(w)
     with open(r, "rb") as pipe:
         try:
-            own = mine()
+            mine()
             blob = pipe.read()
-        except BaseException:  # the child's share is of no use now: stop it
+        except BaseException:  # the child's counts are of no use now: stop it
             import signal
 
             os.kill(pid, signal.SIGKILL)
             raise
         finally:
-            _, status = os.waitpid(pid, 0)
-    if not blob:
-        raise RuntimeError(f"the walk's child process ended without a result (status {status})")
-    got, err = pickle.loads(blob)
-    if err is not None:
-        raise err
-    return got, own
-
-
-def _portable(exc: BaseException) -> BaseException:
-    """``exc``, or a RuntimeError naming it if it does not survive a
-    pickle round trip."""
-    import pickle
-
-    try:
-        pickle.loads(pickle.dumps(exc))
-    except Exception:
-        return RuntimeError(f"{type(exc).__name__}: {exc}")
-    return exc
+            os.waitpid(pid, 0)
+    return marshal.loads(blob) if blob else None
 
 
 # -- deduplicating search -------------------------------------------------

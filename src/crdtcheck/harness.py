@@ -16,16 +16,19 @@ Verdicts per case:
                      byte offset.
 - ``replica-error``  the server rejected a scheduled client op, raised
                      an error, sent a malformed reply or sync fan-out,
-                     or the schedule asked to deliver a message that
-                     was never produced.
+                     or the schedule delivers a message a run may
+                     deliver but the servers' fan-out never produced.
 - ``rejected``       not a run of this configuration, so no frame was
                      sent: another configuration's fingerprint, an
                      oracle for another replica count, a replica index
                      (client target, delivery dest or origin) outside
                      0..n-1, client events that do not take slots
                      0, 1, ..., q-1 in order, slot i at replica i mod n,
-                     or a schedule that is not complete: a run has q
-                     client events and q·(n-1) deliveries.
+                     a schedule that is not complete (a run has q
+                     client events and q·(n-1) deliveries), or a
+                     delivery no run contains: to its own origin, of a
+                     counter its origin has not issued by then, or of
+                     one message to one replica twice.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -242,6 +245,22 @@ def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
     if (len(clients), deliveries) != (q, q * (n - 1)):
         return (f"schedule has {len(clients)} client event(s) and {deliveries} delivery "
                 f"event(s), a complete run has {q} and {q * (n - 1)}")
+    issued, delivered = [0] * n, set()  # counters issued so far, by replica
+    for ev in tc.schedule:
+        if isinstance(ev, ClientEvent):
+            issued[ev.target] += 1
+            continue
+        if ev.dest == ev.origin:
+            why = "a replica's own messages are not delivered to it"
+        elif not 0 < ev.counter <= issued[ev.origin]:
+            why = f"replica {ev.origin} has issued {issued[ev.origin]} message(s) by then"
+        elif ev in delivered:
+            why = "it was delivered before"
+        else:
+            delivered.add(ev)
+            continue
+        return (f"delivery of message {ev.counter} from replica {ev.origin} to replica "
+                f"{ev.dest} is in no run: {why}")
     return None
 
 

@@ -859,11 +859,16 @@ def test_pinned_ops_validation():
         cfg_of(n=2, q=2, pinned_ops=(
             (OperationRequest("insert", "e", 10),),
             (OperationRequest("remove", "e"),)))
+    # a repeated request would walk, count and emit each of its schedules twice
+    add10 = OperationRequest("add", "e", 10)
+    with pytest.raises(BadConfig, match="^pinned_ops slot 0 repeats a request"):
+        cfg_of(q=2, pinned_ops=((add10, add10), (OperationRequest("remove", "e"),)))
 
 
 @pytest.mark.parametrize("pinned", [
     ((1,),), (1,), 1, [(OperationRequest("add", "e", 10),)],
     ((OperationRequest("add", "e", True),),),  # a bool arg would render as True
+    ((OperationRequest("add", ["e"], 10),),),  # nor could a list id be hashed
 ])
 def test_pinned_ops_of_the_wrong_type_are_refused_by_name(pinned):
     with pytest.raises(BadConfig, match="pinned_ops"):
@@ -914,11 +919,10 @@ def assert_split_walk_is_the_whole_walk(cfg: ExplorationConfig, forks: list, for
     (a state cap it never reaches keeps the walk whole) reports.  A walk
     that meets a violation is walked again in one process, so whether it
     forked first is checked only for a walk without one."""
-    split = enumerate_traces(cfg, check=True, collect_oracles=True)
+    split = enumerate_traces(cfg, check=True)
     assert_no_child_left()
-    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
+    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True)
     assert split.as_json() == whole.as_json()
-    assert split.oracle_multiset == whole.oracle_multiset
     if not whole.violations:
         assert len(forks) == forked
     return split
@@ -1042,12 +1046,50 @@ def fail_in(process: str, forks: list, exc: BaseException, monkeypatch):
     monkeypatch.setattr(explorer, "_successors", failing)
 
 
-def test_an_exception_in_the_child_reaches_the_caller(forks, monkeypatch):
+def test_a_child_that_raises_hands_the_walk_to_one_process(forks, monkeypatch):
+    # Only the child raises, so the one-process walk after it finishes.
     fail_in("child", forks, BadConfig("raised in the child"), monkeypatch)
-    with pytest.raises(BadConfig, match="^raised in the child$"):
-        enumerate_traces(cfg_of(q=4), check=True)
-    assert len(forks) == 1
-    assert_no_child_left()
+    assert_split_walk_is_the_whole_walk(cfg_of(q=4), forks)
+
+
+@pytest.mark.parametrize("how", ["exit", "SIGKILL"])
+def test_a_child_that_ends_without_its_counts_hands_the_walk_to_one_process(
+    forks, monkeypatch, how
+):
+    # The child ends inside its first unit, sending nothing; the caller
+    # walks the units it left and finds no counts to add.
+    here = os.getpid()
+    successors = explorer._successors
+
+    def ending_in_child(cfg, gs, store=explorer._Direct):
+        if os.getpid() != here:
+            if how == "exit":
+                os._exit(1)
+            os.kill(os.getpid(), signal.SIGKILL)
+        return successors(cfg, gs, store)
+
+    monkeypatch.setattr(explorer, "_successors", ending_in_child)
+    assert_split_walk_is_the_whole_walk(cfg_of(q=4), forks)
+
+
+@pytest.mark.skipif(not os.path.isdir("/dev/fd"), reason="lists open descriptors in /dev/fd")
+def test_a_failed_fork_hands_the_walk_to_one_process(monkeypatch):
+    tried: list = []
+
+    def no_process(*args):
+        tried.append(True)
+        raise BlockingIOError("no process to spare")
+
+    monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
+    monkeypatch.setattr(explorer, "_can_fork", lambda: True)
+    monkeypatch.setattr(os, "fork", no_process, raising=False)
+    cfg = cfg_of(q=4)
+    before = set(os.listdir("/dev/fd"))
+    split = enumerate_traces(cfg, check=True)
+    assert set(os.listdir("/dev/fd")) == before
+    assert tried == [True]
+    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True)
+    assert split.as_json() == whole.as_json()
 
 
 @pytest.mark.parametrize("exc", [BadConfig("raised in the caller"), KeyboardInterrupt()])
@@ -1123,11 +1165,11 @@ def test_a_slow_child_does_not_hold_the_walk_back(forks, monkeypatch):
 
     monkeypatch.setattr(explorer, "_successors", slow_in_child)
     monkeypatch.setattr(explorer._Walk, "node", counting)
-    split = enumerate_traces(cfg, check=True, collect_oracles=True)
+    split = enumerate_traces(cfg, check=True)
     walked = len(mine)
     assert_no_child_left()
-    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
-    assert (split.as_json(), split.oracle_multiset) == (whole.as_json(), whole.oracle_multiset)
+    whole = enumerate_traces(replace(cfg, state_cap=10**9), check=True)
+    assert split.as_json() == whole.as_json()
     assert len(forks) == 1
     assert walked > (len(cut_of(cfg)) - 1) / 2
 
@@ -1138,6 +1180,8 @@ def test_every_unit_is_claimed_once_and_the_queue_is_closed(forks, monkeypatch, 
     # Both processes note each unit they claim in one file.  A walk that
     # ends normally claims every unit after the probe once; one that
     # gives up or raises claims none twice.  No descriptor stays open.
+    # Only the caller's exception propagates: after the child's, the
+    # walk is walked again in one process.
     cfg = cfg_of(q=4)
     units = cut_of(cfg)
     claims = tmp_path / "claims"
@@ -1158,7 +1202,7 @@ def test_every_unit_is_claimed_once_and_the_queue_is_closed(forks, monkeypatch, 
     elif how != "whole":
         fail_in(how.split()[0], forks, BadConfig(how), monkeypatch)
     before = set(os.listdir("/dev/fd"))
-    if how.endswith("raises"):
+    if how == "caller raises":
         with pytest.raises(BadConfig, match=f"^{how}$"):
             enumerate_traces(cfg, check=True)
         assert_no_child_left()
@@ -1193,7 +1237,7 @@ def test_unit_records_that_overflow_the_pipe_leave_the_walk_in_one_process(forks
     assert report.terminal_traces == len(adds)
 
 
-@pytest.mark.parametrize("how", ["state_cap", "emit", "thread", "one_cpu"])
+@pytest.mark.parametrize("how", ["state_cap", "emit", "oracles", "thread", "one_cpu"])
 def test_walks_that_cannot_split_never_fork(monkeypatch, how):
     monkeypatch.setattr(explorer, "_SPLIT_MIN_NODES", 0)
 
@@ -1210,7 +1254,7 @@ def test_walks_that_cannot_split_never_fork(monkeypatch, how):
     if how == "thread":
         thread.start()
     try:
-        report = enumerate_traces(cfg, emit, check=True)
+        report = enumerate_traces(cfg, emit, check=True, collect_oracles=how == "oracles")
     finally:
         release.set()
         if how == "thread":

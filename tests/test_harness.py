@@ -118,39 +118,13 @@ def test_tampered_oracle_diverges_with_a_byte_offset():
 
 
 def test_unsatisfiable_delivery_is_a_replica_error():
+    # the schedule is a run, but the servers' fan-out drops every message,
+    # so its first delivery finds none in flight
     cfg = rpq_cfg()
     tc = first_case(cfg)
-    # every delivery moved before the client events, so the run is still
-    # complete: the first delivery has no message
-    deliveries = tuple(ev for ev in tc.schedule if isinstance(ev, DeliverEvent))
-    clients = tuple(ev for ev in tc.schedule if isinstance(ev, ClientEvent))
-    broken = type(tc)(
-        case_id=tc.case_id, fingerprint=tc.fingerprint,
-        schedule=deliveries + clients, oracle=tc.oracle,
-    )
-    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
-    assert result.status == REPLICA_ERROR
-
-
-@pytest.mark.parametrize("fault", ["never-sent", "already-delivered"])
-def test_delivery_without_an_in_flight_message_is_a_replica_error(fault):
-    # in-flight messages match exactly on (dest, origin, counter), once;
-    # one delivery is replaced, so the run is still complete
-    cfg = rpq_cfg()
-    tc = first_case(cfg)
-    at, later = [i for i, ev in enumerate(tc.schedule) if isinstance(ev, DeliverEvent)][:2]
-    ev = tc.schedule[at]
-    if fault == "never-sent":
-        ev = DeliverEvent(ev.dest, ev.origin, ev.counter + 10)
-    else:
-        at = later  # the first delivery, repeated in place of the second
-    schedule = tc.schedule[:at] + (ev,) + tc.schedule[at + 1:]
-    assert len(schedule) == len(tc.schedule)
-    broken = type(tc)(
-        case_id=tc.case_id, fingerprint=tc.fingerprint,
-        schedule=schedule, oracle=tc.oracle,
-    )
-    result = replay_case(broken, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
+    ev = next(ev for ev in tc.schedule if isinstance(ev, DeliverEvent))
+    endpoints = [MangledFanout(ReplicaServer("rpq", i, 2), lambda syncs: []) for i in range(2)]
+    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg.q)
     assert result.status == REPLICA_ERROR
     assert result.replica == ev.dest
     assert result.detail == (
@@ -314,18 +288,58 @@ def test_replay_of_an_incomplete_case_exits_one(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["rejected"] == 1
 
 
-def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):
-    # a complete schedule whose first delivery names a message never sent
+# Edits of the first list n=2 q=3 line, whose schedule is client events
+# at replicas 0, 1, 0, then ["D",0,1,1], ["D",1,0,1], ["D",1,0,2]:
+# (edit, detail).  Each keeps the run complete and the slot rule, but
+# no run contains the edited delivery.
+NO_RUN_EDITS = {
+    "self-delivery": (lambda s: s[:-1] + [["D", 0, 0, 2]],
+                      "delivery of message 2 from replica 0 to replica 0 is in no run: "
+                      "a replica's own messages are not delivered to it"),
+    "before-issue": (lambda s: s[:2] + s[-1:] + s[2:-1],
+                     "delivery of message 2 from replica 0 to replica 1 is in no run: "
+                     "replica 0 has issued 1 message(s) by then"),
+    "never-issued": (lambda s: s[:3] + [["D", 0, 1, 11]] + s[4:],
+                     "delivery of message 11 from replica 1 to replica 0 is in no run: "
+                     "replica 1 has issued 1 message(s) by then"),
+    "repeated": (lambda s: s[:4] + [s[3]] + s[5:],
+                 "delivery of message 1 from replica 1 to replica 0 is in no run: "
+                 "it was delivered before"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_RUN_EDITS))
+def test_a_delivery_no_run_contains_is_rejected_before_any_frame(name, tmp_path, capsys):
+    # a flagless server would find no such message in flight
+    edit, detail = NO_RUN_EDITS[name]
     cfg = ExplorationConfig(data_type="list", n=2, q=3)
-    never_sent = edited_line(cfg, "D", 3, 99)
-    text = never_sent + "\n" + corpus_text(cfg).splitlines()[0] + "\n"
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    assert [ev[0] for ev in doc["sched"]] == ["C"] * 3 + ["D"] * 3
+    assert doc["sched"][3:] == [["D", 0, 1, 1], ["D", 1, 0, 1], ["D", 1, 0, 2]]
+    doc["sched"] = edit(doc["sched"])
+    line = recased(doc)
+    tc = parse_case_line(1, line)
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg.q)
+    assert (result.status, result.detail) == (REJECTED, detail)
+    corpus = tmp_path / "edited.jsonl"
+    corpus.write_text(line + "\n")
+    assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
+
+
+def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):
+    # a run of the right shape whose first request removes an element no
+    # replica has: the server refuses it
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    refused = edited_line(cfg, "C", 2, {"anchor": None, "arg": None, "id": "e9", "kind": "remove"})
+    text = refused + "\n" + corpus_text(cfg).splitlines()[0] + "\n"
     summary = replay_corpus(cfg, io.StringIO(text))
     assert (summary.cases, summary.passed, summary.replica_error,
             summary.diverged, summary.rejected) == (2, 1, 1, 0, 0)
     [failure] = summary.first_failures
-    assert failure["status"] == REPLICA_ERROR and "no in-flight message" in failure["detail"]
-    corpus = tmp_path / "never-sent.jsonl"
-    corpus.write_text(never_sent + "\n")
+    assert failure["status"] == REPLICA_ERROR and "was rejected" in failure["detail"]
+    corpus = tmp_path / "refused.jsonl"
+    corpus.write_text(refused + "\n")
     assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert (doc["replica_error"], doc["diverged"], doc["rejected"]) == (1, 0, 0)
