@@ -42,10 +42,9 @@ and Dill, *Parallelizing the Murphi verifier*, CAV 1997, with the shared
 work queue of Holzmann and Bošnački, *The design of a multicore
 extension of the SPIN model checker*, IEEE TSE 2007):
 
-- Only a walk with no ``emit``, no state cap and no oracle counts to
-  collect splits: ``explore`` at n=1 and the check-only walks.  ``gen``'s
-  emission order and a capped walk's stopping point belong to one
-  process, and only tests collect oracles from this walk.
+- Only a walk with no ``emit`` and no state cap splits: ``explore`` at
+  n=1 and the check-only walks.  ``gen``'s emission order and a capped
+  walk's stopping point belong to one process.
 - The walk is cut at the shallowest depth holding at least
   ``_SPLIT_UNITS`` nodes (172 and 125 units at depth 3 for list and rpq
   n=1).  The nodes above the cut are checked one at a time; each node at
@@ -108,21 +107,22 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   still checks the shortcut.  A rendering is text, compared and stored
   as text; only the harness encodes it, to report a difference's byte
   offset.
-- A new distinct state costs id work only.  It is terminal when its
-  ids say so (slot q and every channel id 0: the root's empty channel
-  is interned first), its replicas' position checks are read only once
-  some replica id has failed one, and it is resolved to the component
-  tuple its ids stand for only if it is terminal or violating.  Only a
-  violating state is digested, by ``state_digest`` of that tuple, so
-  violations are keyed as without the store; a stuck state, which needs
-  a pinned op space, digests its own.
+- A new distinct state costs id work only.  Its replicas' position
+  checks are read only once some replica id has failed one, and it is
+  resolved to the component tuple its ids stand for only if it is
+  terminal or violating.  No state is tested for terminality: every run
+  has q client events and q(n-1) deliveries, so the terminal states are
+  level q·n, and one pass over that level renders and checks each.
+  Only a violating state is digested, by ``state_digest`` of that
+  tuple, so violations are keyed as without the store; a stuck state,
+  which needs a pinned op space, digests its own.
 - A level entry holds the state's path count, the event that first
   discovered it and a link to its parent's entry.  A counterexample is
   read back along those links, so it is the breadth-first shortest one.
-  A terminal or broken state keeps only its path count.  What stays
-  alive is the store, the level being expanded, the level being built
-  and the entries on the first-discovery paths to them: an entry that is
-  no live entry's parent is garbage once its level has been expanded.
+  A broken state keeps only its path count.  What stays alive is the
+  store, the level being expanded, the level being built and the
+  entries on the first-discovery paths to them: an entry that is no
+  live entry's parent is garbage once its level has been expanded.
 - A replica the store interns has its ``applied`` context swapped for
   the equal object the store already holds
   (``ReplicaState.share_applied``, keyed on ``canonical()``), so the
@@ -214,6 +214,28 @@ _RPQ_POOL = tuple(sorted(
 ))
 
 
+def request_shape_error(data_type: str, req: object) -> str | None:
+    """Why no run of ``data_type`` issues ``req``, at any replica state,
+    or None if its shape fits its kind: a kind of the data type, a
+    non-empty str id, an int arg (not a bool) on add, increase, insert
+    and update and none on remove and readd, and an anchor (a str) on an
+    insert only."""
+    if not isinstance(req, OperationRequest):
+        return "not an OperationRequest"
+    kinds = RPQ_KINDS if data_type == RPQ else LIST_KINDS
+    if req.kind not in kinds:
+        return f"kind {req.kind!r} is not one of {kinds}"
+    if type(req.elem) is not str or not req.elem:
+        return f"id {req.elem!r} is not a non-empty string"
+    if req.kind in ("remove", "readd") and req.arg is not None:
+        return f"{req.kind} takes no arg, got {req.arg!r}"
+    if req.kind not in ("remove", "readd") and type(req.arg) is not int:
+        return f"{req.kind} takes an int arg, got {req.arg!r}"
+    if req.anchor is not None and (req.kind != "insert" or type(req.anchor) is not str):
+        return f"an anchor is a str on an insert and null otherwise, got {req.anchor!r}"
+    return None
+
+
 @dataclass(frozen=True)
 class ExplorationConfig:
     """Everything that pins down one search, plus its resource budget.
@@ -263,18 +285,14 @@ class ExplorationConfig:
                 raise BadConfig(
                     f"pinned_ops must be a tuple of {self.q} slots, got {self.pinned_ops!r}"
                 )
-            kinds = RPQ_KINDS if self.data_type == RPQ else LIST_KINDS
             for i, pool in enumerate(self.pinned_ops):
                 if not isinstance(pool, tuple) or not pool:
                     raise BadConfig(f"pinned_ops slot {i} must be a non-empty tuple, got {pool!r}")
                 for req in pool:
-                    # an int arg, not a bool, and str ids, as a corpus event carries them
-                    if (not isinstance(req, OperationRequest) or req.kind not in kinds
-                            or not (req.arg is None or type(req.arg) is int)
-                            or type(req.elem) is not str
-                            or not (req.anchor is None or type(req.anchor) is str)):
+                    if (why := request_shape_error(self.data_type, req)) is not None:
                         raise BadConfig(
-                            f"pinned_ops slot {i}: {req!r} is not a {self.data_type} request"
+                            f"pinned_ops slot {i}: {req!r} is not a {self.data_type} "
+                            f"request: {why}"
                         )
                 if len(set(pool)) != len(pool):  # each would count its schedules again
                     raise BadConfig(f"pinned_ops slot {i} repeats a request: {pool!r}")
@@ -758,7 +776,7 @@ class _ViolationLog:
                     state_digest(gs), at)
 
     def report(self, visited: int, distinct: int, traces: int, exhaustive: bool,
-               oracle_ms: dict | None) -> ExplorationReport:
+               oracle_ms: dict | None = None) -> ExplorationReport:
         """The walk's report; violations shortest schedule first, in
         discovery order among equals."""
         found = sorted(self.found, key=lambda v: len(v[1]))
@@ -789,19 +807,17 @@ _RECORD = 4  # bytes per unit index in the queue
 
 
 class _Walk:
-    """A depth-first walk: how many nodes and leaves it walked, what it
-    found (``log``) and, when asked, its terminal oracle counts.
-    Schedules are read off ``path``, the events from the node the walk
-    started at."""
+    """A depth-first walk: how many nodes and leaves it walked and what
+    it found (``log``).  Schedules are read off ``path``, the events from
+    the node the walk started at."""
 
-    def __init__(self, cfg: ExplorationConfig, emit, check: bool, collect_oracles: bool):
+    def __init__(self, cfg: ExplorationConfig, emit, check: bool):
         self.cfg = cfg
         self.emit = emit
         self.check = check
         self.visited = 0
         self.leaves = 0
         self.budget_hit = False
-        self.oracles: dict | None = {} if collect_oracles else None
         self.path: list = []
         self.log = _ViolationLog(cfg, lambda _at: tuple(self.path))
 
@@ -823,8 +839,6 @@ class _Walk:
             self.leaves += 1
             if self.emit is not None:
                 self.emit(tuple(self.path), oracle)
-            if self.oracles is not None:
-                self.oracles[oracle] = self.oracles.get(oracle, 0) + 1
             return []
         succs = _successors(cfg, gs)
         if not succs and self.check:
@@ -850,7 +864,6 @@ def enumerate_traces(
     emit: Callable[[tuple, tuple[str, ...]], None] | None = None,
     *,
     check: bool = False,
-    collect_oracles: bool = False,
 ) -> ExplorationReport:
     """Walk every schedule depth-first, children in sorted event order.
 
@@ -865,21 +878,18 @@ def enumerate_traces(
     ``cfg.state_cap + 1``.  A large walk may be split with a child process
     (see "Splitting the depth-first walk" in the module docstring).
     """
-    walk = None
-    if emit is None and cfg.state_cap is None and not collect_oracles:
-        walk = _split_walk(cfg, check)
+    walk = _split_walk(cfg, check) if emit is None and cfg.state_cap is None else None
     if walk is None:
-        walk = _Walk(cfg, emit, check, collect_oracles)
+        walk = _Walk(cfg, emit, check)
         walk.below(walk.node(initial_state(cfg)))
-    return walk.log.report(walk.visited, walk.visited, walk.leaves, not walk.budget_hit,
-                           walk.oracles)
+    return walk.log.report(walk.visited, walk.visited, walk.leaves, not walk.budget_hit)
 
 
 def _split_walk(cfg: ExplorationConfig, check: bool) -> _Walk | None:
-    """``enumerate_traces`` without ``emit``, a state cap or oracles: a
-    walk that counted the nodes above the cut and the units below it, the
-    child's units added in; None unless both processes walked their units
-    without recording a violation and the child's counts came back."""
+    """``enumerate_traces`` without ``emit`` or a state cap: a walk that
+    counted the nodes above the cut and the units below it, the child's
+    units added in; None unless both processes walked their units without
+    recording a violation and the child's counts came back."""
 
     def counts(walk: _Walk, units) -> tuple | None:
         """(nodes, leaves) of ``walk`` once it has walked each unit of the
@@ -897,7 +907,7 @@ def _split_walk(cfg: ExplorationConfig, check: bool) -> _Walk | None:
             for _ in units:
                 pass
 
-    walk = _Walk(cfg, None, check, False)
+    walk = _Walk(cfg, None, check)
     level = [initial_state(cfg)]
     while 0 < len(level) < _SPLIT_UNITS:
         level = [succ for gs in level for _, succ in walk.node(gs)]
@@ -913,7 +923,7 @@ def _split_walk(cfg: ExplorationConfig, check: bool) -> _Walk | None:
         return None if counts(walk, iter(rest)) is None else walk
     try:
         theirs = _fork_beside(
-            lambda: counts(_Walk(cfg, None, check, False), (rest[i] for i in _claim(queue))),
+            lambda: counts(_Walk(cfg, None, check), (rest[i] for i in _claim(queue))),
             lambda: counts(walk, (rest[i] for i in _claim(queue))),
         )
     finally:
@@ -1002,21 +1012,18 @@ def _fork_beside(theirs: Callable[[], tuple | None], mine: Callable[[], object])
 # -- deduplicating search -------------------------------------------------
 
 
-def explore(cfg: ExplorationConfig, *, collect_oracles: bool = False) -> ExplorationReport:
+def explore(cfg: ExplorationConfig) -> ExplorationReport:
     """Search the full state space and check every invariant.
 
     Returns a report with exact distinct-state and terminal-schedule
     counts.  Raises ``BudgetExceeded`` (with the partial report attached)
     when ``cfg.state_cap`` distinct states is not enough to finish.
     """
-    if cfg.n == 1:
-        # One replica means no messages: the state graph is a tree, every
-        # walked node is a distinct state, and the depth-first walk needs
-        # only O(depth) memory where the frontier of a breadth-first pass
-        # would hold a whole level of full states.
-        report = enumerate_traces(cfg, check=True, collect_oracles=collect_oracles)
-    else:
-        report = _explore_bfs(cfg, collect_oracles)
+    # One replica means no messages: the state graph is a tree, every
+    # walked node is a distinct state, and the depth-first walk needs only
+    # O(depth) memory where the frontier of a breadth-first pass would
+    # hold a whole level of full states.
+    report = enumerate_traces(cfg, check=True) if cfg.n == 1 else _explore_bfs(cfg, False)
     if not report.exhaustive:
         raise BudgetExceeded(
             f"state cap {cfg.state_cap} exhausted after "
@@ -1030,10 +1037,20 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     """Breadth-first over distinct states, one level at a time.
 
     Every event consumes a slot or delivers a message, so all paths to a
-    state have the same length: deduplicating within a level is complete,
-    and every terminal state sits in the last level.  Stops early, with
-    ``exhaustive`` false, before it would count distinct state
-    ``cfg.state_cap + 1``.
+    state have the same length: deduplicating within a level is complete.
+    Every run has q client events and q(n-1) deliveries, so level q·n is
+    the set of terminal states: levels 1 .. q·n are built, and one pass
+    over level q·n renders each of its states, checks it, and adds up its
+    path count and, when ``collect_oracles`` asks, its oracle.  Stops
+    early, with ``exhaustive`` false, before it would count distinct state
+    ``cfg.state_cap + 1``; if that is inside level q·n, the pass takes the
+    part of it built so far.
+
+    The pass records its violations after every ``stuck`` state of level
+    q·n-1.  At n >= 2 no state there is stuck, as one with a slot left
+    still owes that slot's n-1 deliveries; so only a search at n=1, which
+    ``explore`` walks depth-first, could keep other violations under
+    ``VIOLATION_CAP`` than a check at discovery would.
     """
     store = _IdStore(cfg)
 
@@ -1048,25 +1065,23 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
     log = _ViolationLog(cfg, schedule_of)
     visited = 1
     distinct = 1
-    # (level entry, oracle or None) per terminal state, in discovery order
-    terminals: list[tuple[list, tuple | None]] = []
+    last = cfg.q * cfg.n
 
-    def search() -> bool:
-        """Expand level by level; False if the state cap stops it."""
+    def search() -> tuple[dict, bool]:
+        """Build levels 1 .. q·n; level q·n, whole or as far as the state
+        cap let it be built, and False if the cap stopped the search."""
         nonlocal visited, distinct
         # ids -> level entry: [path count, event of the first discovery,
         # the parent's entry], down to the root's [1, None, None].  A
-        # terminal or broken state is never expanded and gets just
-        # [path count] once its violations are recorded.
+        # broken state is never expanded and gets just [path count] once
+        # its violations are recorded.
         root = store.root()
         entry = [1, None, None]
         if log.record(store.violations(root), state_digest(store.resolve(root)), entry):
             entry = [1]
         frontier = {root: entry}
-        q, cap, flagged = cfg.q, cfg.state_cap, store.flagged
-        # on ids: the root's empty channel is interned first, as id 0
-        drained, channels = (0,) * cfg.n, slice(cfg.n + 1, None)
-        while frontier:
+        cap, flagged = cfg.state_cap, store.flagged
+        for depth in range(1, last + 1):
             level: dict[tuple, list] = {}
             for ids, entry in frontier.items():
                 if len(entry) == 1:
@@ -1084,29 +1099,26 @@ def _explore_bfs(cfg: ExplorationConfig, collect_oracles: bool) -> ExplorationRe
                         continue
                     if distinct == cap:
                         visited -= len(succs) - k  # count only the edges walked
-                        return False
+                        return (level if depth == last else {}), False
                     distinct += 1
-                    terminal = succ[0] == q and succ[channels] == drained
-                    vs = store.violations(succ) if flagged else []
-                    if not (terminal or vs):
-                        level[succ] = [paths, ev, entry]
-                        continue
-                    gs = store.resolve(succ)
-                    level[succ] = child = [paths]
-                    if terminal:
-                        oracle = store.render(succ)
-                        vs += terminal_violations(gs, oracle)
-                        terminals.append((child, oracle if collect_oracles else None))
-                    if vs:
-                        log.record(vs, state_digest(gs), [paths, ev, entry])
+                    level[succ] = child = [paths, ev, entry]
+                    # the pass checks level q·n
+                    if flagged and depth < last and (vs := store.violations(succ)):
+                        log.record(vs, state_digest(store.resolve(succ)), child)
+                        level[succ] = [paths]
             frontier = level
-        return True
+        return frontier, True
 
-    exhaustive = search()
-    oracle_ms = None
-    if collect_oracles:
-        oracle_ms = {}
-        for (paths,), oracle in terminals:
-            oracle_ms[oracle] = oracle_ms.get(oracle, 0) + paths
-    traces = sum(paths for (paths,), _ in terminals)
+    terminal, exhaustive = search()
+    traces = 0
+    oracle_ms: dict | None = {} if collect_oracles else None
+    for ids, entry in terminal.items():
+        oracle = store.render(ids)
+        gs = store.resolve(ids)
+        vs = store.violations(ids) + terminal_violations(gs, oracle)
+        if vs:
+            log.record(vs, state_digest(gs), entry)
+        traces += entry[0]
+        if oracle_ms is not None:
+            oracle_ms[oracle] = oracle_ms.get(oracle, 0) + entry[0]
     return log.report(visited, distinct, traces, exhaustive, oracle_ms)

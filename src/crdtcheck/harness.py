@@ -28,7 +28,11 @@ Verdicts per case:
                      client events and q·(n-1) deliveries), or a
                      delivery no run contains: to its own origin, of a
                      counter its origin has not issued by then, or of
-                     one message to one replica twice.
+                     one message to one replica twice; or a client
+                     request no run issues: a kind of the other data
+                     type, an empty id, an arg missing on add,
+                     increase, insert or update or present on remove
+                     or readd, or an anchor on anything but an insert.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -47,11 +51,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
 from .errors import BadConfig, CrdtCheckError, ProtocolViolation
-from .explorer import (
-    ClientEvent,
-    ExplorationConfig,
-    config_fingerprint,
-)
+from .explorer import ClientEvent, ExplorationConfig, config_fingerprint, request_shape_error
 from .operations import RPQ, OperationRequest
 from .replica import ReplicaState, fresh_replica
 from .server import ReplicaServer, check_bug_flags
@@ -223,7 +223,7 @@ def _exchange(endpoint, frame: dict, want: str) -> dict:
     return reply
 
 
-def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
+def _misfit(tc: TestCase, n: int, cfg: ExplorationConfig, expected_fp: str) -> str | None:
     """Why ``tc`` is not a run of this configuration, or None if it is."""
     if tc.fingerprint != expected_fp:
         return (f"case fingerprint {tc.fingerprint[:12]}… does not match "
@@ -239,12 +239,14 @@ def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
         if (ev.slot, ev.target) != (i, i % n):
             return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
                     f"not slot {i} at replica {i % n}")
-        if i == q:
-            return f"client event {i} takes slot {i}, configuration has {q} slots"
+        if i == cfg.q:
+            return f"client event {i} takes slot {i}, configuration has {cfg.q} slots"
+        if (why := request_shape_error(cfg.data_type, ev.req)) is not None:
+            return f"client event {i} is no {cfg.data_type} request: {why}"
     deliveries = len(tc.schedule) - len(clients)
-    if (len(clients), deliveries) != (q, q * (n - 1)):
+    if (len(clients), deliveries) != (cfg.q, cfg.q * (n - 1)):
         return (f"schedule has {len(clients)} client event(s) and {deliveries} delivery "
-                f"event(s), a complete run has {q} and {q * (n - 1)}")
+                f"event(s), a complete run has {cfg.q} and {cfg.q * (n - 1)}")
     issued, delivered = [0] * n, set()  # counters issued so far, by replica
     for ev in tc.schedule:
         if isinstance(ev, ClientEvent):
@@ -264,12 +266,13 @@ def _misfit(tc: TestCase, n: int, q: int, expected_fp: str) -> str | None:
     return None
 
 
-def replay_case(tc: TestCase, endpoints: list, expected_fp: str, q: int) -> CaseResult:
+def replay_case(
+    tc: TestCase, endpoints: list, expected_fp: str, cfg: ExplorationConfig
+) -> CaseResult:
     """Run one corpus case against freshly constructed endpoints, one per
-    replica, of the configuration with fingerprint ``expected_fp`` and
-    ``q`` request slots."""
+    replica, of ``cfg``, whose fingerprint is ``expected_fp``."""
     n = len(endpoints)
-    if (misfit := _misfit(tc, n, q, expected_fp)) is not None:
+    if (misfit := _misfit(tc, n, cfg, expected_fp)) is not None:
         return CaseResult(tc.case_id, REJECTED, detail=misfit)
     in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
     replica = None  # the replica a failure is blamed on
@@ -331,7 +334,7 @@ def replay_corpus(
     expected_fp = config_fingerprint(cfg)
     summary = ReplaySummary()
     for tc in iter_corpus(stream):
-        summary.note(replay_case(tc, endpoints_factory(), expected_fp, cfg.q))
+        summary.note(replay_case(tc, endpoints_factory(), expected_fp, cfg))
     return summary
 
 

@@ -75,6 +75,17 @@ def cfg_of(**kw) -> ExplorationConfig:
     return ExplorationConfig(**base)
 
 
+def walk_with_oracles(cfg: ExplorationConfig, **kw):
+    """The depth-first walk's report and its terminal oracle counts,
+    counted through ``emit`` (which keeps the walk in this process)."""
+    counts: dict = {}
+
+    def emit(_schedule, oracle):
+        counts[oracle] = counts.get(oracle, 0) + 1
+
+    return enumerate_traces(cfg, emit, **kw), counts
+
+
 # -- configuration validation ---------------------------------------------
 
 
@@ -186,10 +197,10 @@ def assert_walks_agree(cfg: ExplorationConfig):
     invariant; returns the breadth-first report.  The depth-first walk
     issues and delivers with ReplicaState directly; the breadth-first
     search goes through its id store and move memos."""
-    brute = enumerate_traces(cfg, check=True, collect_oracles=True)
+    brute, oracles = walk_with_oracles(cfg, check=True)
     deduped = _explore_bfs(cfg, collect_oracles=True)
     assert deduped.terminal_traces == brute.terminal_traces
-    assert deduped.oracle_multiset == brute.oracle_multiset
+    assert deduped.oracle_multiset == oracles
     assert deduped.distinct_states <= brute.states_visited
 
     def violated(report) -> set:
@@ -368,8 +379,8 @@ def test_terminal_states_are_rendered_once(monkeypatch):
     # each terminal state, and the breadth-first search normalizes one
     # replica per distinct digest in it: its 388 terminal states all
     # converged.  The depth-first walk and its emitted records render
-    # every replica of every terminal schedule; a state cap it never
-    # reaches keeps it in this process, where the calls are counted.
+    # every replica of every terminal schedule; ``emit`` keeps it in this
+    # process, where the calls are counted.
     calls = count_normalize(monkeypatch)
     cfg = cfg_of(data_type="list", n=2, q=3)
     _explore_bfs(cfg, collect_oracles=False)
@@ -378,7 +389,7 @@ def test_terminal_states_are_rendered_once(monkeypatch):
     _explore_bfs(cfg, collect_oracles=True)
     assert len(calls) == 388
     calls.clear()
-    report = enumerate_traces(replace(cfg, state_cap=10**9), check=True, collect_oracles=True)
+    report, _ = walk_with_oracles(cfg, check=True)
     assert report.terminal_traces == 908
     assert len(calls) == 2 * 908
 
@@ -398,16 +409,17 @@ def test_diverged_terminal_replicas_are_rendered_apart(monkeypatch, kw, normaliz
 
 def test_tree_mode_and_bfs_agree_on_single_replica():
     cfg = cfg_of(q=3)
-    tree = explore(cfg, collect_oracles=True)
+    tree = explore(cfg)
+    _, oracles = walk_with_oracles(cfg, check=True)
     bfs = _explore_bfs(cfg, collect_oracles=True)
     assert tree.terminal_traces == bfs.terminal_traces
-    assert tree.oracle_multiset == bfs.oracle_multiset
+    assert oracles == bfs.oracle_multiset
 
 
 def test_exploration_is_deterministic():
     cfg = cfg_of(data_type="list", n=2, q=2)
-    a = explore(cfg, collect_oracles=True)
-    b = explore(cfg, collect_oracles=True)
+    a = _explore_bfs(cfg, collect_oracles=True)
+    b = _explore_bfs(cfg, collect_oracles=True)
     assert a.as_json()["violations"] == b.as_json()["violations"]
     assert (a.terminal_traces, a.distinct_states, a.oracle_multiset) == (
         b.terminal_traces, b.distinct_states, b.oracle_multiset
@@ -670,13 +682,11 @@ def test_causal_assumption_breaks_under_arbitrary_delivery():
 
 
 def test_causal_assumption_is_safe_on_a_causal_channel():
-    sloppy = explore(
-        cfg_of(n=2, q=3, bug_flags=BUG2, channel="causal"),
-        collect_oracles=True,
+    sloppy = _explore_bfs(
+        cfg_of(n=2, q=3, bug_flags=BUG2, channel="causal"), collect_oracles=True
     )
-    strict = explore(
-        cfg_of(n=2, q=3, channel="causal"), collect_oracles=True
-    )
+    strict = _explore_bfs(cfg_of(n=2, q=3, channel="causal"), collect_oracles=True)
+    assert sloppy.exhaustive and strict.exhaustive
     assert sloppy.violations == ()
     assert sloppy.terminal_traces == strict.terminal_traces
     assert sloppy.oracle_multiset == strict.oracle_multiset
@@ -840,6 +850,16 @@ def test_stuck_states_are_reported_by_both_walks():
             assert not is_terminal(cfg, gs) and not enabled_events(cfg, gs)
     assert {v.schedule for v in deduped.violations} == {v.schedule for v in brute.violations}
     assert len({v.schedule for v in deduped.violations}) == 2
+    # One replica: the state that inserted e2 offers no update of e1.  It
+    # is stuck one level above the terminal level, which the
+    # breadth-first search checks in a pass of its own.
+    cfg = cfg_of(data_type="list", q=2, pinned_ops=(
+        (OperationRequest("insert", "e1", 10), OperationRequest("insert", "e2", 10)),
+        (OperationRequest("update", "e1", 20),),
+    ))
+    for report in (_explore_bfs(cfg, True), enumerate_traces(cfg, check=True)):
+        assert (report.terminal_traces, report.distinct_states) == (1, 4)
+        assert [(v.invariant, len(v.schedule)) for v in report.violations] == [("stuck", 1)]
 
 
 def test_pinned_ops_fingerprint_differs_from_standard():
@@ -869,10 +889,21 @@ def test_pinned_ops_validation():
     ((1,),), (1,), 1, [(OperationRequest("add", "e", 10),)],
     ((OperationRequest("add", "e", True),),),  # a bool arg would render as True
     ((OperationRequest("add", ["e"], 10),),),  # nor could a list id be hashed
+    # Requests no run issues.  An add without its arg would fail in the
+    # view, an insert without one would write None into the oracle, and a
+    # remove with an arg or an update with an anchor beside the plain
+    # request would count each schedule of the same effect twice.
+    ((OperationRequest("add", "e"),),),
+    ((OperationRequest("insert", "e1"),),),
+    ((OperationRequest("remove", "e"), OperationRequest("remove", "e", 1)),),
+    ((OperationRequest("update", "e1", 10), OperationRequest("update", "e1", 10, "e1")),),
+    ((OperationRequest("remove", ""),),),
 ])
 def test_pinned_ops_of_the_wrong_type_are_refused_by_name(pinned):
-    with pytest.raises(BadConfig, match="pinned_ops"):
-        cfg_of(q=1, pinned_ops=pinned)
+    # every input is refused for either data type
+    for data_type in ("rpq", "list"):
+        with pytest.raises(BadConfig, match="pinned_ops"):
+            cfg_of(data_type=data_type, q=1, pinned_ops=pinned)
 
 
 @pytest.mark.parametrize("flags", ["bug1-readd-accept", ("bug1-readd-accept",), {"bug1-readd-accept"}])
@@ -1254,7 +1285,11 @@ def test_walks_that_cannot_split_never_fork(monkeypatch, how):
     if how == "thread":
         thread.start()
     try:
-        report = enumerate_traces(cfg, emit, check=True, collect_oracles=how == "oracles")
+        if how == "oracles":  # oracles are counted through ``emit``
+            report, oracles = walk_with_oracles(cfg, check=True)
+            assert sum(oracles.values()) == 5**4
+        else:
+            report = enumerate_traces(cfg, emit, check=True)
     finally:
         release.set()
         if how == "thread":

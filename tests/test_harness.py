@@ -74,7 +74,7 @@ def first_case(cfg):
 def test_pass_verdict():
     cfg = rpq_cfg()
     tc = first_case(cfg)
-    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg)
     assert result.status == PASS
     assert result.as_json()["status"] == "pass"
 
@@ -83,7 +83,7 @@ def test_fingerprint_mismatch_is_rejected_before_any_replay():
     cfg = rpq_cfg()
     other = rpq_cfg(q=3)
     tc = first_case(cfg)
-    result = replay_case(tc, loopback_factory(other)(), config_fingerprint(other), other.q)
+    result = replay_case(tc, loopback_factory(other)(), config_fingerprint(other), other)
     assert result.status == REJECTED
     assert "fingerprint" in result.detail
 
@@ -97,7 +97,7 @@ def test_oracle_arity_mismatch_is_rejected():
         schedule=tc.schedule,
         oracle=tc.oracle + ("extra",),
     )
-    result = replay_case(crippled, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
+    result = replay_case(crippled, loopback_factory(cfg)(), config_fingerprint(cfg), cfg)
     assert result.status == REJECTED
     assert "oracle" in result.detail
 
@@ -110,7 +110,7 @@ def test_tampered_oracle_diverges_with_a_byte_offset():
         case_id=tc.case_id, fingerprint=tc.fingerprint,
         schedule=tc.schedule, oracle=broken_oracle,
     )
-    result = replay_case(tampered, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
+    result = replay_case(tampered, loopback_factory(cfg)(), config_fingerprint(cfg), cfg)
     assert result.status == DIVERGED
     assert result.replica == 0
     assert result.diff_offset is not None and result.diff_offset >= 0
@@ -124,7 +124,7 @@ def test_unsatisfiable_delivery_is_a_replica_error():
     tc = first_case(cfg)
     ev = next(ev for ev in tc.schedule if isinstance(ev, DeliverEvent))
     endpoints = [MangledFanout(ReplicaServer("rpq", i, 2), lambda syncs: []) for i in range(2)]
-    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica == ev.dest
     assert result.detail == (
@@ -138,7 +138,7 @@ def test_rejected_scheduled_request_is_a_replica_error():
     dup = OperationRequest("insert", "e1", 10)
     schedule = (ClientEvent(0, 0, dup), ClientEvent(1, 0, dup))
     tc = parse_case_line(1, case_line(config_fingerprint(cfg), schedule, ("{}",)))
-    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
     assert "rejected" in result.detail
@@ -275,7 +275,7 @@ def test_an_incomplete_schedule_is_rejected_before_any_frame(name):
     cfg = ExplorationConfig(data_type="list", n=2, q=3)
     assert json.loads(corpus_text(cfg).splitlines()[0])["sched"][-1] == ["D", 1, 0, 2]
     tc = parse_case_line(1, cut_line(cfg, keep))
-    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg)
     assert (result.status, result.detail) == (REJECTED, detail)
 
 
@@ -319,11 +319,45 @@ def test_a_delivery_no_run_contains_is_rejected_before_any_frame(name, tmp_path,
     doc["sched"] = edit(doc["sched"])
     line = recased(doc)
     tc = parse_case_line(1, line)
-    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg)
     assert (result.status, result.detail) == (REJECTED, detail)
     corpus = tmp_path / "edited.jsonl"
     corpus.write_text(line + "\n")
     assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
+
+
+# Requests no run issues, each in place of the first request of the
+# first n=2 q=2 line of its data type: (data type, request, why).
+NO_RUN_REQUESTS = {
+    "other-kind": ("rpq", {"anchor": None, "arg": 10, "id": "e", "kind": "insert"},
+                   "kind 'insert' is not one of ('add', 'increase', 'remove')"),
+    "add-without-arg": ("rpq", {"anchor": None, "arg": None, "id": "e", "kind": "add"},
+                        "add takes an int arg, got None"),
+    "remove-with-arg": ("rpq", {"anchor": None, "arg": 3, "id": "e", "kind": "remove"},
+                        "remove takes no arg, got 3"),
+    "update-with-anchor": ("list", {"anchor": "e1", "arg": 10, "id": "e1", "kind": "update"},
+                           "an anchor is a str on an insert and null otherwise, got 'e1'"),
+    "empty-id": ("list", {"anchor": None, "arg": 10, "id": "", "kind": "insert"},
+                 "id '' is not a non-empty string"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NO_RUN_REQUESTS))
+def test_a_request_no_run_issues_is_rejected_before_any_frame(name, tmp_path, capsys):
+    # the servers would refuse it, and be blamed, or drop the extra field
+    # and pass a case no run contains
+    data_type, req, why = NO_RUN_REQUESTS[name]
+    cfg = ExplorationConfig(data_type=data_type, n=2, q=2)
+    line = edited_line(cfg, "C", 2, req)
+    tc = parse_case_line(1, line)
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg)
+    assert (result.status, result.detail) == (
+        REJECTED, f"client event 0 is no {data_type} request: {why}"
+    )
+    corpus = tmp_path / "edited.jsonl"
+    corpus.write_text(line + "\n")
+    assert main(["replay", "--type", data_type, "-n", "2", "-q", "2", str(corpus)]) == 1
     assert json.loads(capsys.readouterr().out)["rejected"] == 1
 
 
@@ -378,7 +412,7 @@ def test_model_and_server_agree_on_refusals():
     probes = 0
     for tc in iter_corpus(io.StringIO(corpus_text(cfg))):
         endpoints = loopback_factory(cfg)()
-        assert replay_case(tc, endpoints, fp, cfg.q).status == PASS
+        assert replay_case(tc, endpoints, fp, cfg).status == PASS
         gs = replay_schedule(cfg, tc.schedule)
         for i, ep in enumerate(endpoints):
             before = ep.send({"type": "Inspect"})
@@ -515,7 +549,7 @@ def test_bad_fanout_is_a_replica_error_in_replay(name):
         MangledFanout(ReplicaServer("rpq", i, 2), BAD_FANOUTS[name])
         for i in range(2)
     ]
-    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
     assert "fan-out" in result.detail
@@ -656,7 +690,7 @@ def bad_endpoints(name: str, n: int) -> list:
 def test_bad_reply_is_a_replica_error_in_replay(name):
     cfg = ExplorationConfig(data_type="list", n=2, q=2)
     tc = first_case(cfg)
-    result = replay_case(tc, bad_endpoints(name, 2), config_fingerprint(cfg), cfg.q)
+    result = replay_case(tc, bad_endpoints(name, 2), config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica in (0, 1)
     assert result.detail
