@@ -16,7 +16,9 @@ The default channel is *arbitrary*: any in-flight message may arrive
 next, so reordering and arbitrary delay are both explored (messages are
 never lost — every terminal state has empty channels).  The *causal*
 channel only enables a delivery when the destination has already
-delivered everything in the message's context snapshot.
+delivered everything in the message's context snapshot.  ``run_error``
+states the same rule from a schedule alone, without the model: it is
+how ``replay`` tells a case that is no run from a faulty server.
 
 Two searches share the same transition function:
 
@@ -637,6 +639,68 @@ def _successors(cfg: ExplorationConfig, gs: tuple, store=_Direct) -> list[tuple]
                 succ[c] = rest
                 out.append((ev, tuple(succ)))
     return out
+
+
+def run_error(cfg: ExplorationConfig, schedule) -> str | None:
+    """Why ``schedule`` is no complete run of ``cfg``, or None if it may
+    be one; read off the schedule alone, with no model state.
+
+    The checks, in order: every replica index is in 0..n-1; client
+    event i takes slot i at replica i mod n, for slots 0..q-1 only, with
+    a request of ``request_shape_error``'s shape; there are q client
+    events and q·(n-1) deliveries; and each delivery is of a message
+    already issued, not to its origin, not twice to one replica, and on
+    a causal channel (``_Direct.ready`` stated without the model) only
+    once its destination has issued or received every message of its
+    context: all that its origin had issued or received when issuing it.
+    Whether a request is valid at its replica is left to the replica, so
+    a list schedule this passes may still be refused by ``step``.
+    """
+    n = cfg.n
+    for ev in schedule:
+        for replica in (ev.target,) if isinstance(ev, ClientEvent) else (ev.dest, ev.origin):
+            if not 0 <= replica < n:
+                return f"schedule names replica {replica}, configuration has {n}"
+    clients = [ev for ev in schedule if isinstance(ev, ClientEvent)]
+    for i, ev in enumerate(clients):
+        if (ev.slot, ev.target) != (i, i % n):
+            return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
+                    f"not slot {i} at replica {i % n}")
+        if i == cfg.q:
+            return f"client event {i} takes slot {i}, configuration has {cfg.q} slots"
+        if (why := request_shape_error(cfg.data_type, ev.req)) is not None:
+            return f"client event {i} is no {cfg.data_type} request: {why}"
+    deliveries = len(schedule) - len(clients)
+    if (len(clients), deliveries) != (cfg.q, cfg.q * (n - 1)):
+        return (f"schedule has {len(clients)} client event(s) and {deliveries} delivery "
+                f"event(s), a complete run has {cfg.q} and {cfg.q * (n - 1)}")
+    issued = [0] * n  # counters issued so far, by replica
+    held = [set() for _ in range(n)]  # (origin, counter) issued at or delivered to each
+    contexts = {}  # (origin, counter) -> what its origin held when issuing it
+    for ev in schedule:
+        if isinstance(ev, ClientEvent):
+            issued[ev.target] += 1
+            dot = (ev.target, issued[ev.target])
+            contexts[dot] = frozenset(held[ev.target])
+            held[ev.target].add(dot)
+            continue
+        dot = (ev.origin, ev.counter)
+        if ev.dest == ev.origin:
+            why = "a replica's own messages are not delivered to it"
+        elif not 0 < ev.counter <= issued[ev.origin]:
+            why = f"replica {ev.origin} has issued {issued[ev.origin]} message(s) by then"
+        elif dot in held[ev.dest]:
+            why = "it was delivered before"
+        elif cfg.channel == CHANNEL_CAUSAL and (lacks := contexts[dot] - held[ev.dest]):
+            origin, counter = min(lacks)
+            why = (f"a causal channel holds it until replica {ev.dest} has message "
+                   f"{counter} from replica {origin}")
+        else:
+            held[ev.dest].add(dot)
+            continue
+        return (f"delivery of message {ev.counter} from replica {ev.origin} to replica "
+                f"{ev.dest} is in no run: {why}")
+    return None
 
 
 def step(cfg: ExplorationConfig, gs: tuple, ev) -> tuple:

@@ -20,19 +20,15 @@ Verdicts per case:
                      deliver but the servers' fan-out never produced.
 - ``rejected``       not a run of this configuration, so no frame was
                      sent: another configuration's fingerprint, an
-                     oracle for another replica count, a replica index
-                     (client target, delivery dest or origin) outside
-                     0..n-1, client events that do not take slots
-                     0, 1, ..., q-1 in order, slot i at replica i mod n,
-                     a schedule that is not complete (a run has q
-                     client events and q·(n-1) deliveries), or a
-                     delivery no run contains: to its own origin, of a
-                     counter its origin has not issued by then, or of
-                     one message to one replica twice; or a client
-                     request no run issues: a kind of the other data
-                     type, an empty id, an arg missing on add,
-                     increase, insert or update or present on remove
-                     or readd, or an anchor on anything but an insert.
+                     oracle for another replica count, or a schedule
+                     ``explorer.run_error`` finds in no run: a replica
+                     index outside 0..n-1, client events off slots
+                     0..q-1 at replica i mod n, a client request no
+                     run issues, an incomplete schedule, or a delivery
+                     to its own origin, of a message not yet issued,
+                     of one message to one replica twice, or, on a
+                     causal channel, before its destination has
+                     issued or received every message of its context.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -51,7 +47,7 @@ from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
 from .errors import BadConfig, CrdtCheckError, ProtocolViolation
-from .explorer import ClientEvent, ExplorationConfig, config_fingerprint, request_shape_error
+from .explorer import ClientEvent, ExplorationConfig, config_fingerprint, run_error
 from .operations import RPQ, OperationRequest
 from .replica import ReplicaState, fresh_replica
 from .server import ReplicaServer, check_bug_flags
@@ -223,56 +219,23 @@ def _exchange(endpoint, frame: dict, want: str) -> dict:
     return reply
 
 
-def _misfit(tc: TestCase, n: int, cfg: ExplorationConfig, expected_fp: str) -> str | None:
-    """Why ``tc`` is not a run of this configuration, or None if it is."""
-    if tc.fingerprint != expected_fp:
-        return (f"case fingerprint {tc.fingerprint[:12]}… does not match "
-                f"this configuration ({expected_fp[:12]}…)")
-    if len(tc.oracle) != n:
-        return f"oracle covers {len(tc.oracle)} replicas, configuration has {n}"
-    for ev in tc.schedule:
-        for replica in (ev.target,) if isinstance(ev, ClientEvent) else (ev.dest, ev.origin):
-            if not 0 <= replica < n:
-                return f"schedule names replica {replica}, configuration has {n}"
-    clients = [ev for ev in tc.schedule if isinstance(ev, ClientEvent)]
-    for i, ev in enumerate(clients):
-        if (ev.slot, ev.target) != (i, i % n):
-            return (f"client event {i} takes slot {ev.slot} at replica {ev.target}, "
-                    f"not slot {i} at replica {i % n}")
-        if i == cfg.q:
-            return f"client event {i} takes slot {i}, configuration has {cfg.q} slots"
-        if (why := request_shape_error(cfg.data_type, ev.req)) is not None:
-            return f"client event {i} is no {cfg.data_type} request: {why}"
-    deliveries = len(tc.schedule) - len(clients)
-    if (len(clients), deliveries) != (cfg.q, cfg.q * (n - 1)):
-        return (f"schedule has {len(clients)} client event(s) and {deliveries} delivery "
-                f"event(s), a complete run has {cfg.q} and {cfg.q * (n - 1)}")
-    issued, delivered = [0] * n, set()  # counters issued so far, by replica
-    for ev in tc.schedule:
-        if isinstance(ev, ClientEvent):
-            issued[ev.target] += 1
-            continue
-        if ev.dest == ev.origin:
-            why = "a replica's own messages are not delivered to it"
-        elif not 0 < ev.counter <= issued[ev.origin]:
-            why = f"replica {ev.origin} has issued {issued[ev.origin]} message(s) by then"
-        elif ev in delivered:
-            why = "it was delivered before"
-        else:
-            delivered.add(ev)
-            continue
-        return (f"delivery of message {ev.counter} from replica {ev.origin} to replica "
-                f"{ev.dest} is in no run: {why}")
-    return None
-
-
 def replay_case(
     tc: TestCase, endpoints: list, expected_fp: str, cfg: ExplorationConfig
 ) -> CaseResult:
     """Run one corpus case against freshly constructed endpoints, one per
-    replica, of ``cfg``, whose fingerprint is ``expected_fp``."""
-    n = len(endpoints)
-    if (misfit := _misfit(tc, n, cfg, expected_fp)) is not None:
+    replica, of ``cfg``, whose fingerprint is ``expected_fp``.  Raises
+    ``BadConfig``, before any frame, unless there are n endpoints."""
+    n = cfg.n
+    if len(endpoints) != n:
+        raise BadConfig(f"need one endpoint per replica, got {len(endpoints)} for {n}")
+    if tc.fingerprint != expected_fp:
+        misfit = (f"case fingerprint {tc.fingerprint[:12]}… does not match "
+                  f"this configuration ({expected_fp[:12]}…)")
+    elif len(tc.oracle) != n:
+        misfit = f"oracle covers {len(tc.oracle)} replicas, configuration has {n}"
+    else:
+        misfit = run_error(cfg, tc.schedule)
+    if misfit is not None:
         return CaseResult(tc.case_id, REJECTED, detail=misfit)
     in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
     replica = None  # the replica a failure is blamed on
@@ -325,7 +288,8 @@ def replay_corpus(
     ``bug_flags`` unless ``endpoints_factory`` makes the endpoints.
     Raises ``MalformedCase`` on unparseable lines, ``UnknownFlag`` for a
     flag outside the catalog and ``BadConfig`` for flags together with a
-    factory, whose servers they could not reach."""
+    factory, whose servers they could not reach, or for a factory whose
+    endpoints are not one per replica."""
     if endpoints_factory is None:
         endpoints_factory = loopback_factory(cfg, bug_flags)
     elif check_bug_flags(bug_flags):
@@ -435,9 +399,9 @@ def stress(
     failure.  The servers are loopback servers with ``bug_flags`` unless
     ``endpoints`` is given.  Raises ``BadConfig`` for an unknown data
     type, a replica count outside 1..3, a seed, round or op count that
-    is not exactly an ``int``, fewer than one round or op per round, or
-    bug flags together with ``endpoints``; ``UnknownFlag`` for a flag
-    outside the catalog.
+    is not exactly an ``int``, fewer than one round or op per round, bug
+    flags together with ``endpoints``, or ``endpoints`` that are not one
+    per replica; ``UnknownFlag`` for a flag outside the catalog.
     """
     for name, value in (("seed", seed), ("rounds", rounds), ("ops_per_round", ops_per_round)):
         if type(value) is not int:  # not a bool: True would run as 1
@@ -452,6 +416,8 @@ def stress(
     elif check_bug_flags(bug_flags):
         raise BadConfig("bug flags configure the loopback servers; "
                         "custom endpoints take none")
+    if len(endpoints) != n:
+        raise BadConfig(f"need one endpoint per replica, got {len(endpoints)} for {n}")
     models = [fresh_replica(data_type, i) for i in range(n)]
     report = StressReport(seed=seed, rounds=rounds)
     # in-flight: list of (dest, wire message, model SyncMessage)

@@ -519,6 +519,75 @@ def test_causal_channel_never_reorders_same_origin_messages():
     walk(initial_state(cfg), [])
 
 
+def one_edits(schedule: tuple):
+    """The schedule itself, each of it with one adjacent pair swapped,
+    and each of it with one event dropped."""
+    yield schedule
+    for i in range(len(schedule) - 1):
+        yield schedule[:i] + (schedule[i + 1], schedule[i]) + schedule[i + 2:]
+    for i in range(len(schedule)):
+        yield schedule[:i] + schedule[i + 1:]
+
+
+def model_refusal(cfg: ExplorationConfig, schedule):
+    """(the first event ``step`` refuses, the state it is refused in);
+    (None, the end state) if the run ends terminal; ("incomplete", the
+    end state) if it ends anywhere else."""
+    gs = initial_state(cfg)
+    for ev in schedule:
+        try:
+            gs = step(cfg, gs, ev)
+        except NotEnabled:
+            return ev, gs
+    return (None if is_terminal(cfg, gs) else "incomplete"), gs
+
+
+# One request per slot of n=2 q=3.  The list's remove of e2 at replica 0
+# is valid only once e2 has reached it, and its message then needs e1's
+# before it on a causal channel.
+RUN_RULE_PINS = {
+    "rpq": ((OperationRequest("add", "e", 10),), (OperationRequest("increase", "e", 4),),
+            (OperationRequest("remove", "e"),)),
+    "list": ((OperationRequest("insert", "e1", 10),), (OperationRequest("insert", "e2", 10),),
+             (OperationRequest("remove", "e2"),)),
+}
+
+
+@pytest.mark.parametrize("channel", ["arbitrary", "causal"])
+@pytest.mark.parametrize("data_type, pinned, every, edits, request_only", [
+    ("rpq", True, 1, (180, 132), (0, 0)),
+    ("list", True, 1, (60, 48), (4, 3)),
+    # every 10th schedule of the standard space keeps this near a second
+    ("rpq", False, 10, (2256, 1656), (0, 0)),
+])
+def test_run_error_agrees_with_the_enabled_events(
+    channel, data_type, pinned, every, edits, request_only
+):
+    # run_error states the run rule without the model; _successors is the
+    # one definition of a run, so the two must agree on every near-run
+    cfg = cfg_of(data_type=data_type, n=2, q=3, channel=channel,
+                 pinned_ops=RUN_RULE_PINS[data_type] if pinned else None)
+    schedules = []
+    enumerate_traces(cfg, lambda schedule, _oracle: schedules.append(schedule))
+    seen = passed_only = 0
+    for schedule in schedules[::every]:
+        for edited in one_edits(schedule):
+            seen += 1
+            why = explorer.run_error(cfg, edited)
+            refused, gs = model_refusal(cfg, edited)
+            if data_type == "rpq" or refused is None or why is not None:
+                assert (why is None) == (refused is None), (edited, why, refused)
+            else:
+                # every request is valid at every rpq replica; a list
+                # replica's validity is left to the servers
+                assert isinstance(refused, ClientEvent), (edited, refused)
+                assert gs[1 + refused.target].request_error(refused.req) is not None
+                passed_only += 1
+    # (arbitrary, causal) counts; edits = schedules taken x (1 + 5 + 6)
+    pick = channel == "causal"
+    assert (seen, passed_only) == (edits[pick], request_only[pick])
+
+
 def test_event_wire_round_trip():
     c = ClientEvent(0, 1, OperationRequest("insert", "e1", 10, anchor=None))
     d = DeliverEvent(dest=1, origin=0, counter=3)

@@ -8,6 +8,7 @@ import json
 import socket
 import struct
 import threading
+from dataclasses import replace
 
 import pytest
 
@@ -19,6 +20,7 @@ from crdtcheck.explorer import (
     ExplorationConfig,
     config_fingerprint,
     replay_schedule,
+    run_error,
 )
 from crdtcheck.harness import (
     DIVERGED,
@@ -359,6 +361,51 @@ def test_a_request_no_run_issues_is_rejected_before_any_frame(name, tmp_path, ca
     corpus.write_text(line + "\n")
     assert main(["replay", "--type", data_type, "-n", "2", "-q", "2", str(corpus)]) == 1
     assert json.loads(capsys.readouterr().out)["rejected"] == 1
+
+
+@pytest.mark.parametrize("data_type", ["rpq", "list"])
+def test_a_delivery_no_causal_run_contains_is_rejected_before_any_frame(
+    data_type, tmp_path, capsys
+):
+    # The first causal n=2 q=3 line issues messages 1 and 2 at replica 0
+    # and delivers them to replica 1 last.  Swapped, message 2 arrives
+    # before the message 1 it was issued after: a run of an arbitrary
+    # channel, but of no causal one, where a bug2-assume-causal server
+    # could be blamed for it.
+    cfg = ExplorationConfig(data_type=data_type, n=2, q=3, channel="causal")
+    doc = json.loads(corpus_text(cfg).splitlines()[0])
+    assert doc["sched"][-2:] == [["D", 1, 0, 1], ["D", 1, 0, 2]]
+    doc["sched"][-2:] = doc["sched"][:-3:-1]
+    line = recased(doc)
+    tc = parse_case_line(1, line)
+    assert run_error(replace(cfg, channel="arbitrary"), tc.schedule) is None
+    result = replay_case(tc, [Untouchable(), Untouchable()], config_fingerprint(cfg), cfg)
+    assert (result.status, result.detail) == (
+        REJECTED, "delivery of message 2 from replica 0 to replica 1 is in no run: "
+        "a causal channel holds it until replica 1 has message 1 from replica 0"
+    )
+    corpus = tmp_path / "swapped.jsonl"
+    corpus.write_text(line + "\n")
+    argv = ["replay", "--type", data_type, "-n", "2", "-q", "3", "--channel", "causal"]
+    assert main([*argv, str(corpus)]) == 1
+    assert json.loads(capsys.readouterr().out)["rejected"] == 1
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_endpoints_of_the_wrong_count_are_refused_before_any_frame(count):
+    # n comes from the configuration: an extra endpoint must not read as
+    # an oracle of the wrong size, nor a fan-out to it as the server's
+    # issue divergence
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    line = corpus_text(cfg).splitlines()[0]
+    message = f"need one endpoint per replica, got {count} for 2"
+    with pytest.raises(BadConfig, match=message):
+        replay_case(parse_case_line(1, line), [Untouchable()] * count,
+                    config_fingerprint(cfg), cfg)
+    with pytest.raises(BadConfig, match=message):
+        replay_corpus(cfg, io.StringIO(line), endpoints_factory=lambda: [Untouchable()] * count)
+    with pytest.raises(BadConfig, match=message):
+        stress("list", 2, seed=1, endpoints=[Untouchable()] * count)
 
 
 def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):

@@ -9,7 +9,7 @@ import json
 import pytest
 
 from crdtcheck.errors import BadConfig, BudgetExceeded, MalformedCase
-from crdtcheck.explorer import ExplorationConfig, config_fingerprint
+from crdtcheck.explorer import ClientEvent, ExplorationConfig, config_fingerprint, enumerate_traces
 from crdtcheck.testgen import (
     CORPUS_VERSION,
     case_line,
@@ -52,6 +52,33 @@ def test_corpus_bytes_are_pinned(data_type, bugs, digest):
     out = io.StringIO()
     generate_corpus(cfg, out)
     assert hashlib.sha256(out.getvalue().encode("utf-8")).hexdigest() == digest
+
+
+def local_sequences(schedule: tuple, n: int) -> tuple:
+    """Each replica's own events, in schedule order: the client events
+    it takes and the deliveries made to it."""
+    seqs = [[] for _ in range(n)]
+    for ev in schedule:
+        seqs[ev.target if isinstance(ev, ClientEvent) else ev.dest].append(ev)
+    return tuple(map(tuple, seqs))
+
+
+@pytest.mark.parametrize("data_type, q, traces, oracles", [
+    ("list", 3, 476, 129),
+    ("rpq", 3, 750, 30),
+    ("rpq", 4, 15_000, 59),  # 65,625 schedules, a few seconds
+])
+def test_schedules_with_the_same_local_sequences_share_one_oracle(data_type, q, traces, oracles):
+    # Schedules that differ only in how the replicas' own event
+    # sequences interleave are one trace, and each replica's state is a
+    # function of its own sequence: every schedule of a trace must end
+    # in the same oracle.
+    cfg = ExplorationConfig(data_type=data_type, n=2, q=q)
+    ends = set()  # (trace, oracle)
+    enumerate_traces(cfg, lambda sched, oracle: ends.add((local_sequences(sched, cfg.n), oracle)))
+    oracle_of = dict(ends)
+    assert len(oracle_of) == len(ends)  # no trace ends in two oracles
+    assert (len(oracle_of), len(set(oracle_of.values()))) == (traces, oracles)
 
 
 def test_generation_is_byte_deterministic():
