@@ -94,10 +94,12 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   because the digest omits it.  A state is the global-state tuple with
   ids for components, ``(slot, *replica ids, *channel ids)``, and each
   level is deduplicated on it.
-- Every component move is memoized on ids and runs once: the client
-  requests and ``issue`` per (replica id, slot), ``deliver`` per
-  (replica id, message id), a message joining a channel per (channel
-  id, message id) and the list position check per replica id.  The
+- Every component move but one is memoized on ids and runs once: the
+  client requests and ``issue`` per (replica id, slot), ``deliver`` per
+  (replica id, message id) and the list position check per replica id.
+  A message joining a channel is interned afresh on every call: a
+  frozenset union of at most q messages costs about what a memo lookup
+  does, and a memo keeps an entry per (channel id, message id).  The
   deliveries out of a channel are memoized per (dest, channel id), each
   with the id of the channel that message leaves behind, so a delivery
   edge costs one memo call (``deliver``).
@@ -140,9 +142,10 @@ collapse compression of Holzmann, *State compression in SPIN*, 1997):
   ``add``.  ``_Direct`` computes each move afresh, by
   ``ReplicaState.issue``/``deliver``; ``step``, ``replay_schedule`` and
   ``enumerate_traces`` use it.  The breadth-first search passes its
-  ``_IdStore``, which on a memo miss calls the same ``_Direct`` move
-  and interns the result: the store adds only memos and interning, and
-  the depth-first walk, which uses neither, checks them.
+  ``_IdStore``, which calls the same ``_Direct`` move (on a memo miss,
+  for all but ``add``) and interns the result: the store adds only
+  memos and interning, and the depth-first walk, which uses neither,
+  checks them.
 
 Checked invariants (reported by name):
 
@@ -498,7 +501,8 @@ class _Direct:
 class _IdStore:
     """The integer handles and move memos of one breadth-first search
     (see "State store" in the module docstring): ``_Direct``'s moves on
-    ids, each computed by ``_Direct`` once and interned."""
+    ids, each computed by ``_Direct`` once and interned, but ``add``,
+    interned on every call."""
 
     def __init__(self, cfg: ExplorationConfig):
         self.cfg = cfg
@@ -518,7 +522,6 @@ class _IdStore:
         # move memos, keyed on ids; a replica id fixes its index
         self._issued: dict[tuple[int, int], list] = {}  # (replica, slot)
         self._delivered: dict[tuple[int, int], int] = {}  # (replica, message)
-        self._added: dict[tuple[int, int], int] = {}  # (channel, message)
         self._deliveries: dict[tuple[int, int], list] = {}  # (dest, channel)
 
     def root(self) -> tuple:
@@ -576,11 +579,7 @@ class _IdStore:
         return got
 
     def add(self, cid: int, mid: int) -> int:
-        got = self._added.get((cid, mid))
-        if got is None:
-            msgs = _Direct.add(self.channels[cid], self.messages[mid])
-            got = self._added[cid, mid] = self._channel(msgs)
-        return got
+        return self._channel(_Direct.add(self.channels[cid], self.messages[mid]))
 
     # -- what the search reads off a state ----------------------------
 
@@ -653,8 +652,15 @@ def run_error(cfg: ExplorationConfig, schedule) -> str | None:
     a causal channel (``_Direct.ready`` stated without the model) only
     once its destination has issued or received every message of its
     context: all that its origin had issued or received when issuing it.
-    Whether a request is valid at its replica is left to the replica, so
-    a list schedule this passes may still be refused by ``step``.
+    Last, each list request must name ids its replica holds an element
+    of: a request other than an insert names a held id, an insert a new
+    id and a held anchor or none.  A replica holds an id once an insert
+    of it was issued there or delivered to it, and under
+    ``bug1-readd-accept`` (unless ``bug2-assume-causal`` discards it
+    first) once a re-add of it was delivered to it.  Whether a held
+    anchor still exists needs the remove-win semantics of the model, so
+    that is left to the replica, and a list schedule this passes may
+    still be refused by ``step``.
     """
     n = cfg.n
     for ev in schedule:
@@ -677,12 +683,23 @@ def run_error(cfg: ExplorationConfig, schedule) -> str | None:
     issued = [0] * n  # counters issued so far, by replica
     held = [set() for _ in range(n)]  # (origin, counter) issued at or delivered to each
     contexts = {}  # (origin, counter) -> what its origin held when issuing it
+    ids = [set() for _ in range(n)]  # list ids each replica holds an element of
+    creates = {}  # (origin, counter) -> the id its arrival makes held
+    creating = {"insert"}  # bug2 discards an early re-add before bug1 sees it
+    if BUG_READD_ACCEPT in cfg.bug_flags and BUG_ASSUME_CAUSAL not in cfg.bug_flags:
+        creating.add("readd")
+    id_error = None  # reported only if every delivery is one a run makes
     for ev in schedule:
         if isinstance(ev, ClientEvent):
             issued[ev.target] += 1
             dot = (ev.target, issued[ev.target])
             contexts[dot] = frozenset(held[ev.target])
             held[ev.target].add(dot)
+            if cfg.data_type == LIST:
+                id_error = id_error or _id_error(ev, ids[ev.target])
+                if ev.req.kind in creating:
+                    creates[dot] = ev.req.elem
+                    ids[ev.target].add(ev.req.elem)
             continue
         dot = (ev.origin, ev.counter)
         if ev.dest == ev.origin:
@@ -697,10 +714,25 @@ def run_error(cfg: ExplorationConfig, schedule) -> str | None:
                    f"{counter} from replica {origin}")
         else:
             held[ev.dest].add(dot)
+            if dot in creates:
+                ids[ev.dest].add(creates[dot])
             continue
         return (f"delivery of message {ev.counter} from replica {ev.origin} to replica "
                 f"{ev.dest} is in no run: {why}")
-    return None
+    return id_error
+
+
+def _id_error(ev: ClientEvent, ids: set) -> str | None:
+    """Why a replica holding elements of ``ids`` refuses ``ev``'s list
+    request by its ids alone, or None."""
+    req = ev.req
+    if req.kind == "insert" and req.elem in ids:
+        return f"slot {ev.slot} inserts {req.elem!r}, which replica {ev.target} already holds"
+    name = req.anchor if req.kind == "insert" else req.elem
+    if name is None or name in ids:
+        return None
+    verb = "inserts after" if req.kind == "insert" else f"{req.kind}s"
+    return f"slot {ev.slot} {verb} {name!r}, which replica {ev.target} does not hold"
 
 
 def step(cfg: ExplorationConfig, gs: tuple, ev) -> tuple:

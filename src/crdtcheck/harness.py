@@ -15,20 +15,25 @@ Verdicts per case:
                      carries the replica index and the first differing
                      byte offset.
 - ``replica-error``  the server rejected a scheduled client op, raised
-                     an error, sent a malformed reply or sync fan-out,
-                     or the schedule delivers a message a run may
-                     deliver but the servers' fan-out never produced.
+                     an error, sent a malformed reply or sync fan-out
+                     or a fan-out that is not one message to each
+                     other replica (blamed on the issuer), or the
+                     schedule delivers a message a run may deliver but
+                     the servers' fan-out never produced.
 - ``rejected``       not a run of this configuration, so no frame was
                      sent: another configuration's fingerprint, an
                      oracle for another replica count, or a schedule
                      ``explorer.run_error`` finds in no run: a replica
                      index outside 0..n-1, client events off slots
                      0..q-1 at replica i mod n, a client request no
-                     run issues, an incomplete schedule, or a delivery
+                     run issues, an incomplete schedule, a delivery
                      to its own origin, of a message not yet issued,
                      of one message to one replica twice, or, on a
                      causal channel, before its destination has
-                     issued or received every message of its context.
+                     issued or received every message of its context,
+                     or a list request on an id its replica does not
+                     hold, an insert of one it holds, or an insert
+                     after an anchor it does not hold.
 
 Replay summaries contain counts and the first few failing cases and
 deliberately no timing, so summarizing the same corpus twice yields the
@@ -38,6 +43,11 @@ Stress mode is the randomized variant: seeded random client requests
 against the servers with the model replicas run in lockstep, random
 partial delivery while a round is open, full delivery plus a canonical
 byte comparison at every round end.
+
+Both modes drive the servers through one lockstep session, which builds
+every frame, checks every reply and blames a failure on the replica the
+last frame went to.  An endpoint is anything with a ``send(frame)``
+that returns the reply frame; a ``ReplicaServer`` is its own.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ import random
 from dataclasses import dataclass, field
 from typing import IO, Callable, Iterable
 
-from .errors import BadConfig, CrdtCheckError, ProtocolViolation
+from .errors import BadConfig, ProtocolViolation
 from .explorer import ClientEvent, ExplorationConfig, config_fingerprint, run_error
 from .operations import RPQ, OperationRequest
 from .replica import ReplicaState, fresh_replica
@@ -60,19 +70,6 @@ REJECTED = "rejected"
 REPLICA_ERROR = "replica-error"
 
 MAX_REPORTED_FAILURES = 10
-
-
-class LoopbackEndpoint:
-    """In-process endpoint: frames go straight into the server object."""
-
-    def __init__(self, server: ReplicaServer):
-        self._server = server
-
-    def send(self, obj: dict) -> dict:
-        try:
-            return self._server.handle_frame(obj)
-        except CrdtCheckError as exc:
-            return {"error": str(exc), "type": "Error"}
 
 
 class SocketEndpoint:
@@ -99,14 +96,26 @@ class SocketEndpoint:
 
 
 def loopback_factory(cfg: ExplorationConfig, bug_flags=()) -> Callable[[], list]:
+    """Makes fresh loopback servers, one per replica: a ``ReplicaServer``
+    is its own endpoint."""
     bug_flags = check_bug_flags(bug_flags)  # refuse an unknown flag before any case runs
     def make() -> list:
-        return [
-            LoopbackEndpoint(ReplicaServer(cfg.data_type, i, cfg.n, bug_flags))
-            for i in range(cfg.n)
-        ]
+        return [ReplicaServer(cfg.data_type, i, cfg.n, bug_flags) for i in range(cfg.n)]
 
     return make
+
+
+def _endpoints_factory(cfg: ExplorationConfig, bug_flags, factory) -> Callable[[], list]:
+    """``factory``, or loopback servers with ``bug_flags`` if it is None.
+    Raises ``UnknownFlag`` for a flag outside the catalog and
+    ``BadConfig`` for flags beside a factory, whose servers they could
+    not reach."""
+    if factory is None:
+        return loopback_factory(cfg, bug_flags)
+    if check_bug_flags(bug_flags):
+        raise BadConfig("bug flags configure the loopback servers; "
+                        "custom endpoints take none")
+    return factory
 
 
 @dataclass
@@ -165,13 +174,24 @@ class ReplaySummary:
         }
 
 
-def _sync_fanout(reply: dict) -> dict[tuple[int, int, int], dict]:
-    """The messages of an accepted ClientOp reply, keyed ``(dest,
-    origin, counter)`` as a delivery event names them.
+class _Mismatch(ProtocolViolation):
+    """A stress failure other than a replica error, named by ``kind``;
+    replay counts it as a replica error like any ``ProtocolViolation``."""
+
+    def __init__(self, kind: str, detail: str):
+        super().__init__(detail)
+        self.kind = kind
+
+
+def _sync_fanout(reply: dict, origin: int, n: int) -> dict[tuple[int, int, int], dict]:
+    """The messages of replica ``origin``'s accepted ClientOp reply,
+    keyed ``(dest, origin, counter)`` as a delivery event names them.
 
     Raises ``ProtocolViolation`` unless ``syncs`` is an array whose every
     entry has an integer ``dest`` and a ``msg`` object whose ``origin``
-    and ``op.dot`` are integers, and no two entries share a key.
+    and ``op.dot`` are integers, and no two entries share a key; then an
+    ``issue-divergence`` ``_Mismatch`` unless the fan-out is one message
+    to each of the n replicas but ``origin``.
     """
     syncs = reply.get("syncs", [])
     fanout = {}
@@ -187,6 +207,10 @@ def _sync_fanout(reply: dict) -> dict[tuple[int, int, int], dict]:
         ok = False
     if not ok:
         raise ProtocolViolation(f"malformed sync fan-out: {syncs!r}")
+    dests = [dest for dest, _, _ in fanout]
+    expected = [d for d in range(n) if d != origin]
+    if sorted(dests) != expected:
+        raise _Mismatch("issue-divergence", f"sync fan-out went to {dests}, expected {expected}")
     return fanout
 
 
@@ -199,24 +223,46 @@ def _diff_at(got: str, want: str) -> int | None:
     return next((i for i, (x, y) in enumerate(zip(a, b)) if x != y), min(len(a), len(b)))
 
 
-def _exchange(endpoint, frame: dict, want: str) -> dict:
-    """Send one frame and return the reply.
+class _Lockstep:
+    """One lockstep session with n replica servers, one endpoint each:
+    every frame of the protocol is built here and every reply checked
+    here, and ``blamed`` is the replica the last frame went to.
 
-    Raises ``ProtocolViolation`` unless the reply is an object of type
-    ``want``, and an ``InspectReply`` carries a string ``state``.  An
-    Error reply raises with the server's error text as the message.
+    A reply that is not an object of the expected type, an
+    ``InspectReply`` without a string ``state``, or an Error reply
+    raises ``ProtocolViolation``; an Error reply's text is its message.
     """
-    reply = endpoint.send(frame)
-    if not isinstance(reply, dict):
-        raise ProtocolViolation(f"reply is not an object: {reply!r}")
-    kind = reply.get("type")
-    if kind == "Error":
-        raise ProtocolViolation(str(reply.get("error", "")))
-    if kind != want:
-        raise ProtocolViolation(f"expected a {want} reply, got {kind!r}")
-    if want == "InspectReply" and not isinstance(reply.get("state"), str):
-        raise ProtocolViolation(f"state is not a string: {reply.get('state')!r}")
-    return reply
+
+    def __init__(self, endpoints: list, n: int):
+        if len(endpoints) != n:
+            raise BadConfig(f"need one endpoint per replica, got {len(endpoints)} for {n}")
+        self.endpoints = endpoints
+        self.blamed: int | None = None
+
+    def _exchange(self, replica: int, frame: dict, want: str) -> dict:
+        self.blamed = replica
+        reply = self.endpoints[replica].send(frame)
+        if not isinstance(reply, dict):
+            raise ProtocolViolation(f"reply is not an object: {reply!r}")
+        kind = reply.get("type")
+        if kind == "Error":
+            raise ProtocolViolation(str(reply.get("error", "")))
+        if kind != want:
+            raise ProtocolViolation(f"expected a {want} reply, got {kind!r}")
+        if want == "InspectReply" and not isinstance(reply.get("state"), str):
+            raise ProtocolViolation(f"state is not a string: {reply.get('state')!r}")
+        return reply
+
+    def issue(self, replica: int, req: OperationRequest) -> dict | None:
+        """The Ack of ``req`` at ``replica``, or None if it refused."""
+        reply = self._exchange(replica, {"req": req.as_wire(), "type": "ClientOp"}, "Ack")
+        return reply if reply.get("accepted") else None
+
+    def sync(self, replica: int, msg: dict) -> None:
+        self._exchange(replica, {"msg": msg, "type": "Sync"}, "Ack")
+
+    def state(self, replica: int) -> str:
+        return self._exchange(replica, {"type": "Inspect"}, "InspectReply")["state"]
 
 
 def replay_case(
@@ -226,8 +272,7 @@ def replay_case(
     replica, of ``cfg``, whose fingerprint is ``expected_fp``.  Raises
     ``BadConfig``, before any frame, unless there are n endpoints."""
     n = cfg.n
-    if len(endpoints) != n:
-        raise BadConfig(f"need one endpoint per replica, got {len(endpoints)} for {n}")
+    session = _Lockstep(endpoints, n)
     if tc.fingerprint != expected_fp:
         misfit = (f"case fingerprint {tc.fingerprint[:12]}… does not match "
                   f"this configuration ({expected_fp[:12]}…)")
@@ -238,42 +283,32 @@ def replay_case(
     if misfit is not None:
         return CaseResult(tc.case_id, REJECTED, detail=misfit)
     in_flight: dict[tuple[int, int, int], dict] = {}  # by (dest, origin, counter)
-    replica = None  # the replica a failure is blamed on
     try:
         for ev in tc.schedule:
-            replica = ev.target if isinstance(ev, ClientEvent) else ev.dest
             if isinstance(ev, ClientEvent):
-                reply = _exchange(
-                    endpoints[replica],
-                    {"req": ev.req.as_wire(), "type": "ClientOp"}, "Ack",
+                reply = session.issue(ev.target, ev.req)
+                if reply is None:
+                    raise ProtocolViolation(
+                        f"scheduled client op was rejected: {ev.req.as_wire()}")
+                in_flight.update(_sync_fanout(reply, ev.target, n))
+                continue
+            msg = in_flight.pop((ev.dest, ev.origin, ev.counter), None)
+            if msg is None:
+                return CaseResult(
+                    tc.case_id, REPLICA_ERROR, replica=ev.dest,
+                    detail=f"no in-flight message from replica {ev.origin} dot counter "
+                    f"{ev.counter} for replica {ev.dest}",
                 )
-                if not reply.get("accepted"):
-                    return CaseResult(
-                        tc.case_id, REPLICA_ERROR, replica=replica,
-                        detail=f"scheduled client op was rejected: {ev.req.as_wire()}",
-                    )
-                in_flight.update(_sync_fanout(reply))
-            else:
-                msg = in_flight.pop((ev.dest, ev.origin, ev.counter), None)
-                if msg is None:
-                    return CaseResult(
-                        tc.case_id, REPLICA_ERROR, replica=replica,
-                        detail=f"no in-flight message from replica {ev.origin} dot counter "
-                        f"{ev.counter} for replica {ev.dest}",
-                    )
-                _exchange(endpoints[replica], {"msg": msg, "type": "Sync"}, "Ack")
+            session.sync(ev.dest, msg)
         for replica in range(n):
-            got = _exchange(
-                endpoints[replica], {"type": "Inspect"}, "InspectReply"
-            )["state"]
-            offset = _diff_at(got, tc.oracle[replica])
+            offset = _diff_at(session.state(replica), tc.oracle[replica])
             if offset is not None:
                 return CaseResult(
                     tc.case_id, DIVERGED, replica=replica, diff_offset=offset,
                     detail=f"replica {replica} differs from the oracle at byte {offset}",
                 )
     except ProtocolViolation as exc:
-        return CaseResult(tc.case_id, REPLICA_ERROR, replica=replica, detail=str(exc))
+        return CaseResult(tc.case_id, REPLICA_ERROR, replica=session.blamed, detail=str(exc))
     return CaseResult(tc.case_id, PASS)
 
 
@@ -290,15 +325,11 @@ def replay_corpus(
     flag outside the catalog and ``BadConfig`` for flags together with a
     factory, whose servers they could not reach, or for a factory whose
     endpoints are not one per replica."""
-    if endpoints_factory is None:
-        endpoints_factory = loopback_factory(cfg, bug_flags)
-    elif check_bug_flags(bug_flags):
-        raise BadConfig("bug flags configure the loopback servers; "
-                        "custom endpoints take none")
+    make = _endpoints_factory(cfg, bug_flags, endpoints_factory)
     expected_fp = config_fingerprint(cfg)
     summary = ReplaySummary()
     for tc in iter_corpus(stream):
-        summary.note(replay_case(tc, endpoints_factory(), expected_fp, cfg))
+        summary.note(replay_case(tc, make(), expected_fp, cfg))
     return summary
 
 
@@ -319,14 +350,6 @@ class StressFailure:
             "replica": self.replica,
             "round": self.round_no,
         }
-
-
-class _Mismatch(ProtocolViolation):
-    """A stress failure other than a replica error, named by ``kind``."""
-
-    def __init__(self, kind: str, detail: str):
-        super().__init__(detail)
-        self.kind = kind
 
 
 @dataclass
@@ -411,52 +434,35 @@ def stress(
     # The config checks the data type and n; q only has to be at least n.
     cfg = ExplorationConfig(data_type=data_type, n=n, q=n)
     rng = random.Random(seed)
-    if endpoints is None:
-        endpoints = loopback_factory(cfg, bug_flags)()
-    elif check_bug_flags(bug_flags):
-        raise BadConfig("bug flags configure the loopback servers; "
-                        "custom endpoints take none")
-    if len(endpoints) != n:
-        raise BadConfig(f"need one endpoint per replica, got {len(endpoints)} for {n}")
+    make = _endpoints_factory(cfg, bug_flags, None if endpoints is None else lambda: endpoints)
+    session = _Lockstep(make(), n)
     models = [fresh_replica(data_type, i) for i in range(n)]
     report = StressReport(seed=seed, rounds=rounds)
     # in-flight: list of (dest, wire message, model SyncMessage)
     in_flight: list = []
     issued = 0
-    replica = 0  # the replica a failure is blamed on
 
     def deliver(index: int) -> None:
-        nonlocal replica
-        replica, wire_msg, model_msg = in_flight.pop(index)
+        dest, wire_msg, model_msg = in_flight.pop(index)
         report.deliveries += 1
-        _exchange(endpoints[replica], {"msg": wire_msg, "type": "Sync"}, "Ack")
-        models[replica] = models[replica].deliver(model_msg)
+        session.sync(dest, wire_msg)
+        models[dest] = models[dest].deliver(model_msg)
 
     try:
         for round_no in range(rounds):
             for _ in range(ops_per_round):
-                target = replica = rng.randrange(n)
+                target = rng.randrange(n)
                 issued += 1
                 req = _random_request(rng, data_type, models[target], f"x{issued}")
-                reply = _exchange(
-                    endpoints[target], {"req": req.as_wire(), "type": "ClientOp"}, "Ack"
-                )
-                if not reply.get("accepted"):
+                reply = session.issue(target, req)
+                if reply is None:
                     raise _Mismatch(
                         "rejection-mismatch", f"model accepts {req.as_wire()}; server rejected"
                     )
                 report.ops += 1
                 models[target], model_msg = models[target].issue(req)
                 model_wire = canonical_json(model_msg.as_wire())
-                fanout = _sync_fanout(reply)
-                dests = [dest for dest, _, _ in fanout]
-                expected_dests = sorted(d for d in range(n) if d != target)
-                if sorted(dests) != expected_dests:
-                    raise _Mismatch(
-                        "issue-divergence",
-                        f"sync fan-out went to {dests}, expected {expected_dests}",
-                    )
-                for (dest, _, _), wire_msg in fanout.items():
+                for (dest, _, _), wire_msg in _sync_fanout(reply, target, n).items():
                     offset = _diff_at(canonical_json(wire_msg), model_wire)
                     if offset is not None:
                         raise _Mismatch(
@@ -471,10 +477,7 @@ def stress(
             while in_flight:
                 deliver(rng.randrange(len(in_flight)))
             for replica in range(n):
-                got = _exchange(
-                    endpoints[replica], {"type": "Inspect"}, "InspectReply"
-                )["state"]
-                offset = _diff_at(got, models[replica].normalize())
+                offset = _diff_at(session.state(replica), models[replica].normalize())
                 if offset is not None:
                     raise _Mismatch(
                         "inspect-divergence",
@@ -482,5 +485,5 @@ def stress(
                     )
     except ProtocolViolation as exc:
         kind = exc.kind if isinstance(exc, _Mismatch) else "replica-error"
-        report.failure = StressFailure(kind, round_no, replica, str(exc))
+        report.failure = StressFailure(kind, round_no, session.blamed, str(exc))
     return report

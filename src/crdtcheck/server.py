@@ -24,6 +24,9 @@ produces exactly one reply frame.  Client operations answer with an Ack
 carrying the sync messages to forward (the server never talks to its
 peers directly — the driver owns the topology), deliveries answer with a
 bare Ack, and Inspect answers with the canonical state string.
+``ReplicaServer.send`` answers a refused frame with an Error frame, so
+a server is its own in-process endpoint, and ``serve_connection``
+replies to a socket through it.
 
 Bug flags (transcription mistakes kept reproducible on purpose) are
 catalogued once, in ``BUG_DESCRIPTIONS``, which ``crdtcheck bugs`` prints.
@@ -225,7 +228,8 @@ def _gen_pos(left, right, replica, counter):
 
 
 class ReplicaServer:
-    """One replica endpoint; drive it with ``handle_frame``."""
+    """One replica endpoint; drive it with ``handle_frame``, or with
+    ``send``, which makes a server its own loopback endpoint."""
 
     def __init__(self, data_type: str, replica: int, n: int, bug_flags=()):
         if data_type not in (RPQ, LIST):
@@ -247,6 +251,14 @@ class ReplicaServer:
         self.bug7 = "bug7-idgen-order" in bug_flags
 
     # -- frame dispatch ------------------------------------------------
+
+    def send(self, obj: dict) -> dict:
+        """The reply to one frame: ``handle_frame``'s, or an Error frame
+        carrying the error text if the frame is refused."""
+        try:
+            return self.handle_frame(obj)
+        except CrdtCheckError as exc:
+            return {"error": str(exc), "type": "Error"}
 
     def handle_frame(self, obj: dict) -> dict:
         kind = obj.get("type")
@@ -604,10 +616,6 @@ def serve_connection(server: ReplicaServer, sock) -> None:
                 return
             if obj is None:
                 return
-            try:
-                reply = server.handle_frame(obj)
-            except CrdtCheckError as exc:
-                reply = {"error": str(exc), "type": "Error"}
-            answer(reply)
+            answer(server.send(obj))
             if obj.get("type") == "Shutdown":
                 return

@@ -15,7 +15,6 @@ import pytest
 from crdtcheck.cli import main
 from crdtcheck.errors import BadConfig, MalformedCase, UnknownFlag
 from crdtcheck.explorer import (
-    ClientEvent,
     DeliverEvent,
     ExplorationConfig,
     config_fingerprint,
@@ -27,7 +26,6 @@ from crdtcheck.harness import (
     PASS,
     REJECTED,
     REPLICA_ERROR,
-    LoopbackEndpoint,
     SocketEndpoint,
     _diff_at,
     loopback_factory,
@@ -37,7 +35,7 @@ from crdtcheck.harness import (
 )
 from crdtcheck.operations import OperationRequest
 from crdtcheck.server import ReplicaServer
-from crdtcheck.testgen import case_line, generate_corpus, iter_corpus, parse_case_line
+from crdtcheck.testgen import generate_corpus, iter_corpus, parse_case_line
 from crdtcheck.wire import FrameSocket
 
 
@@ -119,13 +117,21 @@ def test_tampered_oracle_diverges_with_a_byte_offset():
     assert broken_oracle[0][result.diff_offset] != tc.oracle[0][result.diff_offset]
 
 
+def relabelled(syncs: list) -> list:
+    """The fan-out with 100 added to each message's dot counter."""
+    return [
+        {**s, "msg": {**s["msg"], "op": {**s["msg"]["op"], "dot": [r, c + 100]}}}
+        for s in syncs for r, c in [s["msg"]["op"]["dot"]]
+    ]
+
+
 def test_unsatisfiable_delivery_is_a_replica_error():
-    # the schedule is a run, but the servers' fan-out drops every message,
-    # so its first delivery finds none in flight
+    # the schedule is a run, but the servers' fan-out relabels every
+    # message, so its first delivery finds none in flight
     cfg = rpq_cfg()
     tc = first_case(cfg)
     ev = next(ev for ev in tc.schedule if isinstance(ev, DeliverEvent))
-    endpoints = [MangledFanout(ReplicaServer("rpq", i, 2), lambda syncs: []) for i in range(2)]
+    endpoints = [MangledFanout(ReplicaServer("rpq", i, 2), relabelled) for i in range(2)]
     result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica == ev.dest
@@ -135,15 +141,23 @@ def test_unsatisfiable_delivery_is_a_replica_error():
     )
 
 
-def test_rejected_scheduled_request_is_a_replica_error():
+def refusing(monkeypatch, kind: str) -> None:
+    """Make every server refuse each request of ``kind``, besides those
+    an honest server refuses."""
+    honest = ReplicaServer._refuses
+    monkeypatch.setattr(ReplicaServer, "_refuses", lambda self, k, elem, anchor: (
+        k == kind or honest(self, k, elem, anchor)))
+
+
+def test_rejected_scheduled_request_is_a_replica_error(monkeypatch):
+    # the case is a run, but the servers refuse its first request
+    refusing(monkeypatch, "insert")
     cfg = ExplorationConfig(data_type="list", n=1, q=2)
-    dup = OperationRequest("insert", "e1", 10)
-    schedule = (ClientEvent(0, 0, dup), ClientEvent(1, 0, dup))
-    tc = parse_case_line(1, case_line(config_fingerprint(cfg), schedule, ("{}",)))
+    tc = first_case(cfg)
     result = replay_case(tc, loopback_factory(cfg)(), config_fingerprint(cfg), cfg)
     assert result.status == REPLICA_ERROR
     assert result.replica == 0
-    assert "rejected" in result.detail
+    assert result.detail == f"scheduled client op was rejected: {tc.schedule[0].req.as_wire()}"
 
 
 # field of the replica index in a client ("C") and a delivery ("D") event
@@ -408,12 +422,15 @@ def test_endpoints_of_the_wrong_count_are_refused_before_any_frame(count):
         stress("list", 2, seed=1, endpoints=[Untouchable()] * count)
 
 
-def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):
-    # a run of the right shape whose first request removes an element no
-    # replica has: the server refuses it
+def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys, monkeypatch):
+    # two runs, against servers that refuse every remove: the first run
+    # that removes an element, and the first run, which removes none
+    refusing(monkeypatch, "remove")
     cfg = ExplorationConfig(data_type="list", n=2, q=3)
-    refused = edited_line(cfg, "C", 2, {"anchor": None, "arg": None, "id": "e9", "kind": "remove"})
-    text = refused + "\n" + corpus_text(cfg).splitlines()[0] + "\n"
+    lines = corpus_text(cfg).splitlines()
+    refused = next(line for line in lines if '"kind":"remove"' in line)
+    assert '"kind":"remove"' not in lines[0]
+    text = refused + "\n" + lines[0] + "\n"
     summary = replay_corpus(cfg, io.StringIO(text))
     assert (summary.cases, summary.passed, summary.replica_error,
             summary.diverged, summary.rejected) == (2, 1, 1, 0, 0)
@@ -424,6 +441,30 @@ def test_replica_errors_are_counted_and_replay_exits_two(tmp_path, capsys):
     assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert (doc["replica_error"], doc["diverged"], doc["rejected"]) == (1, 0, 0)
+
+
+def test_a_request_before_its_element_arrives_is_rejected(tmp_path, capsys):
+    # Replica 0 removes e2 once replica 1's insert of it has arrived.
+    # Swapped, the remove comes first: no run issues it, so no honest
+    # server is blamed for refusing it.
+    cfg = ExplorationConfig(data_type="list", n=2, q=3)
+    arrival = ["D", 0, 1, 1]
+    remove = ["C", 2, {"anchor": None, "arg": None, "id": "e2", "kind": "remove"}, 0]
+    for line in corpus_text(cfg).splitlines():
+        doc = json.loads(line)
+        s = doc["sched"]
+        at = next((i for i in range(len(s) - 1) if s[i:i + 2] == [arrival, remove]), None)
+        if at is not None:
+            break
+    assert at is not None
+    s[at:at + 2] = [remove, arrival]
+    corpus = tmp_path / "early-remove.jsonl"
+    corpus.write_text(recased(doc) + "\n")
+    assert main(["replay", "--type", "list", "-n", "2", "-q", "3", str(corpus)]) == 1
+    doc = json.loads(capsys.readouterr().out)
+    assert (doc["rejected"], doc["replica_error"]) == (1, 0)
+    assert doc["first_failures"][0]["detail"] == (
+        "slot 2 removes 'e2', which replica 0 does not hold")
 
 
 @pytest.mark.parametrize("tag", ["C", "D"])
@@ -578,11 +619,11 @@ class MangledFanout:
     """Honest server whose accepted ClientOp replies carry a bad fan-out."""
 
     def __init__(self, server: ReplicaServer, mangle):
-        self._inner = LoopbackEndpoint(server)
+        self._server = server
         self._mangle = mangle
 
     def send(self, obj: dict) -> dict:
-        reply = self._inner.send(obj)
+        reply = self._server.send(obj)
         if obj["type"] == "ClientOp" and reply.get("accepted"):
             reply = {**reply, "syncs": self._mangle(reply["syncs"])}
         return reply
@@ -622,6 +663,30 @@ WRONG_FANOUTS = {
     "one-dropped": lambda syncs: syncs[:-1],
     "to-itself": lambda syncs: [{**syncs[0], "dest": syncs[0]["msg"]["origin"]}, *syncs[1:]],
 }
+
+
+# Each rewrites an honest ClientOp reply's "syncs" list of a 2-replica
+# session into a well-formed fan-out that is not one message to the other
+# replica.
+WRONG_FANOUTS_IN_REPLAY = {
+    "none": lambda syncs: [],
+    "plus-issuer": lambda syncs: [*syncs, {**syncs[0], "dest": syncs[0]["msg"]["origin"]}],
+    "plus-replica-7": lambda syncs: [*syncs, {**syncs[0], "dest": 7}],
+}
+
+
+@pytest.mark.parametrize("name", sorted(WRONG_FANOUTS_IN_REPLAY))
+def test_fanout_to_the_wrong_replicas_is_a_replica_error_in_replay(name):
+    # blamed on the issuer when it answers, not on a destination later
+    cfg = rpq_cfg()
+    tc = first_case(cfg)
+    endpoints = [
+        MangledFanout(ReplicaServer("rpq", i, 2), WRONG_FANOUTS_IN_REPLAY[name])
+        for i in range(2)
+    ]
+    result = replay_case(tc, endpoints, config_fingerprint(cfg), cfg)
+    assert (result.status, result.replica) == (REPLICA_ERROR, tc.schedule[0].target)
+    assert result.detail.startswith("sync fan-out went to ")
 
 
 @pytest.mark.parametrize("name", sorted(WRONG_FANOUTS))
@@ -719,12 +784,12 @@ class BadReplies:
     """Honest server whose replies to one frame type are replaced."""
 
     def __init__(self, server: ReplicaServer, kind: str, reply):
-        self._inner = LoopbackEndpoint(server)
+        self._server = server
         self._kind = kind
         self._reply = reply
 
     def send(self, obj: dict):
-        honest = self._inner.send(obj)
+        honest = self._server.send(obj)
         return self._reply(obj) if obj["type"] == self._kind else honest
 
 
@@ -854,9 +919,3 @@ def test_stress_report_bytes_are_pinned(data_type, seed, flag, rounds, ops, dige
                     bug_flags=(flag,) if flag else ())
     blob = json.dumps(report.as_json(), sort_keys=True).encode("utf-8")
     assert hashlib.sha256(blob).hexdigest() == digest
-
-
-def test_loopback_endpoint_surfaces_errors_as_frames():
-    ep = LoopbackEndpoint(ReplicaServer("rpq", 0, 2))
-    reply = ep.send({"type": "Gossip"})
-    assert reply["type"] == "Error"

@@ -19,7 +19,7 @@ from crdtcheck.explorer import (
     ExplorationConfig,
     enumerate_traces,
 )
-from crdtcheck.harness import LoopbackEndpoint, SocketEndpoint, stress
+from crdtcheck.harness import SocketEndpoint, stress
 from crdtcheck.operations import OperationRequest
 from crdtcheck.positions import generate_between
 from crdtcheck.replica import _BUG_NONCE_FLOOR, fresh_replica
@@ -193,6 +193,17 @@ def test_unknown_frame_type_raises():
         srv.handle_frame({"type": "Gossip"})
 
 
+def test_send_answers_a_refused_frame_with_an_error_frame():
+    # a server is its own loopback endpoint: send replies to every frame
+    srv, ref = ReplicaServer("list", 0, 2), ReplicaServer("list", 0, 2)
+    frame = client_frame("insert", "e1", 10)
+    assert srv.send(frame) == ref.handle_frame(frame)
+    before = srv.send({"type": "Inspect"})
+    assert srv.send({"type": "Gossip"}) == {"error": "unknown frame type 'Gossip'", "type": "Error"}
+    assert srv.send(client_frame("insert", "e1", 10, anchor=7))["type"] == "Error"
+    assert srv.send({"type": "Inspect"}) == before
+
+
 def peer_sync(data_type: str, op=None, ctx=None) -> dict:
     """A Sync frame from replica 1's first operation, with fields of its
     operation and context overridden."""
@@ -309,7 +320,7 @@ def foreign_update():
 
 def test_update_of_a_foreign_element_changes_nothing():
     ins, bad, _ = foreign_update()
-    srv = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    srv = ReplicaServer("list", 0, 2)
     srv.send(ins)
     before = srv.send({"type": "Inspect"})
     reply = srv.send(bad)
@@ -320,12 +331,12 @@ def test_update_of_a_foreign_element_changes_nothing():
 
 def test_buffered_foreign_update_is_dropped_when_released():
     ins, bad, upd = foreign_update()
-    srv = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    srv = ReplicaServer("list", 0, 2)
     assert srv.send(bad)["type"] == "Ack"  # deps unmet: buffered
     assert srv.send(upd)["type"] == "Ack"
     reply = srv.send(ins)  # releases both; the foreign update is refused
     assert reply["type"] == "Error" and "before its insert" in reply["error"]
-    ref = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    ref = ReplicaServer("list", 0, 2)
     ref.send(ins)
     ref.send(upd)
     # the legal update still applied; [1,2] is neither applied nor buffered
@@ -528,16 +539,15 @@ def test_bug7_server_misorders_its_position_index():
 
 
 class CacheChecked:
-    """Loopback endpoint that, after every frame, checks the server's
+    """Endpoint that sends each frame to ``server`` and then checks its
     canonical state against a copy that renders every member afresh."""
 
     def __init__(self, server: ReplicaServer):
         self.server = server
-        self._inner = LoopbackEndpoint(server)
         self.frames = 0
 
     def send(self, obj: dict) -> dict:
-        reply = self._inner.send(obj)
+        reply = self.server.send(obj)
         cold = copy.copy(self.server)
         cold.members = {}
         assert self.server.canonical_state() == cold.canonical_state()
@@ -665,7 +675,7 @@ def insert_after_a_deep_position(ep) -> None:
 
 
 def test_insert_after_a_deep_peer_position_is_acked_over_loopback():
-    insert_after_a_deep_position(LoopbackEndpoint(ReplicaServer("list", 0, 2)))
+    insert_after_a_deep_position(ReplicaServer("list", 0, 2))
 
 
 def test_insert_after_a_deep_peer_position_is_acked_over_a_socket():
@@ -745,7 +755,7 @@ def test_serve_connection_ends_when_the_peer_closes_between_frames():
 
 
 def test_loopback_and_socket_endpoints_agree():
-    loop = LoopbackEndpoint(ReplicaServer("list", 0, 2))
+    loop = ReplicaServer("list", 0, 2)
     srv_sock, cli_sock = socket.socketpair()
     t = threading.Thread(
         target=serve_connection, args=(ReplicaServer("list", 0, 2), srv_sock)
